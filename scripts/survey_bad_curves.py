@@ -49,8 +49,7 @@ def main(argv=None) -> int:
     for fam in report.family_results:
         print(
             f"  ell={fam.ell}: corrected={fam.corrected_bad_survivors} "
-            f"reversed={fam.reversed_bad_survivors} "
-            f"(literal [2,..,2,ell+1] is a T-string: {fam.literal_is_tstring})"
+            f"reversed={fam.reversed_bad_survivors}"
         )
 
     print(f"\noracle passed: {report.passed}")

@@ -61,8 +61,9 @@ from .curveconfig import (
     divisor_k,
     divisor_pairing,
     divisor_product,
+    induced_subgraph,
 )
-from .discrepancy import canonical_pairing, discrepancies
+from .discrepancy import canonical_pairing
 from .tstring import TString, as_entries, enumerate_tstrings, is_tstring
 
 ORACLE_LENGTH_CAP = 8
@@ -384,28 +385,6 @@ def build_candidate_config(
     return CurveConfig.make(vertices, edges), e_id
 
 
-def _component_subgraph(
-    cfg: CurveConfig, comps: set[int]
-) -> tuple[list[tuple[int, int, int]], bool]:
-    """Edges induced on comps and whether the induced graph is connected."""
-    edges = [(e.a, e.b, e.m) for e in cfg.edges if e.a in comps and e.b in comps]
-    if not comps:
-        return edges, True
-    adj: dict[int, set[int]] = {v: set() for v in comps}
-    for a, b, _ in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {min(comps)}
-    frontier = [min(comps)]
-    while frontier:
-        v = frontier.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return edges, seen == comps
-
-
 def staged_structure_checks(
     config: CurveConfig, components: Iterable[int], trace: BlowDownTrace
 ) -> set[str]:
@@ -423,8 +402,8 @@ def staged_structure_checks(
             remaining.discard(trace.steps[idx - 1].vertex)
         if len(remaining) <= 1:
             continue
-        edges, connected = _component_subgraph(cfg, remaining)
-        if any(m >= 2 for _, _, m in edges):
+        edges, connected = induced_subgraph(cfg, remaining)
+        if any(e.m >= 2 for e in edges):
             fired.add(MULTI_EDGE)
         if not connected:
             fired.add(DISCONNECTED_STAGE)
@@ -433,7 +412,7 @@ def staged_structure_checks(
         for vid in remaining:
             v = cfg.curve(vid)
             if v.self_int == -1 and v.k_degree == -1:
-                weight = sum(m for a, b, m in edges if vid in (a, b))
+                weight = sum(e.m for e in edges if vid in (e.a, e.b))
                 if weight >= 3:
                     fired.add(THREE_NEIGHBOR)
     return fired
@@ -469,15 +448,12 @@ def examine_candidate(
     kind: str,
     internal: Iterable[int],
     e_hits: Sequence[int],
-    disc: Sequence[Fraction] | None = None,
 ) -> CandidateOutcome:
     """Run every combinatorial obstruction against one candidate bad curve."""
     b = as_entries(t)
     ell = len(b)
     internal = tuple(sorted(internal))
     e_hits = tuple(sorted(e_hits))
-    if disc is None:
-        disc = discrepancies(b)
 
     config, e_id = build_candidate_config(b, internal, e_hits)
     comps = set(internal) | {e_id}
@@ -521,8 +497,7 @@ def examine_candidate(
                 raise AssertionError(f"contracted divisor has K-degree {k_e}, not -1")
             if badness <= 0:
                 checks.add(ZERO_INCIDENCE)
-            value = sum((aj * vj for aj, vj in zip(disc, v_full)), Fraction(0))
-            if not value < k_e:
+            if not canonical_pairing(b, v_full, k_e)[1]:
                 checks.add(MAGIC_FULL)
 
     if checks:
@@ -620,8 +595,6 @@ def pair_product(
 @dataclass(frozen=True)
 class FamilyResult:
     ell: int
-    literal: tuple[int, ...]
-    literal_is_tstring: bool
     corrected: tuple[int, ...]
     corrected_bad_survivors: int
     reversed_bad_survivors: int
@@ -688,9 +661,7 @@ def case_oracle(ell_max: int) -> OracleReport:
     compatible B1 + B2 survivor pairs obey 2(n1 + n2) <= ell + 5; the
     surviving set is closed under string reversal (with B1 and B2 swapped);
     and the string family [2, .., 2, ell + 3] (and its reversal) has no bad
-    survivors at all.  The literal family [2, .., 2, ell + 1] fails the
-    checksum, so its entry in the report is vacuous; the corrected family is
-    the content-bearing one.
+    survivors at all.
     """
     if not 1 <= ell_max <= ORACLE_LENGTH_CAP:
         raise ValueError(f"ell_max must be in 1..{ORACLE_LENGTH_CAP}, got {ell_max}")
@@ -699,9 +670,8 @@ def case_oracle(ell_max: int) -> OracleReport:
     by_string: dict[tuple[int, ...], list[CandidateOutcome]] = {}
     for ell, strings in sorted(enumerate_tstrings(ell_max).items()):
         for t in sorted(as_entries(s) for s in strings):
-            disc = discrepancies(t)
             rows = [
-                examine_candidate(t, kind, internal, hits, disc)
+                examine_candidate(t, kind, internal, hits)
                 for kind, internal, hits in enumerate_candidates(ell)
             ]
             rows.sort(key=lambda o: (o.kind, o.internal, o.e_hits))
@@ -761,15 +731,12 @@ def case_oracle(ell_max: int) -> OracleReport:
 
     family_results = []
     for ell in range(1, ell_max + 1):
-        literal = tuple([2] * (ell - 1) + [ell + 1])
         corrected = tuple([2] * (ell - 1) + [ell + 3])
         rev = tuple(reversed(corrected))
         assert is_tstring(corrected).accepted, corrected
         family_results.append(
             FamilyResult(
                 ell=ell,
-                literal=literal,
-                literal_is_tstring=is_tstring(literal).accepted,
                 corrected=corrected,
                 corrected_bad_survivors=count_bad(corrected),
                 reversed_bad_survivors=count_bad(rev),

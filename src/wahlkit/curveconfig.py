@@ -432,26 +432,27 @@ def divisor_product(c: CurveConfig, m1: Mapping[int, int], m2: Mapping[int, int]
 # ----- Structural validation -----
 
 
-def _induced_edges(c: CurveConfig, comp: set[int]) -> list[Edge]:
-    return [e for e in c.edges if e.a in comp and e.b in comp]
+def induced_subgraph(c: CurveConfig, comp: set[int]) -> tuple[list[Edge], bool]:
+    """Edges of c with both ends in comp, and whether they connect comp.
 
-
-def _connected(comp: set[int], edges: list[Edge]) -> bool:
+    The empty set counts as not connected: it has no component to reach.
+    """
+    edges = [e for e in c.edges if e.a in comp and e.b in comp]
     if not comp:
-        return False
-    seen = {next(iter(sorted(comp)))}
-    frontier = list(seen)
+        return edges, False
     adj: dict[int, set[int]] = {v: set() for v in comp}
     for e in edges:
         adj[e.a].add(e.b)
         adj[e.b].add(e.a)
+    seen = {min(comp)}
+    frontier = list(seen)
     while frontier:
         v = frontier.pop()
         for u in adj[v]:
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
-    return seen == comp
+    return edges, seen == comp
 
 
 @dataclass(frozen=True)
@@ -515,10 +516,10 @@ def validate_zariski(
     negative_self_ints = need(
         "negative_self_ints", all(c.curve(v).self_int < 0 for v in comp)
     )
-    induced = _induced_edges(c, comp)
+    induced, connected = induced_subgraph(c, comp)
     simple_edges = need("simple_edges", all(e.m == 1 for e in induced))
     connected_tree = need(
-        "connected_tree", _connected(comp, induced) and len(induced) == len(comp) - 1
+        "connected_tree", connected and len(induced) == len(comp) - 1
     )
     minus_ones = [
         v for v in comp if c.curve(v).self_int == -1 and c.curve(v).k_degree == -1
@@ -744,18 +745,38 @@ def config_to_json(c: CurveConfig) -> dict:
     }
 
 
+def _int_field(obj: dict, kind: str, field: str, default: int | None = None) -> int:
+    """obj[field], which must be a JSON integer: no bool, float, string or null."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"each {kind} must be a JSON object, got {obj!r}")
+    value = obj.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{kind} field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_json(data: dict) -> CurveConfig:
+    """Inverse of config_to_json; a malformed field raises ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"configuration must be a JSON object, got {data!r}")
     vertices = [
         Curve(
-            int(v["id"]),
-            int(v["self_int"]),
-            int(v["k_degree"]),
-            int(v.get("mult", 0)),
+            _int_field(v, "vertex", "id"),
+            _int_field(v, "vertex", "self_int"),
+            _int_field(v, "vertex", "k_degree"),
+            _int_field(v, "vertex", "mult", 0),
             str(v.get("label", "")),
         )
         for v in data["vertices"]
     ]
-    edges = [Edge(int(e["a"]), int(e["b"]), int(e.get("m", 1))) for e in data["edges"]]
+    edges = [
+        Edge(
+            _int_field(e, "edge", "a"),
+            _int_field(e, "edge", "b"),
+            _int_field(e, "edge", "m", 1),
+        )
+        for e in data["edges"]
+    ]
     return CurveConfig.make(vertices, edges)
 
 

@@ -8,10 +8,13 @@ system
     M a = (b_1 - 2, ..., b_ell - 2)^T,
 
 where M is the tridiagonal intersection matrix (M_jj = -b_j, off-diagonal 1).
-M is negative definite, so the solution is unique; we solve by exact
-fraction-free forward elimination.  Key facts checked throughout the suite:
-a_j in (-1, 0), a_1 + a_ell = -1, |det M| = p**2, and denominators divide
-p**2.
+M is negative definite, so the solution is unique; in the integer
+continuants K of :func:`wahlkit.tstring.continuants` it reads
+
+    a_j = -1 + (K(b_1..b_{j-1}) + K(b_{j+1}..b_ell)) / p**2,
+
+with p**2 = K(b_1..b_ell) = |det M|.  Key facts checked throughout the
+suite: a_j in (-1, 0), a_1 + a_ell = -1, and denominators divide p**2.
 
 canonical_pairing evaluates sum a_j v_j against a K-degree threshold: a curve
 class F with incidences v_j = F.C_j must satisfy sum a_j v_j < K.F, which is
@@ -23,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .tstring import TString, as_entries, tstring_to_params
+from .tstring import TString, as_entries, continuants, tstring_to_params
 
 
 def intersection_matrix(t: TString | Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -37,38 +40,26 @@ def intersection_matrix(t: TString | Iterable[int]) -> tuple[tuple[int, ...], ..
 
 
 def chain_determinant(t: TString | Iterable[int]) -> int:
-    """det of intersection_matrix(t) via the continuant recursion.
-
-    d_k = -b_k d_{k-1} - d_{k-2} with d_0 = 1; |d_ell| = p**2 for T-strings.
-    """
+    """det of intersection_matrix(t): (-1)**ell K(b_1..b_ell), = +-p**2 for T-strings."""
     b = as_entries(t)
-    prev, cur = 0, 1  # d_{-1}, d_0
-    for bk in b:
-        prev, cur = cur, -bk * cur - prev
-    return cur
+    return (-1) ** len(b) * continuants(b)[-1]
+
+
+def _numerators(b: tuple[int, ...]) -> tuple[list[int], int]:
+    """(numerators, p**2) with a_j = numerators[j] / p**2."""
+    prefix = continuants(b)  # prefix[j] = K(b[:j])
+    suffix = continuants(b[::-1])[-2::-1]  # suffix[j] = K(b[j + 1:])
+    p2 = prefix[-1]
+    return [x + y - p2 for x, y in zip(prefix, suffix)], p2
 
 
 def discrepancies(t: TString | Iterable[int]) -> tuple[Fraction, ...]:
     """Exact solution a of M a = (b_1 - 2, ..., b_ell - 2).
 
-    Forward elimination on the tridiagonal system, then back substitution;
-    all arithmetic in Fraction.  For T-strings every a_j lies strictly in
-    (-1, 0) and a_1 + a_ell = -1.
+    For T-strings every a_j lies strictly in (-1, 0) and a_1 + a_ell = -1.
     """
-    b = as_entries(t)
-    ell = len(b)
-    rhs = [Fraction(x - 2) for x in b]
-    diag = [Fraction(-x) for x in b]
-    # eliminate the subdiagonal (all entries 1)
-    for i in range(1, ell):
-        factor = Fraction(1) / diag[i - 1]
-        diag[i] -= factor  # 1 * factor * (superdiagonal 1)
-        rhs[i] -= factor * rhs[i - 1]
-    a = [Fraction(0)] * ell
-    a[ell - 1] = rhs[ell - 1] / diag[ell - 1]
-    for i in range(ell - 2, -1, -1):
-        a[i] = (rhs[i] - a[i + 1]) / diag[i]
-    return tuple(a)
+    nums, p2 = _numerators(as_entries(t))
+    return tuple(Fraction(x, p2) for x in nums)
 
 
 def validate_discrepancies(t: TString | Iterable[int], a: Sequence[Fraction]) -> list[str]:
@@ -109,8 +100,8 @@ def canonical_pairing(
     b = as_entries(t)
     if len(v) != len(b):
         raise ValueError(f"incidence vector length {len(v)} != ell = {len(b)}")
-    a = discrepancies(b)
-    value = sum((aj * vj for aj, vj in zip(a, v)), Fraction(0))
+    nums, p2 = _numerators(b)
+    value = Fraction(sum(x * vj for x, vj in zip(nums, v)), p2)
     return value, value < kF
 
 

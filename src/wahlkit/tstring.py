@@ -122,17 +122,30 @@ def hj_expand(n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def continuants(b: Iterable[int]) -> list[int]:
+    """Prefix continuants [K(), K(b_1), K(b_1, b_2), ..., K(b_1..b_k)].
+
+    K() = 1 and K(b_1..b_i) = b_i K(b_1..b_{i-1}) - K(b_1..b_{i-2}).  K(b) is
+    the numerator of [b_1..b_k], unchanged by reversing b, and the
+    tridiagonal chain matrix of b has determinant (-1)**k K(b).
+    """
+    prev, cur = 0, 1
+    out = [cur]
+    for x in b:
+        prev, cur = cur, x * cur - prev
+        out.append(cur)
+    return out
+
+
 def eval_cf(b: TString | Iterable[int]) -> Fraction:
-    """Value of b_1 - 1/(b_2 - 1/(... - 1/b_k)) as an exact Fraction."""
+    """Value of b_1 - 1/(b_2 - 1/(... - 1/b_k)), i.e. K(b_1..b_k) / K(b_2..b_k)."""
     entries = as_entries(b)
     if not entries:
         raise ValueError("empty continued fraction")
     if any(x < 2 for x in entries):
         raise ValueError(f"entries must be >= 2: {list(entries)}")
-    value = Fraction(entries[-1])
-    for x in entries[-2::-1]:
-        value = x - 1 / value
-    return value
+    suffix = continuants(entries[::-1])
+    return Fraction(suffix[-1], suffix[-2])
 
 
 def wahl_tstring(p: int | WahlParams, q: int | None = None) -> TString:

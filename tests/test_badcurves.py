@@ -334,7 +334,6 @@ class TestCaseOracle:
     def test_family_results(self):
         assert [f.ell for f in ORACLE4.family_results] == [1, 2, 3, 4]
         for f in ORACLE4.family_results:
-            assert not f.literal_is_tstring  # checksum always fails
             assert f.corrected == tuple([2] * (f.ell - 1) + [f.ell + 3])
             assert f.corrected_bad_survivors == 0
             assert f.reversed_bad_survivors == 0

@@ -135,6 +135,40 @@ class TestBlowdown:
         assert code == 2
         assert "invalid configuration" in err
 
+    def test_readme_example_contracts(self, capsys, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        example = readme.split("A configuration file for `blowdown` looks like")[1]
+        example = example.split("```json")[1].split("```")[0]
+        path = tmp_path / "readme.json"
+        path.write_text(example)
+        code, out, err = run(capsys, "blowdown", str(path))
+        assert (code, err) == (0, "")
+        assert "status: CONTRACTED_TO_POINT" in out
+
+    @pytest.mark.parametrize(
+        "vertex,edge,message",
+        [
+            ({}, [1, 2, 1], "each edge must be a JSON object, got [1, 2, 1]"),
+            ({"id": True}, {"a": 1, "b": 2}, "vertex field 'id' must be an integer, got True"),
+            ({"self_int": -1.7}, {"a": 1, "b": 2}, "vertex field 'self_int' must be an integer"),
+            ({"k_degree": "-1"}, {"a": 1, "b": 2}, "vertex field 'k_degree' must be an integer"),
+            ({"mult": False}, {"a": 1, "b": 2}, "vertex field 'mult' must be an integer"),
+            ({}, {"a": 1.0, "b": 2}, "edge field 'a' must be an integer, got 1.0"),
+            ({}, {"a": 1, "b": None}, "edge field 'b' must be an integer, got None"),
+            ({}, {"a": 1, "b": 2, "m": True}, "edge field 'm' must be an integer, got True"),
+        ],
+    )
+    def test_bad_fields_exit_2_naming_the_field(self, capsys, tmp_path, vertex, edge, message):
+        first = {"id": 1, "self_int": -1, "k_degree": -1, "mult": 1, **vertex}
+        second = {"id": 2, "self_int": -2, "k_degree": 0, "mult": 1}
+        bad = tmp_path / "bad_field.json"
+        bad.write_text(json.dumps({"vertices": [first, second], "edges": [edge]}))
+        code, out, err = run(capsys, "blowdown", str(bad))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):

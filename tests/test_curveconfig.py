@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import census_blowdown_inputs, path_census
+from wahlkit.curveconfig import induced_subgraph
 from wahlkit import (
     CONTRACTED_TO_POINT,
     STUCK,
@@ -282,6 +283,13 @@ class TestZariskiValidation:
     def test_rejects_non_contractible(self):
         report = validate_zariski(chain_config([-2, -1, -2], mults=[1, 1, 1]))
         assert not report.passed
+
+    def test_induced_subgraph(self):
+        c = chain_config([-2, -1, -2, -3])
+        assert induced_subgraph(c, {1, 2, 3}) == ([Edge(1, 2), Edge(2, 3)], True)
+        assert induced_subgraph(c, {1, 3, 4}) == ([Edge(3, 4)], False)
+        assert induced_subgraph(c, {4}) == ([], True)
+        assert induced_subgraph(c, set()) == ([], False)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9), st.integers(1, 6))

@@ -1,6 +1,8 @@
 """Exact discrepancies, chain determinants, and the pairing test."""
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from wahlkit import (
 )
 
 F = Fraction
+STRINGS_TO_7 = list(iter_tstrings(7))
 
 # Solved by hand from the adjunction system M a = (2 - b_j)_j.
 KNOWN_DISCREPANCIES = {
@@ -48,6 +51,7 @@ def _det_laplace(m):
     return total
 
 
+@lru_cache(maxsize=None)
 def _discrepancies_cramer(b):
     """Solve the adjunction system M a = (b_j - 2)_j by Cramer's rule."""
     n = len(b)
@@ -152,6 +156,14 @@ class TestPairing:
         value, ok = canonical_pairing((3, 5, 2), (1, 1, 0), -1)
         assert value == F(-7, 5)
         assert ok
+
+    @given(st.data())
+    def test_matches_cramer_sum_and_is_strict(self, data):
+        t = tuple(data.draw(st.sampled_from(STRINGS_TO_7)))
+        v = data.draw(st.lists(st.integers(0, 6), min_size=len(t), max_size=len(t)))
+        value = sum((a * vj for a, vj in zip(_discrepancies_cramer(t), v)), F(0))
+        kF = data.draw(st.sampled_from([value, math.floor(value)]) | st.integers(-12, 2))
+        assert canonical_pairing(t, v, kF) == (value, value < kF)
 
 
 class TestFractionStrings:

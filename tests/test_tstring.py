@@ -14,6 +14,7 @@ from wahlkit import (
     apply_R,
     as_entries,
     checksum_ok,
+    continuants,
     enumerate_tstrings,
     eval_cf,
     hj_expand,
@@ -72,6 +73,12 @@ class TestHJExpansion:
     def test_eval_cf_inverts_expansion(self):
         for (n, m), b in HJ_EXPANSIONS.items():
             assert eval_cf(b) == Fraction(n, m)
+
+    def test_continuants_are_the_numerators_of_the_prefixes(self):
+        assert continuants(()) == [1]
+        assert continuants((3, 5, 2)) == [1, 3, 14, 25]
+        for (n, m), b in HJ_EXPANSIONS.items():
+            assert continuants(b)[-1] == continuants(b[::-1])[-1] == n
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
