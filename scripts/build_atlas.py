@@ -14,7 +14,7 @@ import json
 import sys
 from collections import Counter
 
-from wahlkit import enumerate_tstrings, tstring_to_params
+from wahlkit import enumerate_tstrings
 from wahlkit.cli import atlas_record
 
 
@@ -30,9 +30,10 @@ def main(argv=None) -> int:
     p_extremes = {}
     for ell in sorted(levels):
         for b in sorted(tuple(t) for t in levels[ell]):
-            lines.append(json.dumps(atlas_record(b), separators=(",", ":")))
+            record = atlas_record(b)
+            lines.append(json.dumps(record, separators=(",", ":")))
             counts[ell] += 1
-            p = tstring_to_params(b).p
+            p = record["p"]
             lo, hi = p_extremes.get(ell, (p, p))
             p_extremes[ell] = (min(lo, p), max(hi, p))
 

@@ -54,7 +54,6 @@ from .curveconfig import (
     BlowDownTrace,
     Curve,
     CurveConfig,
-    Edge,
     chain_config,
     contract_all,
     derived_multiplicities,
@@ -373,16 +372,9 @@ def build_candidate_config(
 ) -> tuple[CurveConfig, int]:
     """Chain plus the (-1)-sphere e wired to its hit points; returns (config, e id)."""
     b = as_entries(t)
-    ell = len(b)
-    e_id = ell + 1
-    vertices = [Curve(j + 1, -bj, bj - 2, 0, f"C{j + 1}") for j, bj in enumerate(b)]
-    vertices.append(Curve(e_id, -1, -1, 0, "e"))
-    edges = [Edge(j, j + 1, 1) for j in range(1, ell)]
-    hit_counts: dict[int, int] = {}
-    for h in e_hits:
-        hit_counts[h] = hit_counts.get(h, 0) + 1
-    edges += [Edge(h, e_id, m) for h, m in sorted(hit_counts.items())]
-    return CurveConfig.make(vertices, edges), e_id
+    e_id = len(b) + 1
+    e = Curve(e_id, -1, -1, 0, "e")
+    return chain_config([-bj for bj in b], attached=[(e, e_hits)]), e_id
 
 
 def staged_structure_checks(
@@ -412,7 +404,7 @@ def staged_structure_checks(
         for vid in remaining:
             v = cfg.curve(vid)
             if v.self_int == -1 and v.k_degree == -1:
-                weight = sum(e.m for e in edges if vid in (e.a, e.b))
+                weight = sum(m for u, m in cfg.neighbors(vid).items() if u in remaining)
                 if weight >= 3:
                     fired.add(THREE_NEIGHBOR)
     return fired
@@ -575,15 +567,13 @@ def pair_product(
     b = as_entries(t)
     ell = len(b)
     e1, e2 = ell + 1, ell + 2
-    vertices = [Curve(j + 1, -bj, bj - 2, 0, f"C{j + 1}") for j, bj in enumerate(b)]
-    vertices += [Curve(e1, -1, -1, 0, "e1"), Curve(e2, -1, -1, 0, "e2")]
-    edges = [Edge(j, j + 1, 1) for j in range(1, ell)]
-    for hits, eid in ((s1.e_hits, e1), (s2.e_hits, e2)):
-        counts: dict[int, int] = {}
-        for h in hits:
-            counts[h] = counts.get(h, 0) + 1
-        edges += [Edge(h, eid, m) for h, m in sorted(counts.items())]
-    combined = CurveConfig.make(vertices, edges)
+    combined = chain_config(
+        [-bj for bj in b],
+        attached=[
+            (Curve(e1, -1, -1, 0, "e1"), s1.e_hits),
+            (Curve(e2, -1, -1, 0, "e2"), s2.e_hits),
+        ],
+    )
     m1 = _remap_e(dict(s1.mults), ell + 1, e1)
     m2 = _remap_e(dict(s2.mults), ell + 1, e2)
     return divisor_product(combined, m1, m2)
@@ -780,10 +770,5 @@ def interior_hit_contradiction(n: int, i: int) -> BlowDownTrace:
         raise ValueError(f"need n >= 3, got {n}")
     if not 2 <= i <= n - 1:
         raise ValueError(f"interior index required: i={i} not in [2, {n - 1}]")
-    base = chain_config([-2] * n)
-    e_id = n + 1
-    config = CurveConfig.make(
-        list(base.vertices) + [Curve(e_id, -1, -1, 0, "e")],
-        list(base.edges) + [Edge(i, e_id, 1)],
-    )
-    return contract_all(config)
+    e = Curve(n + 1, -1, -1, 0, "e")
+    return contract_all(chain_config([-2] * n, attached=[(e, [i])]))

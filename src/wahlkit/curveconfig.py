@@ -28,14 +28,19 @@ ambient manifolds we care about: a rational curve with K.A <= -1 must be a
 (-1)-curve (K.A = -1, A**2 = -1).  Anything else with K.A <= -1 cannot
 exist, and sw_check flags it.
 
-Configs are immutable; every operation returns a new value.
+Configs are immutable; every operation returns a new value.  Each one is
+built by CurveConfig.make, which sorts and validates it and indexes it by id
+and by adjacency, so looking up a curve, a pair or a neighbourhood does not
+scan the graph.  chain_config builds a chain with adjunction K-degrees plus
+any curves attached to it, the shape the bad-curve analysis works with.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import astuple, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 # Terminal states of contract_all.
@@ -64,64 +69,64 @@ class Edge:
 
 @dataclass(frozen=True)
 class CurveConfig:
+    """Vertices sorted by id and edges sorted by (a, b), indexed for lookups.
+
+    ``_by_id`` (id -> Curve) and ``_adj`` (id -> {neighbour: m}) are built
+    by :meth:`make` together with the tuples; they take no part in
+    equality, hashing or repr.
+    """
+
     vertices: tuple[Curve, ...]
     edges: tuple[Edge, ...]
+    _by_id: dict[int, Curve] = field(repr=False, compare=False)
+    _adj: dict[int, dict[int, int]] = field(repr=False, compare=False)
 
     @staticmethod
     def make(vertices: Iterable[Curve], edges: Iterable[Edge]) -> "CurveConfig":
-        """Canonicalize (sort) and validate a configuration."""
+        """Canonicalize (sort), validate and index a configuration."""
         vs = tuple(sorted(vertices, key=lambda v: v.id))
-        ids = [v.id for v in vs]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate vertex ids: {ids}")
-        known = set(ids)
+        by_id = {v.id: v for v in vs}
+        if len(by_id) != len(vs):
+            raise ValueError(f"duplicate vertex ids: {[v.id for v in vs]}")
         norm = []
         for e in edges:
             a, b = (e.a, e.b) if e.a < e.b else (e.b, e.a)
             if a == b:
                 raise ValueError(f"self-edge at vertex {a}")
-            if a not in known or b not in known:
+            if a not in by_id or b not in by_id:
                 raise ValueError(f"edge ({e.a},{e.b}) references missing vertex")
             if e.m < 1:
                 raise ValueError(f"edge ({a},{b}) has multiplicity {e.m} < 1")
-            norm.append(Edge(a, b, e.m))
+            norm.append(e if a == e.a else Edge(a, b, e.m))
         es = tuple(sorted(norm, key=lambda e: (e.a, e.b)))
-        pairs = [(e.a, e.b) for e in es]
-        if len(set(pairs)) != len(pairs):
-            raise ValueError(f"duplicate edges: {pairs}")
-        return CurveConfig(vs, es)
+        adj: dict[int, dict[int, int]] = {vid: {} for vid in by_id}
+        for e in es:
+            if e.b in adj[e.a]:
+                raise ValueError(f"duplicate edges: {[(e.a, e.b) for e in es]}")
+            adj[e.a][e.b] = adj[e.b][e.a] = e.m
+        return CurveConfig(vs, es, by_id, adj)
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices)
+        return tuple(self._by_id)
 
     def curve(self, vid: int) -> Curve:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(f"no vertex {vid}")
+        try:
+            return self._by_id[vid]
+        except KeyError:
+            raise KeyError(f"no vertex {vid}") from None
 
     def has_vertex(self, vid: int) -> bool:
-        return any(v.id == vid for v in self.vertices)
+        return vid in self._by_id
 
     def pair(self, u: int, w: int) -> int:
         """Intersection number of two distinct curves (0 when no edge)."""
         if u == w:
             raise ValueError("pair() is for distinct curves; use self_int")
-        a, b = (u, w) if u < w else (w, u)
-        for e in self.edges:
-            if e.a == a and e.b == b:
-                return e.m
-        return 0
+        return self._adj.get(u, {}).get(w, 0)
 
     def neighbors(self, vid: int) -> dict[int, int]:
         """Map neighbour id -> intersection multiplicity."""
-        out: dict[int, int] = {}
-        for e in self.edges:
-            if e.a == vid:
-                out[e.b] = e.m
-            elif e.b == vid:
-                out[e.a] = e.m
-        return out
+        return dict(self._adj.get(vid, {}))
 
 
 def single_curve(
@@ -131,10 +136,17 @@ def single_curve(
     return CurveConfig.make([Curve(1, self_int, k_degree, mult, label)], [])
 
 
-def chain_config(self_ints: Sequence[int], mults: Sequence[int] | None = None) -> CurveConfig:
+def chain_config(
+    self_ints: Sequence[int],
+    mults: Sequence[int] | None = None,
+    attached: Iterable[tuple[Curve, Iterable[int]]] = (),
+) -> CurveConfig:
     """A chain of embedded rational curves with the given self-intersections.
 
     K-degrees are filled in by adjunction (K.C = -2 - C**2); ids run 1..n.
+    Each ``(curve, hits)`` in ``attached`` adds a curve off the chain that
+    meets chain curve h once per occurrence of h in hits (so a repeated h is
+    a double point, an edge of multiplicity 2).
     """
     n = len(self_ints)
     if mults is None:
@@ -143,6 +155,9 @@ def chain_config(self_ints: Sequence[int], mults: Sequence[int] | None = None) -
         Curve(i + 1, s, -2 - s, mults[i], f"C{i + 1}") for i, s in enumerate(self_ints)
     ]
     edges = [Edge(i, i + 1, 1) for i in range(1, n)]
+    for curve, hits in attached:
+        vertices.append(curve)
+        edges += [Edge(h, curve.id, m) for h, m in Counter(hits).items()]
     return CurveConfig.make(vertices, edges)
 
 
@@ -178,41 +193,28 @@ PointSpec = GenericOn | Intersection | FreePoint
 def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> CurveConfig:
     """Blow up a point, replacing every curve through it by its total transform.
 
-    The new exceptional curve e has e**2 = K.e = -1.  A curve through the
-    point loses 1 from its self-intersection and gains 1 of K-degree; e
-    inherits the sum of the multiplicities of the curves through the point
-    (so the tracked divisor class is replaced by its total transform).
+    The new exceptional curve e has e**2 = K.e = -1 and meets each curve
+    through the point once.  A curve through the point loses 1 from its
+    self-intersection and gains 1 of K-degree; two curves through it meet
+    once less; e inherits the sum of the multiplicities of the curves
+    through the point (so the tracked divisor class is replaced by its total
+    transform).
     """
-    new_id = max((v.id for v in c.vertices), default=0) + 1
-    lab = label if label is not None else f"E{new_id}"
-    if isinstance(point, FreePoint):
-        e = Curve(new_id, -1, -1, 0, lab)
-        return CurveConfig.make(c.vertices + (e,), c.edges)
-    if isinstance(point, GenericOn):
-        v = c.curve(point.v)
-        e = Curve(new_id, -1, -1, v.mult, lab)
-        vertices = [replace(u, self_int=u.self_int - 1, k_degree=u.k_degree + 1)
-                    if u.id == v.id else u for u in c.vertices]
-        edges = list(c.edges) + [Edge(v.id, new_id, 1)]
-        return CurveConfig.make(vertices + [e], edges)
-    if isinstance(point, Intersection):
-        v, w = c.curve(point.v), c.curve(point.w)
-        if c.pair(v.id, w.id) < 1:
-            raise ValueError(f"curves {v.id} and {w.id} do not intersect")
-        e = Curve(new_id, -1, -1, v.mult + w.mult, lab)
-        vertices = [replace(u, self_int=u.self_int - 1, k_degree=u.k_degree + 1)
-                    if u.id in (v.id, w.id) else u for u in c.vertices]
-        a, b = (v.id, w.id) if v.id < w.id else (w.id, v.id)
-        edges = []
-        for ed in c.edges:
-            if ed.a == a and ed.b == b:
-                if ed.m > 1:
-                    edges.append(Edge(a, b, ed.m - 1))
-            else:
-                edges.append(ed)
-        edges += [Edge(v.id, new_id, 1), Edge(w.id, new_id, 1)]
-        return CurveConfig.make(vertices + [e], edges)
-    raise TypeError(f"unknown point kind: {point!r}")
+    if not isinstance(point, PointSpec):
+        raise TypeError(f"unknown point kind: {point!r}")
+    through = astuple(point)  # the ids of the 0, 1 or 2 curves through the point
+    hit = [c.curve(u) for u in through]
+    if len(through) == 2 and c.pair(*through) < 1:
+        raise ValueError(f"curves {through[0]} and {through[1]} do not intersect")
+    new_id = (c.vertices[-1].id if c.vertices else 0) + 1
+    vertices = [Curve(u.id, u.self_int - 1, u.k_degree + 1, u.mult, u.label)
+                if u.id in through else u for u in c.vertices]
+    vertices.append(Curve(new_id, -1, -1, sum(u.mult for u in hit),
+                          label if label is not None else f"E{new_id}"))
+    edges = [Edge(ed.a, ed.b, ed.m - 1) if ed.a in through and ed.b in through else ed
+             for ed in c.edges]
+    edges = [ed for ed in edges if ed.m] + [Edge(u, new_id, 1) for u in through]
+    return CurveConfig.make(vertices, edges)
 
 
 def blow_down(c: CurveConfig, vid: int) -> CurveConfig:
@@ -229,25 +231,18 @@ def blow_down(c: CurveConfig, vid: int) -> CurveConfig:
             f"vertex {vid} has (self, K) = ({v.self_int}, {v.k_degree}), need (-1, -1)"
         )
     hits = c.neighbors(vid)
-    vertices = []
-    for u in c.vertices:
-        if u.id == vid:
-            continue
-        h = hits.get(u.id, 0)
-        if h:
-            u = replace(u, self_int=u.self_int + h * h, k_degree=u.k_degree - h)
-        vertices.append(u)
-    pairs: dict[tuple[int, int], int] = {}
-    for e in c.edges:
-        if vid in (e.a, e.b):
-            continue
-        pairs[(e.a, e.b)] = e.m
+    vertices = [
+        Curve(u.id, u.self_int + hits[u.id] ** 2, u.k_degree - hits[u.id], u.mult, u.label)
+        if u.id in hits else u
+        for u in c.vertices if u.id != vid
+    ]
+    # edges away from vid and not between two curves it meets stay as they are
+    edges = [e for e in c.edges
+             if vid not in (e.a, e.b) and not (e.a in hits and e.b in hits)]
     touched = sorted(hits)
-    for i in range(len(touched)):
-        for j in range(i + 1, len(touched)):
-            key = (touched[i], touched[j])
-            pairs[key] = pairs.get(key, 0) + hits[key[0]] * hits[key[1]]
-    edges = [Edge(a, b, m) for (a, b), m in pairs.items() if m > 0]
+    for i, a in enumerate(touched):
+        for b in touched[i + 1:]:
+            edges.append(Edge(a, b, c.pair(a, b) + hits[a] * hits[b]))
     return CurveConfig.make(vertices, edges)
 
 
@@ -440,16 +435,12 @@ def induced_subgraph(c: CurveConfig, comp: set[int]) -> tuple[list[Edge], bool]:
     edges = [e for e in c.edges if e.a in comp and e.b in comp]
     if not comp:
         return edges, False
-    adj: dict[int, set[int]] = {v: set() for v in comp}
-    for e in edges:
-        adj[e.a].add(e.b)
-        adj[e.b].add(e.a)
     seen = {min(comp)}
     frontier = list(seen)
     while frontier:
         v = frontier.pop()
-        for u in adj[v]:
-            if u not in seen:
+        for u in c._adj.get(v, ()):
+            if u in comp and u not in seen:
                 seen.add(u)
                 frontier.append(u)
     return edges, seen == comp
@@ -668,9 +659,7 @@ def iterated_blowdown_trace(
         )
 
     s_id = n + 1
-    vertices = list(chain_config(chain).vertices) + [Curve(s_id, 0, kS, 0, "S")]
-    edges = [Edge(j, j + 1, 1) for j in range(1, n)] + [Edge(i, s_id, 1)]
-    full = CurveConfig.make(vertices, edges)
+    full = chain_config(chain, attached=[(Curve(s_id, 0, kS, 0, "S"), [i])])
     trace = contract_all(full, frozen=[s_id], sw_exempt=full.ids())
     if trace.status != CONTRACTED_TO_POINT:
         raise AssertionError(f"chain stopped contracting under S: {trace.status}")
@@ -686,10 +675,7 @@ def iterated_blowdown_trace(
         span = range(min(contracted), max(contracted) + 1)
         if set(span) - contracted:
             raise AssertionError(f"contracted set {sorted(contracted)} is not an interval")
-        meets = tuple(
-            v.id for v in step.config.vertices
-            if v.id != s_id and step.config.pair(v.id, s_id) > 0
-        )
+        meets = tuple(sorted(step.config.neighbors(s_id)))
         boundary = {j for j in (min(contracted) - 1, max(contracted) + 1) if 1 <= j <= n}
         if set(meets) != boundary:
             raise AssertionError(
@@ -745,13 +731,23 @@ def config_to_json(c: CurveConfig) -> dict:
     }
 
 
-def _int_field(obj: dict, kind: str, field: str, default: int | None = None) -> int:
-    """obj[field], which must be a JSON integer: no bool, float, string or null."""
+_JSON_TYPES = {int: "an integer", str: "a valid Unicode string", list: "a JSON array"}
+
+
+def _field(obj: dict, kind: str, name: str, typ: type, default=None):
+    """obj[name], required unless a default is given, of JSON type typ.
+
+    A bool is no integer, and a string may not hold a lone surrogate (it
+    could not be printed).
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"each {kind} must be a JSON object, got {obj!r}")
-    value = obj.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{kind} field {field!r} must be an integer, got {value!r}")
+    if name not in obj and default is None:
+        raise ValueError(f"{kind} field {name!r} is missing")
+    value = obj.get(name, default)
+    if (isinstance(value, bool) or not isinstance(value, typ)
+            or typ is str and any("\ud800" <= ch <= "\udfff" for ch in value)):
+        raise ValueError(f"{kind} field {name!r} must be {_JSON_TYPES[typ]}, got {value!r}")
     return value
 
 
@@ -761,21 +757,21 @@ def config_from_json(data: dict) -> CurveConfig:
         raise ValueError(f"configuration must be a JSON object, got {data!r}")
     vertices = [
         Curve(
-            _int_field(v, "vertex", "id"),
-            _int_field(v, "vertex", "self_int"),
-            _int_field(v, "vertex", "k_degree"),
-            _int_field(v, "vertex", "mult", 0),
-            str(v.get("label", "")),
+            _field(v, "vertex", "id", int),
+            _field(v, "vertex", "self_int", int),
+            _field(v, "vertex", "k_degree", int),
+            _field(v, "vertex", "mult", int, 0),
+            _field(v, "vertex", "label", str, ""),
         )
-        for v in data["vertices"]
+        for v in _field(data, "configuration", "vertices", list)
     ]
     edges = [
         Edge(
-            _int_field(e, "edge", "a"),
-            _int_field(e, "edge", "b"),
-            _int_field(e, "edge", "m", 1),
+            _field(e, "edge", "a", int),
+            _field(e, "edge", "b", int),
+            _field(e, "edge", "m", int, 1),
         )
-        for e in data["edges"]
+        for e in _field(data, "configuration", "edges", list)
     ]
     return CurveConfig.make(vertices, edges)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .tstring import TString, as_entries, continuants, tstring_to_params
+from .tstring import TString, as_entries, continuants
 
 
 def intersection_matrix(t: TString | Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -72,9 +72,10 @@ def validate_discrepancies(t: TString | Iterable[int], a: Sequence[Fraction]) ->
         problems.append(f"some a_j outside (-1, 0): {a}")
     if a[0] + a[-1] != -1:
         problems.append(f"a_1 + a_ell = {a[0] + a[-1]} != -1")
-    p = tstring_to_params(b).p
-    if any(x.denominator > 0 and (p * p) % x.denominator != 0 for x in a):
-        problems.append(f"denominator does not divide p**2 = {p * p}")
+    # |det M| = K(b) is p**2 for every T-string
+    p2 = abs(chain_determinant(b))
+    if any(x.denominator > 0 and p2 % x.denominator != 0 for x in a):
+        problems.append(f"denominator does not divide p**2 = {p2}")
     # residual check M a = b - 2
     ell = len(b)
     for j in range(ell):

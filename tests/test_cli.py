@@ -1,11 +1,15 @@
 """Command-line interface: output formats, exit codes, byte stability."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wahlkit.cli import atlas_record, main
+from wahlkit.curveconfig import config_to_json, random_blowup
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -14,6 +18,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_refused(capsys, tmp_path, data, message):
+    """`blowdown` on data exits 2 with message on stderr, no output and no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "blowdown", str(bad))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
 
 
 class TestExpand:
@@ -156,18 +171,88 @@ class TestBlowdown:
             ({}, {"a": 1.0, "b": 2}, "edge field 'a' must be an integer, got 1.0"),
             ({}, {"a": 1, "b": None}, "edge field 'b' must be an integer, got None"),
             ({}, {"a": 1, "b": 2, "m": True}, "edge field 'm' must be an integer, got True"),
+            ({"label": 5}, {"a": 1, "b": 2}, "vertex field 'label' must be a valid Unicode string"),
+            ({"label": "\ud800"}, {"a": 1, "b": 2}, "got '\\ud800'"),
         ],
     )
     def test_bad_fields_exit_2_naming_the_field(self, capsys, tmp_path, vertex, edge, message):
         first = {"id": 1, "self_int": -1, "k_degree": -1, "mult": 1, **vertex}
         second = {"id": 2, "self_int": -2, "k_degree": 0, "mult": 1}
-        bad = tmp_path / "bad_field.json"
-        bad.write_text(json.dumps({"vertices": [first, second], "edges": [edge]}))
-        code, out, err = run(capsys, "blowdown", str(bad))
-        assert code == 2
-        assert out == ""
-        assert message in err
+        data = {"vertices": [first, second], "edges": [edge]}
+        assert_refused(capsys, tmp_path, data, message)
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"vertices": 5, "edges": []},
+             "configuration field 'vertices' must be a JSON array, got 5"),
+            ({"edges": []}, "configuration field 'vertices' is missing"),
+            ({"vertices": [{"id": 1, "self_int": -1, "k_degree": -1}], "edges": {"a": 1}},
+             "configuration field 'edges' must be a JSON array, got {'a': 1}"),
+        ],
+    )
+    def test_bad_top_level_shape_exits_2_naming_the_field(self, capsys, tmp_path, data, message):
+        assert_refused(capsys, tmp_path, data, message)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False)
+    | st.text(st.characters(exclude_categories=()), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+FIELDS = ("id", "self_int", "k_degree", "mult", "label", "a", "b", "m")
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid random divisor with a few fields, entries or keys changed."""
+    data = config_to_json(random_blowup(random.Random(draw(st.integers(0, 10**6))),
+                                        draw(st.integers(0, 6))))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["vertices", "edges"]))
+        rows = data[key]
+        action = draw(st.sampled_from(["set", "drop_field", "drop_row", "copy_row", "replace"]))
+        if action == "replace":
+            data[key] = draw(JSON_VALUES)
+            break
+        if not rows:
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        if action == "set":
+            rows[i][draw(st.sampled_from(FIELDS))] = draw(JSON_VALUES | st.integers(-3, 12))
+        elif action == "drop_field":
+            rows[i].pop(draw(st.sampled_from(sorted(rows[i]))))
+        elif action == "drop_row":
+            rows.pop(i)
+        else:
+            rows.append(dict(rows[i]))
+    return data
+
+
+class TestBlowdownFuzz:
+    """Any JSON document either contracts (exit 0) or is refused (exit 2), never a traceback."""
+
+    def check(self, capsys, tmp_path, data):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "blowdown", str(path))
+        assert code in (0, 2)
         assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(JSON_VALUES)
+    def test_arbitrary_json(self, capsys, tmp_path, data):
+        self.check(capsys, tmp_path, data)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_configs())
+    def test_mutated_configs(self, capsys, tmp_path, data):
+        self.check(capsys, tmp_path, data)
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import census_blowdown_inputs, path_census
+from wahlkit.badcurves import build_candidate_config, enumerate_candidates
 from wahlkit.curveconfig import induced_subgraph
 from wahlkit import (
     CONTRACTED_TO_POINT,
@@ -30,6 +31,7 @@ from wahlkit import (
     divisor_pairing,
     divisor_product,
     divisor_self,
+    enumerate_tstrings,
     is_nested,
     iterated_blowdown_trace,
     nesting_conflicts,
@@ -82,6 +84,87 @@ class TestConstruction:
             CurveConfig.make(
                 [Curve(1, -1, -1), Curve(2, -2, 0)], [Edge(1, 2, 0)]
             )
+
+
+def scan_pair(c: CurveConfig, u: int, w: int) -> int:
+    a, b = min(u, w), max(u, w)
+    return next((e.m for e in c.edges if (e.a, e.b) == (a, b)), 0)
+
+
+def scan_neighbors(c: CurveConfig, vid: int) -> dict[int, int]:
+    out = {e.b: e.m for e in c.edges if e.a == vid}
+    out.update({e.a: e.m for e in c.edges if e.b == vid})
+    return out
+
+
+SMALL_CANDIDATES = [
+    (t, internal, hits)
+    for ell, strings in sorted(enumerate_tstrings(5).items())
+    for t in sorted(tuple(s) for s in strings)
+    for _, internal, hits in enumerate_candidates(ell)
+]
+
+
+class TestIndex:
+    """The id and adjacency maps agree with a plain scan of the sorted tuples."""
+
+    @staticmethod
+    def assert_matches_scan(c: CurveConfig):
+        ids = [v.id for v in c.vertices]
+        probe = ids + [min(ids) - 1, max(ids) + 1]
+        for u in probe:
+            assert c.has_vertex(u) == (u in ids)
+            assert c.neighbors(u) == scan_neighbors(c, u)
+            if u in ids:
+                assert c.curve(u) == next(v for v in c.vertices if v.id == u)
+            else:
+                with pytest.raises(KeyError):
+                    c.curve(u)
+            for w in probe:
+                if w != u:
+                    assert c.pair(u, w) == scan_pair(c, u, w)
+        assert c.ids() == tuple(ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 12))
+    def test_random_blowups(self, seed, depth):
+        self.assert_matches_scan(random_blowup(random.Random(seed), depth))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_CANDIDATES))
+    def test_candidate_configs(self, candidate):
+        t, internal, hits = candidate
+        config, _ = build_candidate_config(t, internal, hits)
+        self.assert_matches_scan(config)
+
+    def test_pair_of_a_curve_with_itself_is_refused(self):
+        with pytest.raises(ValueError):
+            base_pair().pair(1, 1)
+
+    def test_neighbors_is_a_copy(self):
+        c = base_pair()
+        c.neighbors(1)[2] = 5
+        assert c.pair(1, 2) == 1
+
+    def test_index_is_not_part_of_equality(self):
+        c = base_pair()
+        other = CurveConfig.make(c.vertices[::-1], [Edge(2, 1, 1)])
+        assert other == c and hash(other) == hash(c)
+        assert repr(c) == f"CurveConfig(vertices={c.vertices!r}, edges={c.edges!r})"
+
+    def test_attached_curve_with_a_double_point(self):
+        b = (3, 5, 2)
+        config, e_id = build_candidate_config(b, (1,), (1, 1))
+        hand_built = CurveConfig.make(
+            [Curve(j + 1, -bj, bj - 2, 0, f"C{j + 1}") for j, bj in enumerate(b)]
+            + [Curve(4, -1, -1, 0, "e")],
+            [Edge(1, 2, 1), Edge(2, 3, 1), Edge(1, 4, 2)],
+        )
+        assert e_id == 4
+        assert config == hand_built
+        attached = chain_config([-3, -5, -2], attached=[(Curve(4, -1, -1, 0, "e"), (1, 1))])
+        assert attached == hand_built
+        assert attached.pair(1, 4) == 2
 
 
 class TestBlowUp:

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from wahlkit import (
     canonical_pairing,
     chain_determinant,
+    checksum_ok,
     discrepancies,
     fraction_from_str,
     fraction_to_str,
     intersection_matrix,
+    is_tstring,
     iter_tstrings,
     tstring_to_params,
     validate_discrepancies,
@@ -117,6 +119,12 @@ class TestDiscrepancies:
         a = list(discrepancies((3, 5, 2)))
         a[1] += F(1, 7)
         assert validate_discrepancies((3, 5, 2), tuple(a))
+
+    def test_validation_reports_a_non_tstring_instead_of_raising(self):
+        b = (3, 4)  # passes the checksum sum(b) = 3 ell + 1, but is no T-string
+        assert checksum_ok(b) and not is_tstring(b).accepted
+        problems = validate_discrepancies(b, discrepancies(b))
+        assert problems == ["a_1 + a_ell = -13/11 != -1"]
 
     def test_reversal_reverses_the_vector(self):
         for t in iter_tstrings(7):
