@@ -55,12 +55,13 @@ from .curveconfig import (
     Curve,
     CurveConfig,
     chain_config,
+    connects,
     contract_all,
     derived_multiplicities,
     divisor_k,
     divisor_pairing,
     divisor_product,
-    induced_subgraph,
+    stage_maps,
 )
 from .discrepancy import canonical_pairing
 from .tstring import TString, as_entries, enumerate_tstrings, is_tstring
@@ -384,29 +385,35 @@ def staged_structure_checks(
 
     At each stage the remaining components of an exceptional curve of the
     first kind must form a connected tree with simple edges in which every
-    (-1, -1) component meets the others at most twice in total.
+    (-1, -1) component meets the others at most twice in total.  The stages
+    are replayed from config's maps along the trace's order, every curve
+    included: blowing down a non-component still changes the pairs between
+    components.
     """
     fired: set[str] = set()
     remaining = set(components)
-    stages = [config] + [s.config for s in trace.steps]
-    for idx, cfg in enumerate(stages):
-        if idx > 0:
-            remaining.discard(trace.steps[idx - 1].vertex)
+    stages = stage_maps(config, trace.order)
+    for contracted in (None, *trace.order):
+        remaining.discard(contracted)
         if len(remaining) <= 1:
-            continue
-        edges, connected = induced_subgraph(cfg, remaining)
-        if any(e.m >= 2 for e in edges):
-            fired.add(MULTI_EDGE)
-        if not connected:
-            fired.add(DISCONNECTED_STAGE)
-        elif len(edges) >= len(remaining):
-            fired.add(CYCLE)
+            break  # remaining only shrinks, so no later stage needs a blow-down
+        curves, adj = next(stages)
+        ends = 0  # each edge inside remaining is seen from both of its ends
         for vid in remaining:
-            v = cfg.curve(vid)
-            if v.self_int == -1 and v.k_degree == -1:
-                weight = sum(m for u, m in cfg.neighbors(vid).items() if u in remaining)
-                if weight >= 3:
-                    fired.add(THREE_NEIGHBOR)
+            weight = 0
+            for u, m in adj[vid].items():
+                if u in remaining:
+                    weight += m
+                    ends += 1
+                    if m >= 2:
+                        fired.add(MULTI_EDGE)
+            v = curves[vid]
+            if weight >= 3 and v.self_int == -1 and v.k_degree == -1:
+                fired.add(THREE_NEIGHBOR)
+        if not connects(adj, remaining):
+            fired.add(DISCONNECTED_STAGE)
+        elif ends >= 2 * len(remaining):
+            fired.add(CYCLE)
     return fired
 
 

@@ -33,6 +33,16 @@ built by CurveConfig.make, which sorts and validates it and indexes it by id
 and by adjacency, so looking up a curve, a pair or a neighbourhood does not
 scan the graph.  chain_config builds a chain with adjunction K-degrees plus
 any curves attached to it, the shape the bad-curve analysis works with.
+
+One private helper holds the blow-down formula and applies it in place to an
+id map and an adjacency map.  blow_down runs it on a copy of a config's maps
+and builds the result with make; contract_all runs it on one working copy for
+the whole contraction, so a step costs O(degree**2) instead of a rebuild.
+Each ContractionStep keeps the contracted vertex, its neighbourhood ``hits``
+(read-only) and its SW violations; the stage ``config`` after it is built
+from the stage before on first read and cached.  derived_multiplicities reads
+the ``hits``, and stage_maps replays a trace on one copy of the maps for
+checks that need every stage.
 """
 
 from __future__ import annotations
@@ -40,8 +50,10 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import astuple, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # Terminal states of contract_all.
 CONTRACTED_TO_POINT = "CONTRACTED_TO_POINT"
@@ -200,9 +212,15 @@ def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> Curve
     through the point (so the tracked divisor class is replaced by its total
     transform).
     """
-    if not isinstance(point, PointSpec):
-        raise TypeError(f"unknown point kind: {point!r}")
-    through = astuple(point)  # the ids of the 0, 1 or 2 curves through the point
+    match point:  # the ids of the 0, 1 or 2 curves through the point
+        case FreePoint():
+            through: tuple[int, ...] = ()
+        case GenericOn():
+            through = (point.v,)
+        case Intersection():
+            through = (point.v, point.w)
+        case _:
+            raise TypeError(f"unknown point kind: {point!r}")
     hit = [c.curve(u) for u in through]
     if len(through) == 2 and c.pair(*through) < 1:
         raise ValueError(f"curves {through[0]} and {through[1]} do not intersect")
@@ -217,33 +235,55 @@ def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> Curve
     return CurveConfig.make(vertices, edges)
 
 
-def blow_down(c: CurveConfig, vid: int) -> CurveConfig:
-    """Blow down a curve with self-intersection -1 and K-degree -1.
+def _blow_down_in_place(
+    curves: dict[int, Curve], adj: dict[int, dict[int, int]], vid: int
+) -> dict[int, int]:
+    """Blow down vid on an id -> Curve map and an adjacency map; return its hits.
 
     Standard total-transform bookkeeping: for curves C, D meeting the
-    contracted curve with multiplicities (C.e), (D.e), the images satisfy
-    C.D += (C.e)(D.e), C**2 += (C.e)**2 and K.C -= C.e.  Multiplicities of
-    the remaining curves are unchanged.
+    contracted curve e with multiplicities (C.e), (D.e), the images satisfy
+    C.D += (C.e)(D.e), C**2 += (C.e)**2 and K.C -= C.e.  Multiplicities are
+    unchanged.  Only e and its neighbours are touched, so a step costs
+    O(degree**2).  The returned map (neighbour -> C.e) is no longer part of
+    ``adj``.
     """
-    v = c.curve(vid)
+    v = curves.get(vid)
+    if v is None:
+        raise KeyError(f"no vertex {vid}")
     if v.self_int != -1 or v.k_degree != -1:
         raise ValueError(
             f"vertex {vid} has (self, K) = ({v.self_int}, {v.k_degree}), need (-1, -1)"
         )
-    hits = c.neighbors(vid)
-    vertices = [
-        Curve(u.id, u.self_int + hits[u.id] ** 2, u.k_degree - hits[u.id], u.mult, u.label)
-        if u.id in hits else u
-        for u in c.vertices if u.id != vid
-    ]
-    # edges away from vid and not between two curves it meets stay as they are
-    edges = [e for e in c.edges
-             if vid not in (e.a, e.b) and not (e.a in hits and e.b in hits)]
-    touched = sorted(hits)
-    for i, a in enumerate(touched):
-        for b in touched[i + 1:]:
-            edges.append(Edge(a, b, c.pair(a, b) + hits[a] * hits[b]))
-    return CurveConfig.make(vertices, edges)
+    del curves[vid]
+    hits = adj.pop(vid)
+    touched = list(hits.items())
+    for i, (a, ma) in enumerate(touched):
+        u = curves[a]
+        curves[a] = Curve(a, u.self_int + ma * ma, u.k_degree - ma, u.mult, u.label)
+        row = adj[a]
+        del row[vid]
+        for b, mb in touched[i + 1:]:
+            row[b] = adj[b][a] = row.get(b, 0) + ma * mb
+    return hits
+
+
+def _maps(c: CurveConfig) -> tuple[dict[int, Curve], dict[int, dict[int, int]]]:
+    """A private, mutable copy of c's id map and adjacency map."""
+    return dict(c._by_id), {u: dict(row) for u, row in c._adj.items()}
+
+
+def blow_down(c: CurveConfig, vid: int) -> CurveConfig:
+    """Blow down a curve with self-intersection -1 and K-degree -1.
+
+    Returns a new config and leaves c as it is.  The total-transform
+    bookkeeping (C.D += (C.e)(D.e), C**2 += (C.e)**2, K.C -= C.e, the
+    multiplicities unchanged) is the formula of _blow_down_in_place, which
+    contract_all applies to its working copy.
+    """
+    curves, adj = _maps(c)
+    _blow_down_in_place(curves, adj, vid)
+    edges = [Edge(a, b, m) for a, row in adj.items() for b, m in row.items() if a < b]
+    return CurveConfig.make(curves.values(), edges)
 
 
 # ----- SW obstruction rule -----
@@ -257,20 +297,20 @@ class SWViolation:
     rule: str
 
 
+def _sw_violation(v: Curve) -> SWViolation | None:
+    """The SW rule on one curve: K.A <= -2, or K.A = -1 with A**2 != -1."""
+    if v.k_degree <= -2:
+        return SWViolation(v.id, v.self_int, v.k_degree, "k_degree <= -2")
+    if v.k_degree == -1 and v.self_int != -1:
+        return SWViolation(v.id, v.self_int, v.k_degree, "k_degree = -1 but self_int != -1")
+    return None
+
+
 def sw_check(c: CurveConfig, exempt: Iterable[int] = ()) -> tuple[SWViolation, ...]:
     """Flag curves that cannot exist: K.A <= -2, or K.A = -1 with A**2 != -1."""
     skip = set(exempt)
-    out = []
-    for v in c.vertices:
-        if v.id in skip:
-            continue
-        if v.k_degree <= -2:
-            out.append(SWViolation(v.id, v.self_int, v.k_degree, "k_degree <= -2"))
-        elif v.k_degree == -1 and v.self_int != -1:
-            out.append(
-                SWViolation(v.id, v.self_int, v.k_degree, "k_degree = -1 but self_int != -1")
-            )
-    return tuple(out)
+    found = (_sw_violation(v) for v in c.vertices if v.id not in skip)
+    return tuple(w for w in found if w is not None)
 
 
 # ----- Full contraction -----
@@ -278,11 +318,32 @@ def sw_check(c: CurveConfig, exempt: Iterable[int] = ()) -> tuple[SWViolation, .
 
 @dataclass(frozen=True)
 class ContractionStep:
-    """One blow-down: the contracted vertex, the config after it, violations found."""
+    """One blow-down: the contracted vertex, its neighbourhood and the violations found.
+
+    ``hits`` maps each curve the contracted one met, at that stage, to the
+    intersection multiplicity; it is read-only.  ``config``, the
+    configuration after the step, is built the first time it is read, as
+    ``blow_down`` of the stage before, and cached.
+    """
 
     vertex: int
-    config: CurveConfig
-    violations: tuple[SWViolation, ...] = ()
+    hits: Mapping[int, int] = field(hash=False)
+    violations: tuple[SWViolation, ...]
+    _before: CurveConfig | ContractionStep = field(repr=False, compare=False)
+
+    @cached_property
+    def config(self) -> CurveConfig:
+        # build the unread stages before this one oldest first, so reading
+        # the last stage of a long trace never recurses more than one level
+        pending = []
+        before = self._before
+        while isinstance(before, ContractionStep) and "config" not in vars(before):
+            pending.append(before)
+            before = before._before
+        for step in reversed(pending):
+            step.config
+        prev = self._before
+        return blow_down(prev.config if isinstance(prev, ContractionStep) else prev, self.vertex)
 
     def summary(self) -> dict:
         return {
@@ -327,28 +388,44 @@ def contract_all(
     - CONTRACTED_TO_POINT: every non-frozen vertex was contracted;
     - STUCK: non-frozen vertices remain but none is a (-1,-1)-curve;
     - SW_VIOLATION: a step produced a curve violating the SW rule.
+
+    The contraction runs on one private working copy of c's maps, so a step
+    costs O(degree**2); stage configs are built only when a step's
+    ``config`` is read.  The first step checks every remaining vertex
+    against the SW rule; after a clean step only the curves a step touches
+    can change, so later steps check those alone.
     """
     if tie_break not in ("lowest", "highest"):
         raise ValueError(f"tie_break must be 'lowest' or 'highest', got {tie_break!r}")
+    pick = min if tie_break == "lowest" else max
     hold = frozenset(frozen)
+    skip = frozenset(sw_exempt)
+    curves, adj = _maps(c)
+
+    def contractible(vid: int) -> bool:
+        v = curves[vid]
+        return vid not in hold and v.self_int == -1 and v.k_degree == -1
+
+    candidates = {vid for vid in curves if contractible(vid)}
     steps: list[ContractionStep] = []
-    cur = c
-    while True:
-        candidates = [
-            v.id
-            for v in cur.vertices
-            if v.id not in hold and v.self_int == -1 and v.k_degree == -1
-        ]
-        if not candidates:
-            remaining = [v for v in cur.vertices if v.id not in hold]
-            status = CONTRACTED_TO_POINT if not remaining else STUCK
-            return BlowDownTrace(c, tuple(steps), status)
-        vid = min(candidates) if tie_break == "lowest" else max(candidates)
-        cur = blow_down(cur, vid)
-        violations = sw_check(cur, exempt=sw_exempt)
-        steps.append(ContractionStep(vid, cur, violations))
+    while candidates:
+        vid = pick(candidates)
+        candidates.remove(vid)
+        hits = _blow_down_in_place(curves, adj, vid)
+        for u in hits:
+            if contractible(u):
+                candidates.add(u)
+            else:
+                candidates.discard(u)
+        checked = sorted(hits) if steps else sorted(curves)
+        found = (_sw_violation(curves[u]) for u in checked if u not in skip)
+        violations = tuple(w for w in found if w is not None)
+        steps.append(ContractionStep(vid, MappingProxyType(hits), violations,
+                                     steps[-1] if steps else c))
         if violations:
             return BlowDownTrace(c, tuple(steps), SW_VIOLATION)
+    status = STUCK if any(u not in hold for u in curves) else CONTRACTED_TO_POINT
+    return BlowDownTrace(c, tuple(steps), status)
 
 
 def derived_multiplicities(trace: BlowDownTrace) -> dict[int, int]:
@@ -357,28 +434,17 @@ def derived_multiplicities(trace: BlowDownTrace) -> dict[int, int]:
     Reading the contraction backwards as a creation history, the first-created
     component (contracted last) has multiplicity 1, and each later component
     inherits the multiplicity-weighted sum of its intersections with the
-    components already present at its creation stage.  This reproduces the
-    total-transform bookkeeping of blow_up exactly.
+    components already present at its creation stage.  Those intersections
+    are the step's ``hits``.  This reproduces the total-transform bookkeeping
+    of blow_up exactly.
     """
     if trace.status != CONTRACTED_TO_POINT:
         raise ValueError(f"trace did not contract to a point: {trace.status}")
-    order = trace.order
-    n = len(order)
-    creation = order[::-1]
-
-    def stage(i: int) -> CurveConfig:
-        # config in which the i-th created component is newest: n - i steps done
-        k = n - i
-        return trace.initial if k == 0 else trace.steps[k - 1].config
-
     mult: dict[int, int] = {}
-    for i in range(1, n + 1):
-        ai = creation[i - 1]
-        if i == 1:
-            mult[ai] = 1
-            continue
-        cfg = stage(i)
-        mult[ai] = sum(mult[creation[j - 1]] * cfg.pair(creation[j - 1], ai) for j in range(1, i))
+    for step in reversed(trace.steps):
+        mult[step.vertex] = (
+            sum(mult[u] * m for u, m in step.hits.items() if u in mult) if mult else 1
+        )
     return mult
 
 
@@ -388,19 +454,16 @@ def derived_multiplicities(trace: BlowDownTrace) -> dict[int, int]:
 def divisor_pairing(c: CurveConfig, mults: Mapping[int, int], target: int) -> int:
     """(sum m_i A_i) . C_target, including the self-term when target is a component."""
     total = mults.get(target, 0) * c.curve(target).self_int
-    for vid, m in mults.items():
-        if vid != target and m:
-            total += m * c.pair(vid, target)
+    for u, m in c._adj[target].items():
+        total += mults.get(u, 0) * m
     return total
 
 
 def divisor_self(c: CurveConfig, mults: Mapping[int, int]) -> int:
     """(sum m_i A_i)**2."""
-    items = [(vid, m) for vid, m in sorted(mults.items()) if m]
-    total = sum(m * m * c.curve(vid).self_int for vid, m in items)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            total += 2 * items[i][1] * items[j][1] * c.pair(items[i][0], items[j][0])
+    total = sum(m * m * c.curve(vid).self_int for vid, m in mults.items() if m)
+    for e in c.edges:
+        total += 2 * mults.get(e.a, 0) * mults.get(e.b, 0) * e.m
     return total
 
 
@@ -427,23 +490,42 @@ def divisor_product(c: CurveConfig, m1: Mapping[int, int], m2: Mapping[int, int]
 # ----- Structural validation -----
 
 
-def induced_subgraph(c: CurveConfig, comp: set[int]) -> tuple[list[Edge], bool]:
-    """Edges of c with both ends in comp, and whether they connect comp.
+def stage_maps(
+    c: CurveConfig, order: Iterable[int]
+) -> Iterator[tuple[dict[int, Curve], dict[int, dict[int, int]]]]:
+    """The id map and adjacency map of c, then of each stage as order is blown down.
+
+    One working copy is blown down in place between yields, so each yield
+    replaces the one before: read it before advancing, never keep or alter it.
+    """
+    curves, adj = _maps(c)
+    yield curves, adj
+    for vid in order:
+        _blow_down_in_place(curves, adj, vid)
+        yield curves, adj
+
+
+def connects(adj: Mapping[int, Mapping[int, int]], comp: set[int]) -> bool:
+    """Whether the edges of adj between members of comp connect comp.
 
     The empty set counts as not connected: it has no component to reach.
     """
-    edges = [e for e in c.edges if e.a in comp and e.b in comp]
     if not comp:
-        return edges, False
+        return False
     seen = {min(comp)}
     frontier = list(seen)
     while frontier:
         v = frontier.pop()
-        for u in c._adj.get(v, ()):
+        for u in adj.get(v, ()):
             if u in comp and u not in seen:
                 seen.add(u)
                 frontier.append(u)
-    return edges, seen == comp
+    return seen == comp
+
+
+def induced_subgraph(c: CurveConfig, comp: set[int]) -> tuple[list[Edge], bool]:
+    """Edges of c with both ends in comp, and whether they connect comp."""
+    return [e for e in c.edges if e.a in comp and e.b in comp], connects(c._adj, comp)
 
 
 @dataclass(frozen=True)
@@ -527,26 +609,21 @@ def validate_zariski(
     contracted = need("contraction", trace.status == CONTRACTED_TO_POINT)
     if contracted:
         last = trace.order[-1]
+        pairing = {v: divisor_pairing(c, mults, v) for v in comp}
         pairing_zero_nonfinal = need(
             "pairing_zero_nonfinal",
-            all(divisor_pairing(c, mults, v) == 0 for v in comp if v != last),
+            all(p == 0 for v, p in pairing.items() if v != last),
         )
-        pairing_final = need("pairing_final", divisor_pairing(c, mults, last) == -1)
-        pairing_total = need(
-            "pairing_total", sum(divisor_pairing(c, mults, v) for v in comp) == -1
-        )
+        pairing_final = need("pairing_final", pairing[last] == -1)
+        pairing_total = need("pairing_total", sum(pairing.values()) == -1)
         self_pairing = need("self_pairing", divisor_self(c, mults) == -1)
         k_pairing = need("k_pairing", divisor_k(c, mults) == -1)
         derived = derived_multiplicities(trace)
         creation_ok = derived == dict(mults)
         # printed convention: contraction-order indices, original intersections
-        order = trace.order
         rec: dict[int, int] = {}
-        for idx, vid in enumerate(order):
-            if idx == 0:
-                rec[vid] = 1
-            else:
-                rec[vid] = sum(rec[u] * c.pair(u, vid) for u in order[:idx])
+        for vid in trace.order:
+            rec[vid] = sum(rec[u] * m for u, m in c._adj[vid].items() if u in rec) if rec else 1
         contraction_ok = rec == dict(mults)
     else:
         pairing_zero_nonfinal = pairing_final = pairing_total = False
@@ -666,9 +743,8 @@ def iterated_blowdown_trace(
 
     profile = []
     contracted: set[int] = set()
-    prev = full
     for step in trace.steps:
-        s_hit = prev.pair(step.vertex, s_id)
+        s_hit = step.hits.get(s_id, 0)
         if s_hit < 1:
             raise AssertionError(f"contracted curve {step.vertex} missed S")
         contracted.add(step.vertex)
@@ -682,7 +758,6 @@ def iterated_blowdown_trace(
                 f"S meets {meets}, expected the interval boundary {sorted(boundary)}"
             )
         profile.append((step.vertex, s_hit, meets))
-        prev = step.config
 
     k_final = trace.final_config.curve(s_id).k_degree
     result = IteratedBlowdown(
@@ -737,17 +812,19 @@ _JSON_TYPES = {int: "an integer", str: "a valid Unicode string", list: "a JSON a
 def _field(obj: dict, kind: str, name: str, typ: type, default=None):
     """obj[name], required unless a default is given, of JSON type typ.
 
-    A bool is no integer, and a string may not hold a lone surrogate (it
-    could not be printed).
+    A bool is no integer, and a string must be printable (``str.isprintable``):
+    a control character such as a newline could forge lines of the text
+    output, and a lone surrogate could not be printed at all.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"each {kind} must be a JSON object, got {obj!r}")
     if name not in obj and default is None:
         raise ValueError(f"{kind} field {name!r} is missing")
     value = obj.get(name, default)
-    if (isinstance(value, bool) or not isinstance(value, typ)
-            or typ is str and any("\ud800" <= ch <= "\udfff" for ch in value)):
+    if isinstance(value, bool) or not isinstance(value, typ):
         raise ValueError(f"{kind} field {name!r} must be {_JSON_TYPES[typ]}, got {value!r}")
+    if typ is str and not value.isprintable():
+        raise ValueError(f"{kind} field {name!r} must be printable, got {value!r}")
     return value
 
 

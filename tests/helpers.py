@@ -1,4 +1,9 @@
-"""Shared brute-force generators used by several test modules."""
+"""Shared brute-force generators and slow reference implementations for the tests."""
+
+import json
+
+from wahlkit import Curve, CurveConfig, Edge
+from wahlkit.curveconfig import induced_subgraph
 
 
 def path_census(max_n: int) -> set[tuple[int, ...]]:
@@ -46,3 +51,133 @@ def census_blowdown_inputs(max_n: int) -> list[tuple[int, int, tuple[int, ...]]]
         if 2 <= i <= n - 1:
             rows.append((n, i, t))
     return rows
+
+
+# ----- Eager contraction: the slow oracle for in-place contraction -----
+#
+# These are the implementations contract_all, blow_down, derived_multiplicities,
+# staged_structure_checks and the divisor arithmetic had before contraction
+# ran in place: every stage is a full config built from a scan of the edge
+# tuple, and every pairing is an all-pairs sum.
+
+
+def scan_blow_down(c, vid):
+    """Blow down vid by rescanning c's vertex and edge tuples."""
+    v = next(u for u in c.vertices if u.id == vid)
+    assert (v.self_int, v.k_degree) == (-1, -1)
+    hits = {e.b if e.a == vid else e.a: e.m for e in c.edges if vid in (e.a, e.b)}
+    vertices = [
+        Curve(u.id, u.self_int + hits[u.id] ** 2, u.k_degree - hits[u.id], u.mult, u.label)
+        if u.id in hits else u
+        for u in c.vertices if u.id != vid
+    ]
+    edges = [e for e in c.edges
+             if vid not in (e.a, e.b) and not (e.a in hits and e.b in hits)]
+    pairs = {(e.a, e.b): e.m for e in c.edges}
+    touched = sorted(hits)
+    for i, a in enumerate(touched):
+        for b in touched[i + 1:]:
+            edges.append(Edge(a, b, pairs.get((a, b), 0) + hits[a] * hits[b]))
+    return CurveConfig.make(vertices, edges), hits
+
+
+def scan_sw(c, exempt):
+    """(vertex, rule) of every SW violation of c, by id."""
+    out = []
+    for v in c.vertices:
+        if v.id in exempt:
+            continue
+        if v.k_degree <= -2:
+            out.append((v.id, "k_degree <= -2"))
+        elif v.k_degree == -1 and v.self_int != -1:
+            out.append((v.id, "k_degree = -1 but self_int != -1"))
+    return out
+
+
+def eager_contract_all(c, frozen=(), sw_exempt=(), tie_break="lowest"):
+    """(status, [(vertex, hits, config after, violations), ...]), one full config per stage."""
+    steps = []
+    cur = c
+    while True:
+        candidates = [v.id for v in cur.vertices
+                      if v.id not in frozen and (v.self_int, v.k_degree) == (-1, -1)]
+        if not candidates:
+            stuck = any(v.id not in frozen for v in cur.vertices)
+            return ("STUCK" if stuck else "CONTRACTED_TO_POINT"), steps
+        vid = min(candidates) if tie_break == "lowest" else max(candidates)
+        cur, hits = scan_blow_down(cur, vid)
+        violations = scan_sw(cur, sw_exempt)
+        steps.append((vid, hits, cur, violations))
+        if violations:
+            return "SW_VIOLATION", steps
+
+
+def eager_jsonl_lines(status, steps):
+    """trace_jsonl_lines, written out from the eager stages."""
+    lines = [
+        json.dumps({"step": k, "contracted": vid,
+                    "remaining": [[v.id, v.self_int, v.k_degree] for v in cfg.vertices],
+                    "violations": [{"vertex": w, "rule": r} for w, r in violations]},
+                   separators=(",", ":"))
+        for k, (vid, _, cfg, violations) in enumerate(steps, start=1)
+    ]
+    lines.append(json.dumps({"status": status, "steps": len(steps)}, separators=(",", ":")))
+    return lines
+
+
+def stage_pair_multiplicities(initial, steps):
+    """derived_multiplicities by the creation-order recursion over stage pairs."""
+    configs = [initial] + [cfg for _, _, cfg, _ in steps]
+    creation = [vid for vid, _, _, _ in steps][::-1]
+    n = len(creation)
+    mult = {}
+    for i in range(1, n + 1):
+        stage = configs[n - i]  # the stage in which creation[i - 1] is newest
+        mult[creation[i - 1]] = 1 if i == 1 else sum(
+            mult[creation[j - 1]] * stage.pair(creation[j - 1], creation[i - 1])
+            for j in range(1, i)
+        )
+    return mult
+
+
+def scan_staged_checks(initial, components, steps):
+    """staged_structure_checks by an induced_subgraph scan of every eager stage."""
+    fired = set()
+    remaining = set(components)
+    stages = [(None, initial)] + [(vid, cfg) for vid, _, cfg, _ in steps]
+    for vid, cfg in stages:
+        remaining.discard(vid)
+        if len(remaining) <= 1:
+            continue
+        edges, connected = induced_subgraph(cfg, remaining)
+        if any(e.m >= 2 for e in edges):
+            fired.add("MULTI_EDGE")
+        if not connected:
+            fired.add("DISCONNECTED_STAGE")
+        elif len(edges) >= len(remaining):
+            fired.add("CYCLE")
+        for u in remaining:
+            v = cfg.curve(u)
+            if (v.self_int, v.k_degree) == (-1, -1):
+                if sum(m for w, m in cfg.neighbors(u).items() if w in remaining) >= 3:
+                    fired.add("THREE_NEIGHBOR")
+    return fired
+
+
+def all_pairs_pairing(c, mults, target):
+    """(sum m_i A_i) . C_target as a sum over every component."""
+    total = mults.get(target, 0) * c.curve(target).self_int
+    for vid, m in mults.items():
+        if vid != target and m:
+            total += m * c.pair(vid, target)
+    return total
+
+
+def all_pairs_self(c, mults):
+    """(sum m_i A_i)**2 as a sum over every pair of components."""
+    items = [(vid, m) for vid, m in sorted(mults.items()) if m]
+    total = sum(m * m * c.curve(vid).self_int for vid, m in items)
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            total += 2 * items[i][1] * items[j][1] * c.pair(items[i][0], items[j][0])
+    return total

@@ -6,6 +6,7 @@ through the public API, and (where relevant) enforces a wall-clock budget.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from helpers import census_blowdown_inputs
@@ -172,6 +173,16 @@ def test_case_oracle_passes_at_length_six_with_no_family_survivors():
     for fam in report.family_results:
         assert fam.corrected_bad_survivors == 0
         assert fam.reversed_bad_survivors == 0
+
+
+def test_case_oracle_regression_data_at_length_seven():
+    # about 5 s on a 2-vCPU host; the budget only catches a blow-up in cost
+    report, elapsed = _timed(lambda: case_oracle(7))
+    assert elapsed < 120, f"took {elapsed:.1f} s, budget 120 s"
+    assert report.passed
+    assert len(report.outcomes) == 30464
+    by_ell = Counter(len(o.t) for o in report.survivors_bad)
+    assert by_ell == {3: 2, 4: 8, 5: 32, 6: 90, 7: 226}
 
 
 def test_homology_ball_parameter_bound_and_horikawa_lengths():

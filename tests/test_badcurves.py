@@ -1,14 +1,21 @@
 """Bad-curve classification, the forbidden patterns, and the case oracle."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import eager_contract_all, scan_staged_checks
 from wahlkit import (
     BadCurveClass,
     CandidateOutcome,
     ChainIncidence,
+    Curve,
+    CurveConfig,
+    Edge,
     TString,
     case_oracle,
     classify,
@@ -26,14 +33,17 @@ from wahlkit.badcurves import (
     DIES,
     MAGIC_E,
     MAGIC_FULL,
+    MULTI_EDGE,
     NO_MINUS_ONE,
     PATTERN_ENDPOINTS,
     PATTERN_SINGLE,
     SURVIVES_BAD,
     SURVIVES_GOOD,
     THREE_NEIGHBOR,
+    build_candidate_config,
+    staged_structure_checks,
 )
-from wahlkit.curveconfig import SW_VIOLATION
+from wahlkit.curveconfig import SW_VIOLATION, contract_all, random_blowup
 
 
 class TestForbiddenPatterns:
@@ -276,6 +286,46 @@ EXPECTED_CHECK_TALLY = {
     "ZERO_INCIDENCE": 28,
     "THREE_NEIGHBOR": 16,
 }
+
+
+class TestStagedChecksAgainstEagerStages:
+    """The replay on one working copy fires what a scan of every full stage config fires."""
+
+    def test_every_small_candidate(self):
+        for ell, strings in sorted(enumerate_tstrings(5).items()):
+            for t in sorted(tuple(s) for s in strings):
+                for _, internal, hits in enumerate_candidates(ell):
+                    config, e_id = build_candidate_config(t, internal, hits)
+                    comps = set(internal) | {e_id}
+                    externals = [j for j in range(1, ell + 1) if j not in internal]
+                    trace = contract_all(config, frozen=externals)
+                    _, steps = eager_contract_all(config, externals)
+                    assert staged_structure_checks(config, comps, trace) == (
+                        scan_staged_checks(config, comps, steps)), (t, internal, hits)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 12), st.data())
+    def test_traces_that_contract_non_components(self, seed, depth, data):
+        # every vertex is contracted, but only some are components, so
+        # blowing down the others changes the pairs between components
+        c = random_blowup(random.Random(seed), depth)
+        comps = data.draw(st.sets(st.sampled_from(c.ids())))
+        trace = contract_all(c, sw_exempt=c.ids())
+        _, steps = eager_contract_all(c, sw_exempt=c.ids())
+        assert staged_structure_checks(c, comps, trace) == scan_staged_checks(c, comps, steps)
+
+    def test_a_contracted_non_component_makes_a_double_edge(self):
+        # components 1 and 3 meet once and both meet the non-component 2;
+        # blowing 2 down leaves them meeting twice
+        c = CurveConfig.make(
+            [Curve(1, -3, 1), Curve(2, -1, -1), Curve(3, -3, 1)],
+            [Edge(1, 2), Edge(2, 3), Edge(1, 3)],
+        )
+        trace = contract_all(c, sw_exempt=c.ids())
+        assert trace.order == (2,)
+        _, steps = eager_contract_all(c, sw_exempt=c.ids())
+        assert staged_structure_checks(c, {1, 3}, trace) == {MULTI_EDGE}
+        assert scan_staged_checks(c, {1, 3}, steps) == {MULTI_EDGE}
 
 
 class TestCaseOracle:

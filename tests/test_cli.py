@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import eager_contract_all, eager_jsonl_lines
 from wahlkit.cli import atlas_record, main
 from wahlkit.curveconfig import config_to_json, random_blowup
 
@@ -193,6 +194,50 @@ class TestBlowdown:
     )
     def test_bad_top_level_shape_exits_2_naming_the_field(self, capsys, tmp_path, data, message):
         assert_refused(capsys, tmp_path, data, message)
+
+    @pytest.mark.parametrize(
+        "label",
+        ["x\nstatus: CONTRACTED_TO_POINT after 9 steps", "tab\there", "cr\r", "\x1b[2J",
+         "line\u2028separator", "no\u00a0break", "zero\u200bwidth"],
+    )
+    def test_unprintable_label_exits_2_naming_the_field(self, capsys, tmp_path, label):
+        data = {"vertices": [{"id": 1, "self_int": -2, "k_degree": 0, "label": label}],
+                "edges": []}
+        assert_refused(capsys, tmp_path, data,
+                       f"vertex field 'label' must be printable, got {label!r}")
+
+    def test_a_label_cannot_forge_a_status_line(self, capsys, tmp_path):
+        # a stuck curve whose label, printed verbatim, would add a line that
+        # reads like the status of a successful contraction
+        forged = "x\nstatus: CONTRACTED_TO_POINT after 9 steps"
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps({"vertices": [
+            {"id": 1, "self_int": -1, "k_degree": -1, "label": "e"},
+            {"id": 2, "self_int": -3, "k_degree": 1, "label": forged},
+        ], "edges": [{"a": 1, "b": 2}]}))
+        code, out, err = run(capsys, "blowdown", str(path))
+        assert (code, out) == (2, "")
+        assert "vertex field 'label' must be printable" in err
+        assert "status:" not in out
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 10**9), st.integers(0, 14))
+    def test_text_and_json_match_the_eager_chain(self, capsys, tmp_path, seed, depth):
+        c = random_blowup(random.Random(seed), depth)
+        path = tmp_path / "divisor.json"
+        path.write_text(json.dumps(config_to_json(c)))
+        status, steps = eager_contract_all(c)
+        expected = [
+            f"step {k}: blow down {vid}; remaining: "
+            + (", ".join(f"{v.label or v.id}({v.self_int},{v.k_degree})" for v in cfg.vertices)
+               or "(none)")
+            for k, (vid, _, cfg, _) in enumerate(steps, start=1)
+        ]
+        expected.append(f"status: {status} after {len(steps)} steps")
+        assert run(capsys, "blowdown", str(path)) == (0, "\n".join(expected) + "\n", "")
+        code, out, _ = run(capsys, "blowdown", str(path), "--json")
+        assert (code, out) == (0, "\n".join(eager_jsonl_lines(status, steps)) + "\n")
 
 
 JSON_VALUES = st.recursive(

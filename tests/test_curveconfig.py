@@ -1,13 +1,23 @@
 """Blow-up/blow-down bookkeeping, contraction traces, and divisor validation."""
 
+import inspect
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import census_blowdown_inputs, path_census
+from helpers import (
+    all_pairs_pairing,
+    all_pairs_self,
+    census_blowdown_inputs,
+    eager_contract_all,
+    eager_jsonl_lines,
+    path_census,
+    stage_pair_multiplicities,
+)
 from wahlkit.badcurves import build_candidate_config, enumerate_candidates
 from wahlkit.curveconfig import induced_subgraph
 from wahlkit import (
@@ -304,6 +314,144 @@ class TestContraction:
         hi = contract_all(c, tie_break="highest")
         assert lo.status == hi.status == CONTRACTED_TO_POINT
         assert len(lo.steps) == len(hi.steps)
+
+
+def candidate_contractions():
+    """Every candidate config with ell <= 5, its externals frozen, under both tie-breaks."""
+    for t, internal, hits in SMALL_CANDIDATES:
+        config, _ = build_candidate_config(t, internal, hits)
+        externals = [j for j in range(1, len(t) + 1) if j not in internal]
+        for tie_break in ("lowest", "highest"):
+            yield config, externals, tie_break
+
+
+class TestInPlaceContraction:
+    """contract_all on one working copy agrees with the eager chain of full configs."""
+
+    @staticmethod
+    def assert_matches_eager(c, frozen=(), sw_exempt=(), tie_break="lowest"):
+        trace = contract_all(c, frozen=frozen, sw_exempt=sw_exempt, tie_break=tie_break)
+        status, steps = eager_contract_all(c, frozen, sw_exempt, tie_break)
+        assert trace.status == status
+        assert trace.order == tuple(vid for vid, _, _, _ in steps)
+        for step, (_, hits, cfg, violations) in zip(trace.steps, steps):
+            assert dict(step.hits) == hits
+            assert [(w.vertex, w.rule) for w in step.violations] == violations
+            assert step.config == cfg
+        assert trace_jsonl_lines(trace) == eager_jsonl_lines(status, steps)
+        # a fresh trace builds its last stage first, through every unread stage
+        fresh = contract_all(c, frozen=frozen, sw_exempt=sw_exempt, tie_break=tie_break)
+        assert fresh.final_config == (steps[-1][2] if steps else c)
+        if status == CONTRACTED_TO_POINT:
+            assert derived_multiplicities(trace) == stage_pair_multiplicities(c, steps)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 14), st.sampled_from(["lowest", "highest"]))
+    def test_random_divisors(self, seed, depth, tie_break):
+        self.assert_matches_eager(random_blowup(random.Random(seed), depth), tie_break=tie_break)
+
+    def test_every_small_candidate_with_externals_frozen(self):
+        for config, externals, tie_break in candidate_contractions():
+            self.assert_matches_eager(config, frozen=externals, tie_break=tie_break)
+
+    def test_sw_exempt_and_stuck_chains(self):
+        for chain in ([-2, -1, -2], [-3, -1, -2], [-2, -1, -3, -2], [-2, -2, -1, -2]):
+            c = chain_config(chain)
+            self.assert_matches_eager(c)
+            self.assert_matches_eager(c, sw_exempt=c.ids())
+
+    def test_violation_present_in_the_input_shows_at_step_one(self):
+        # curves 2 and 3 break the SW rule from the start and no step touches them
+        c = CurveConfig.make(
+            [Curve(1, -1, -1), Curve(2, -3, -1), Curve(3, -4, -2), Curve(4, -2, 0)],
+            [Edge(1, 4, 1)],
+        )
+        trace = contract_all(c)
+        assert trace.status == SW_VIOLATION
+        assert trace.order == (1,)
+        assert [w.vertex for w in trace.steps[0].violations] == [2, 3]
+        exempt = contract_all(c, sw_exempt=(2, 3))
+        assert (exempt.status, exempt.order) == (STUCK, (1, 4))
+        self.assert_matches_eager(c)
+
+    def test_later_steps_report_only_touched_curves_in_id_order(self):
+        # blowing down 4 makes both of its neighbours illegal at once
+        c = chain_config([-1, -2, -1], attached=[(Curve(4, -1, -1), [1, 3])])
+        trace = contract_all(c, frozen=(1, 2, 3))
+        assert [w.vertex for w in trace.steps[-1].violations] == [1, 3]
+        self.assert_matches_eager(c, frozen=(1, 2, 3))
+
+    def test_a_double_point_weighs_the_multiplicity(self):
+        # 2 meets 1 twice; once 2 is blown down 1 is a (-1, -1)-curve
+        c = CurveConfig.make([Curve(1, -5, 1), Curve(2, -1, -1)], [Edge(1, 2, 2)])
+        trace = contract_all(c, sw_exempt=c.ids())
+        assert (trace.status, trace.order) == (CONTRACTED_TO_POINT, (2, 1))
+        assert dict(trace.steps[0].hits) == {1: 2}
+        assert derived_multiplicities(trace) == {1: 1, 2: 2}
+        self.assert_matches_eager(c, sw_exempt=c.ids())
+
+    def test_hits_are_read_only(self):
+        c = random_blowup(random.Random(5), 8)
+        trace = contract_all(c)
+        step = trace.steps[0]
+        with pytest.raises(TypeError):
+            step.hits[step.vertex] = 7
+        with pytest.raises(AttributeError):
+            step.hits.clear()
+        status, steps = eager_contract_all(c)
+        assert [s.config for s in trace.steps] == [cfg for _, _, cfg, _ in steps]
+        assert derived_multiplicities(trace) == {v.id: v.mult for v in c.vertices}
+        assert dict(step.hits) == steps[0][1]
+
+    def test_stage_configs_are_built_once(self):
+        trace = contract_all(random_blowup(random.Random(3), 6))
+        first = [s.config for s in trace.steps]
+        assert all(a is b for a, b in zip(first, (s.config for s in trace.steps)))
+
+    def test_reading_the_last_stage_first_does_not_recurse_per_stage(self):
+        trace = contract_all(chain_config([-2] * 199 + [-1]))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            final = trace.final_config
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (trace.status, final.vertices) == (CONTRACTED_TO_POINT, ())
+
+    def test_blow_down_leaves_its_input_alone(self):
+        c = blow_up(base_pair(), Intersection(1, 2))
+        before = (c.vertices, c.edges, c.neighbors(1), c.neighbors(3))
+        blow_down(c, 3)
+        assert (c.vertices, c.edges, c.neighbors(1), c.neighbors(3)) == before
+
+
+class TestDivisorArithmeticAgainstAllPairs:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 12), st.data())
+    def test_pairing_and_self_match_the_all_pairs_scan(self, seed, depth, data):
+        c = random_blowup(random.Random(seed), depth)
+        ids = list(c.ids())
+        mults = data.draw(st.dictionaries(st.sampled_from(ids + [max(ids) + 1]),
+                                          st.integers(-3, 4), max_size=len(ids) + 1))
+        for target in ids:
+            assert divisor_pairing(c, mults, target) == all_pairs_pairing(c, mults, target)
+        if mults.get(max(ids) + 1):  # a nonzero multiplicity on a curve c lacks
+            for square in (divisor_self, all_pairs_self):
+                with pytest.raises(KeyError):
+                    square(c, mults)
+        else:
+            assert divisor_self(c, mults) == all_pairs_self(c, mults)
+
+    def test_candidate_configs_with_derived_multiplicities(self):
+        for config, externals, tie_break in candidate_contractions():
+            trace = contract_all(config, frozen=externals, tie_break=tie_break)
+            if trace.status != CONTRACTED_TO_POINT:
+                continue
+            mults = derived_multiplicities(trace)
+            for target in config.ids():
+                assert divisor_pairing(config, mults, target) == all_pairs_pairing(
+                    config, mults, target)
+            assert divisor_self(config, mults) == all_pairs_self(config, mults)
 
 
 class TestDerivedMultiplicities:
