@@ -49,34 +49,33 @@ from typing import Iterable, Mapping, Sequence
 
 from .curveconfig import (
     CONTRACTED_TO_POINT,
+    CYCLE,
+    DISCONNECTED_STAGE,
+    MULTI_EDGE,
     STUCK,
     SW_VIOLATION,
+    THREE_NEIGHBOR,
     BlowDownTrace,
     Curve,
     CurveConfig,
     chain_config,
-    connects,
     contract_all,
     derived_multiplicities,
     divisor_k,
     divisor_pairing,
     divisor_product,
-    stage_maps,
+    shape_faults,
 )
 from .discrepancy import canonical_pairing
 from .tstring import TString, as_entries, enumerate_tstrings, is_tstring
 
 ORACLE_LENGTH_CAP = 8
 
-# check names recorded by the oracle
+# check names recorded by the oracle, beside the tree-shape ones of curveconfig
 PATTERN_SINGLE = "PATTERN_SINGLE"
 PATTERN_ENDPOINTS = "PATTERN_ENDPOINTS"
 MAGIC_E = "MAGIC_E"
 MAGIC_FULL = "MAGIC_FULL"
-MULTI_EDGE = "MULTI_EDGE"
-CYCLE = "CYCLE"
-THREE_NEIGHBOR = "THREE_NEIGHBOR"
-DISCONNECTED_STAGE = "DISCONNECTED_STAGE"
 NO_MINUS_ONE = "NO_MINUS_ONE"
 SW = "SW"
 MULT_NONPOSITIVE = "MULT_NONPOSITIVE"
@@ -378,42 +377,22 @@ def build_candidate_config(
     return chain_config([-bj for bj in b], attached=[(e, e_hits)]), e_id
 
 
-def staged_structure_checks(
-    config: CurveConfig, components: Iterable[int], trace: BlowDownTrace
-) -> set[str]:
-    """Tree-shape invariants of the divisor at every stage the contraction reached.
+def staged_structure_checks(components: Iterable[int], trace: BlowDownTrace) -> set[str]:
+    """Tree-shape faults of the divisor at every stage the contraction reached.
 
-    At each stage the remaining components of an exceptional curve of the
-    first kind must form a connected tree with simple edges in which every
-    (-1, -1) component meets the others at most twice in total.  The stages
-    are replayed from config's maps along the trace's order, every curve
-    included: blowing down a non-component still changes the pairs between
-    components.
+    shape_faults runs on the remaining components at each stage of the
+    trace, replayed from its initial config with every curve included:
+    blowing down a non-component still changes the pairs between components.
     """
     fired: set[str] = set()
     remaining = set(components)
-    stages = stage_maps(config, trace.order)
+    stages = trace.stages()
     for contracted in (None, *trace.order):
         remaining.discard(contracted)
         if len(remaining) <= 1:
             break  # remaining only shrinks, so no later stage needs a blow-down
         curves, adj = next(stages)
-        ends = 0  # each edge inside remaining is seen from both of its ends
-        for vid in remaining:
-            weight = 0
-            for u, m in adj[vid].items():
-                if u in remaining:
-                    weight += m
-                    ends += 1
-                    if m >= 2:
-                        fired.add(MULTI_EDGE)
-            v = curves[vid]
-            if weight >= 3 and v.self_int == -1 and v.k_degree == -1:
-                fired.add(THREE_NEIGHBOR)
-        if not connects(adj, remaining):
-            fired.add(DISCONNECTED_STAGE)
-        elif ends >= 2 * len(remaining):
-            fired.add(CYCLE)
+        fired |= shape_faults(curves, adj, remaining)
     return fired
 
 
@@ -472,7 +451,7 @@ def examine_candidate(
     # contract E with the external chain frozen; the rational-curve rule
     # applies to every image, external or not
     trace = contract_all(config, frozen=externals)
-    checks.update(staged_structure_checks(config, comps, trace))
+    checks.update(staged_structure_checks(comps, trace))
     if trace.status == SW_VIOLATION:
         checks.add(SW)
     elif trace.status == STUCK:

@@ -143,7 +143,7 @@ def cmd_blowdown(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {args.config}: invalid configuration: {exc}", file=sys.stderr)
         return 2
     trace = contract_all(config)
@@ -154,9 +154,11 @@ def cmd_blowdown(args: argparse.Namespace) -> int:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 1
         return 0
-    for k, step in enumerate(trace.steps, start=1):
+    stages = trace.stages()
+    next(stages)  # the initial config
+    for k, (step, (curves, _)) in enumerate(zip(trace.steps, stages), start=1):
         remaining = ", ".join(
-            f"{v.label or v.id}({v.self_int},{v.k_degree})" for v in step.config.vertices
+            f"{v.label or v.id}({v.self_int},{v.k_degree})" for _, v in sorted(curves.items())
         )
         print(f"step {k}: blow down {step.vertex}; remaining: {remaining or '(none)'}")
         for w in step.violations:

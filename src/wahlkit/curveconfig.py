@@ -35,14 +35,15 @@ scan the graph.  chain_config builds a chain with adjunction K-degrees plus
 any curves attached to it, the shape the bad-curve analysis works with.
 
 One private helper holds the blow-down formula and applies it in place to an
-id map and an adjacency map.  blow_down runs it on a copy of a config's maps
-and builds the result with make; contract_all runs it on one working copy for
-the whole contraction, so a step costs O(degree**2) instead of a rebuild.
-Each ContractionStep keeps the contracted vertex, its neighbourhood ``hits``
-(read-only) and its SW violations; the stage ``config`` after it is built
-from the stage before on first read and cached.  derived_multiplicities reads
-the ``hits``, and stage_maps replays a trace on one copy of the maps for
-checks that need every stage.
+id map and an adjacency map.  blow_down runs it on a copy of a config's maps;
+contract_all runs it on one working copy for the whole contraction, so a step
+costs O(degree**2) instead of a rebuild.  A ContractionStep is plain data:
+the contracted vertex, its neighbourhood ``hits`` (read-only) and its SW
+violations.  derived_multiplicities reads the ``hits``; everything that needs
+the stages themselves walks them with BlowDownTrace.stages, which replays the
+trace on one copy of the maps.  shape_faults is the one tree-shape rule of an
+exceptional curve, applied at every stage by the bad-curve oracle and once
+by validate_zariski.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -59,6 +59,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 CONTRACTED_TO_POINT = "CONTRACTED_TO_POINT"
 STUCK = "STUCK"
 SW_VIOLATION = "SW_VIOLATION"
+
+# Tree-shape faults reported by shape_faults.
+MULTI_EDGE = "MULTI_EDGE"
+CYCLE = "CYCLE"
+THREE_NEIGHBOR = "THREE_NEIGHBOR"
+DISCONNECTED_STAGE = "DISCONNECTED_STAGE"
 
 
 @dataclass(frozen=True)
@@ -272,6 +278,12 @@ def _maps(c: CurveConfig) -> tuple[dict[int, Curve], dict[int, dict[int, int]]]:
     return dict(c._by_id), {u: dict(row) for u, row in c._adj.items()}
 
 
+def _from_maps(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]]) -> CurveConfig:
+    """The config with the given id map and adjacency map, built by make."""
+    edges = [Edge(a, b, m) for a, row in adj.items() for b, m in row.items() if a < b]
+    return CurveConfig.make(curves.values(), edges)
+
+
 def blow_down(c: CurveConfig, vid: int) -> CurveConfig:
     """Blow down a curve with self-intersection -1 and K-degree -1.
 
@@ -282,8 +294,7 @@ def blow_down(c: CurveConfig, vid: int) -> CurveConfig:
     """
     curves, adj = _maps(c)
     _blow_down_in_place(curves, adj, vid)
-    edges = [Edge(a, b, m) for a, row in adj.items() for b, m in row.items() if a < b]
-    return CurveConfig.make(curves.values(), edges)
+    return _from_maps(curves, adj)
 
 
 # ----- SW obstruction rule -----
@@ -321,40 +332,12 @@ class ContractionStep:
     """One blow-down: the contracted vertex, its neighbourhood and the violations found.
 
     ``hits`` maps each curve the contracted one met, at that stage, to the
-    intersection multiplicity; it is read-only.  ``config``, the
-    configuration after the step, is built the first time it is read, as
-    ``blow_down`` of the stage before, and cached.
+    intersection multiplicity; it is read-only.
     """
 
     vertex: int
     hits: Mapping[int, int] = field(hash=False)
     violations: tuple[SWViolation, ...]
-    _before: CurveConfig | ContractionStep = field(repr=False, compare=False)
-
-    @cached_property
-    def config(self) -> CurveConfig:
-        # build the unread stages before this one oldest first, so reading
-        # the last stage of a long trace never recurses more than one level
-        pending = []
-        before = self._before
-        while isinstance(before, ContractionStep) and "config" not in vars(before):
-            pending.append(before)
-            before = before._before
-        for step in reversed(pending):
-            step.config
-        prev = self._before
-        return blow_down(prev.config if isinstance(prev, ContractionStep) else prev, self.vertex)
-
-    def summary(self) -> dict:
-        return {
-            "contracted": self.vertex,
-            "remaining": [
-                [v.id, v.self_int, v.k_degree] for v in self.config.vertices
-            ],
-            "violations": [
-                {"vertex": w.vertex, "rule": w.rule} for w in self.violations
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -363,9 +346,23 @@ class BlowDownTrace:
     steps: tuple[ContractionStep, ...]
     status: str
 
+    def stages(self) -> Iterator[tuple[dict[int, Curve], dict[int, dict[int, int]]]]:
+        """The id map and adjacency map of initial, then of the stage after each step.
+
+        One working copy is blown down in place between yields, so each yield
+        replaces the one before: read it before advancing, never keep or alter it.
+        """
+        curves, adj = _maps(self.initial)
+        yield curves, adj
+        for step in self.steps:
+            _blow_down_in_place(curves, adj, step.vertex)
+            yield curves, adj
+
     @property
     def final_config(self) -> CurveConfig:
-        return self.steps[-1].config if self.steps else self.initial
+        for curves, adj in self.stages():
+            pass
+        return _from_maps(curves, adj)
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -390,8 +387,8 @@ def contract_all(
     - SW_VIOLATION: a step produced a curve violating the SW rule.
 
     The contraction runs on one private working copy of c's maps, so a step
-    costs O(degree**2); stage configs are built only when a step's
-    ``config`` is read.  The first step checks every remaining vertex
+    costs O(degree**2); the trace's stages() replays it for readers of the
+    stages.  The first step checks every remaining vertex
     against the SW rule; after a clean step only the curves a step touches
     can change, so later steps check those alone.
     """
@@ -420,8 +417,7 @@ def contract_all(
         checked = sorted(hits) if steps else sorted(curves)
         found = (_sw_violation(curves[u]) for u in checked if u not in skip)
         violations = tuple(w for w in found if w is not None)
-        steps.append(ContractionStep(vid, MappingProxyType(hits), violations,
-                                     steps[-1] if steps else c))
+        steps.append(ContractionStep(vid, MappingProxyType(hits), violations))
         if violations:
             return BlowDownTrace(c, tuple(steps), SW_VIOLATION)
     status = STUCK if any(u not in hold for u in curves) else CONTRACTED_TO_POINT
@@ -490,21 +486,6 @@ def divisor_product(c: CurveConfig, m1: Mapping[int, int], m2: Mapping[int, int]
 # ----- Structural validation -----
 
 
-def stage_maps(
-    c: CurveConfig, order: Iterable[int]
-) -> Iterator[tuple[dict[int, Curve], dict[int, dict[int, int]]]]:
-    """The id map and adjacency map of c, then of each stage as order is blown down.
-
-    One working copy is blown down in place between yields, so each yield
-    replaces the one before: read it before advancing, never keep or alter it.
-    """
-    curves, adj = _maps(c)
-    yield curves, adj
-    for vid in order:
-        _blow_down_in_place(curves, adj, vid)
-        yield curves, adj
-
-
 def connects(adj: Mapping[int, Mapping[int, int]], comp: set[int]) -> bool:
     """Whether the edges of adj between members of comp connect comp.
 
@@ -523,9 +504,34 @@ def connects(adj: Mapping[int, Mapping[int, int]], comp: set[int]) -> bool:
     return seen == comp
 
 
-def induced_subgraph(c: CurveConfig, comp: set[int]) -> tuple[list[Edge], bool]:
-    """Edges of c with both ends in comp, and whether they connect comp."""
-    return [e for e in c.edges if e.a in comp and e.b in comp], connects(c._adj, comp)
+def shape_faults(
+    curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]], comp: set[int]
+) -> set[str]:
+    """The tree-shape rules of an exceptional curve that the components comp break.
+
+    The edges between members of comp must be simple (else MULTI_EDGE) and
+    form a connected tree (else DISCONNECTED_STAGE, or CYCLE when they do
+    connect comp), and each (-1, -1) member must meet the others at most
+    twice in total (else THREE_NEIGHBOR).
+    """
+    fired: set[str] = set()
+    ends = 0  # each edge inside comp is seen from both of its ends
+    for vid in comp:
+        weight = 0
+        for u, m in adj[vid].items():
+            if u in comp:
+                weight += m
+                ends += 1
+                if m >= 2:
+                    fired.add(MULTI_EDGE)
+        v = curves[vid]
+        if weight >= 3 and v.self_int == -1 and v.k_degree == -1:
+            fired.add(THREE_NEIGHBOR)
+    if not connects(adj, comp):
+        fired.add(DISCONNECTED_STAGE)
+    elif ends >= 2 * len(comp):
+        fired.add(CYCLE)
+    return fired
 
 
 @dataclass(frozen=True)
@@ -589,22 +595,14 @@ def validate_zariski(
     negative_self_ints = need(
         "negative_self_ints", all(c.curve(v).self_int < 0 for v in comp)
     )
-    induced, connected = induced_subgraph(c, comp)
-    simple_edges = need("simple_edges", all(e.m == 1 for e in induced))
-    connected_tree = need(
-        "connected_tree", connected and len(induced) == len(comp) - 1
+    faults = shape_faults(c._by_id, c._adj, comp)
+    simple_edges = need("simple_edges", MULTI_EDGE not in faults)
+    connected_tree = need("connected_tree", not {DISCONNECTED_STAGE, CYCLE} & faults)
+    has_minus_one = need(
+        "has_minus_one",
+        any(c.curve(v).self_int == -1 and c.curve(v).k_degree == -1 for v in comp),
     )
-    minus_ones = [
-        v for v in comp if c.curve(v).self_int == -1 and c.curve(v).k_degree == -1
-    ]
-    has_minus_one = need("has_minus_one", bool(minus_ones))
-    minus_one_neighbors_ok = need(
-        "minus_one_neighbors_ok",
-        all(
-            sum(m for u, m in c.neighbors(v).items() if u in comp) <= 2
-            for v in minus_ones
-        ),
-    )
+    minus_one_neighbors_ok = need("minus_one_neighbors_ok", THREE_NEIGHBOR not in faults)
 
     contracted = need("contraction", trace.status == CONTRACTED_TO_POINT)
     if contracted:
@@ -743,7 +741,9 @@ def iterated_blowdown_trace(
 
     profile = []
     contracted: set[int] = set()
-    for step in trace.steps:
+    stages = trace.stages()
+    next(stages)  # the initial config
+    for step, (curves, adj) in zip(trace.steps, stages):
         s_hit = step.hits.get(s_id, 0)
         if s_hit < 1:
             raise AssertionError(f"contracted curve {step.vertex} missed S")
@@ -751,7 +751,7 @@ def iterated_blowdown_trace(
         span = range(min(contracted), max(contracted) + 1)
         if set(span) - contracted:
             raise AssertionError(f"contracted set {sorted(contracted)} is not an interval")
-        meets = tuple(sorted(step.config.neighbors(s_id)))
+        meets = tuple(sorted(adj[s_id]))
         boundary = {j for j in (min(contracted) - 1, max(contracted) + 1) if 1 <= j <= n}
         if set(meets) != boundary:
             raise AssertionError(
@@ -759,7 +759,7 @@ def iterated_blowdown_trace(
             )
         profile.append((step.vertex, s_hit, meets))
 
-    k_final = trace.final_config.curve(s_id).k_degree
+    k_final = curves[s_id].k_degree  # the last stage, S alone
     result = IteratedBlowdown(
         n=n, i=i, chain=chain, k_start=kS, k_final=k_final,
         trace=trace, profile=tuple(profile),
@@ -861,8 +861,16 @@ def load_config(path: str) -> CurveConfig:
 def trace_jsonl_lines(trace: BlowDownTrace) -> list[str]:
     """One line per step plus a terminal status line (byte-stable)."""
     lines = []
-    for k, step in enumerate(trace.steps, start=1):
-        lines.append(json.dumps({"step": k, **step.summary()}, separators=(",", ":")))
+    stages = trace.stages()
+    next(stages)  # the initial config
+    for k, (step, (curves, _)) in enumerate(zip(trace.steps, stages), start=1):
+        record = {
+            "step": k,
+            "contracted": step.vertex,
+            "remaining": [[v.id, v.self_int, v.k_degree] for _, v in sorted(curves.items())],
+            "violations": [{"vertex": w.vertex, "rule": w.rule} for w in step.violations],
+        }
+        lines.append(json.dumps(record, separators=(",", ":")))
     lines.append(
         json.dumps(
             {"status": trace.status, "steps": len(trace.steps)}, separators=(",", ":")

@@ -3,7 +3,6 @@
 import json
 
 from wahlkit import Curve, CurveConfig, Edge
-from wahlkit.curveconfig import induced_subgraph
 
 
 def path_census(max_n: int) -> set[tuple[int, ...]]:
@@ -140,27 +139,42 @@ def stage_pair_multiplicities(initial, steps):
     return mult
 
 
+def scan_shape_faults(cfg, comp):
+    """The tree-shape rule on comp from a scan of cfg's edge tuple and a BFS over it."""
+    comp = set(comp)
+    edges = [e for e in cfg.edges if e.a in comp and e.b in comp]
+    fired = set()
+    if any(e.m >= 2 for e in edges):
+        fired.add("MULTI_EDGE")
+    seen = {min(comp)} if comp else set()
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for e in edges:
+            u = e.b if e.a == v else e.a if e.b == v else None
+            if u is not None and u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    if not comp or seen != comp:
+        fired.add("DISCONNECTED_STAGE")
+    elif len(edges) >= len(comp):
+        fired.add("CYCLE")
+    for v in cfg.vertices:
+        if v.id in comp and (v.self_int, v.k_degree) == (-1, -1):
+            if sum(e.m for e in edges if v.id in (e.a, e.b)) >= 3:
+                fired.add("THREE_NEIGHBOR")
+    return fired
+
+
 def scan_staged_checks(initial, components, steps):
-    """staged_structure_checks by an induced_subgraph scan of every eager stage."""
+    """staged_structure_checks by scan_shape_faults on every eager stage."""
     fired = set()
     remaining = set(components)
     stages = [(None, initial)] + [(vid, cfg) for vid, _, cfg, _ in steps]
     for vid, cfg in stages:
         remaining.discard(vid)
-        if len(remaining) <= 1:
-            continue
-        edges, connected = induced_subgraph(cfg, remaining)
-        if any(e.m >= 2 for e in edges):
-            fired.add("MULTI_EDGE")
-        if not connected:
-            fired.add("DISCONNECTED_STAGE")
-        elif len(edges) >= len(remaining):
-            fired.add("CYCLE")
-        for u in remaining:
-            v = cfg.curve(u)
-            if (v.self_int, v.k_degree) == (-1, -1):
-                if sum(m for w, m in cfg.neighbors(u).items() if w in remaining) >= 3:
-                    fired.add("THREE_NEIGHBOR")
+        if len(remaining) > 1:
+            fired |= scan_shape_faults(cfg, remaining)
     return fired
 
 

@@ -4,6 +4,7 @@ Each test is self-contained: it states the fact, computes it from scratch
 through the public API, and (where relevant) enforces a wall-clock budget.
 """
 
+import hashlib
 import random
 import time
 from collections import Counter
@@ -38,6 +39,7 @@ from wahlkit import (
     tstring_to_params,
     wahl_tstring,
 )
+from wahlkit.badcurves import oracle_jsonl
 from wahlkit.bounds import HORIKAWA
 
 
@@ -183,6 +185,14 @@ def test_case_oracle_regression_data_at_length_seven():
     assert len(report.outcomes) == 30464
     by_ell = Counter(len(o.t) for o in report.survivors_bad)
     assert by_ell == {3: 2, 4: 8, 5: 32, 6: 90, 7: 226}
+
+
+def test_case_oracle_jsonl_is_byte_identical_at_length_five():
+    # "same behaviour" means byte-identical JSONL, not only equal counts; the
+    # digest is of the oracle's JSONL output through length 5 as first pinned
+    text = "\n".join(oracle_jsonl(case_oracle(5))) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "78ce31bfc36412a037443e365d584026239d6bc96ad33a24e33157e18e042481")
 
 
 def test_homology_ball_parameter_bound_and_horikawa_lengths():

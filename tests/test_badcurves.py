@@ -300,7 +300,7 @@ class TestStagedChecksAgainstEagerStages:
                     externals = [j for j in range(1, ell + 1) if j not in internal]
                     trace = contract_all(config, frozen=externals)
                     _, steps = eager_contract_all(config, externals)
-                    assert staged_structure_checks(config, comps, trace) == (
+                    assert staged_structure_checks(comps, trace) == (
                         scan_staged_checks(config, comps, steps)), (t, internal, hits)
 
     @settings(max_examples=80, deadline=None)
@@ -312,7 +312,7 @@ class TestStagedChecksAgainstEagerStages:
         comps = data.draw(st.sets(st.sampled_from(c.ids())))
         trace = contract_all(c, sw_exempt=c.ids())
         _, steps = eager_contract_all(c, sw_exempt=c.ids())
-        assert staged_structure_checks(c, comps, trace) == scan_staged_checks(c, comps, steps)
+        assert staged_structure_checks(comps, trace) == scan_staged_checks(c, comps, steps)
 
     def test_a_contracted_non_component_makes_a_double_edge(self):
         # components 1 and 3 meet once and both meet the non-component 2;
@@ -324,7 +324,7 @@ class TestStagedChecksAgainstEagerStages:
         trace = contract_all(c, sw_exempt=c.ids())
         assert trace.order == (2,)
         _, steps = eager_contract_all(c, sw_exempt=c.ids())
-        assert staged_structure_checks(c, {1, 3}, trace) == {MULTI_EDGE}
+        assert staged_structure_checks({1, 3}, trace) == {MULTI_EDGE}
         assert scan_staged_checks(c, {1, 3}, steps) == {MULTI_EDGE}
 
 

@@ -16,10 +16,11 @@ from helpers import (
     eager_contract_all,
     eager_jsonl_lines,
     path_census,
+    scan_shape_faults,
     stage_pair_multiplicities,
 )
 from wahlkit.badcurves import build_candidate_config, enumerate_candidates
-from wahlkit.curveconfig import induced_subgraph
+from wahlkit.curveconfig import connects, shape_faults
 from wahlkit import (
     CONTRACTED_TO_POINT,
     STUCK,
@@ -316,6 +317,17 @@ class TestContraction:
         assert len(lo.steps) == len(hi.steps)
 
 
+def config_maps(c):
+    """(id -> curve, id -> neighbours) of a config, read through its public fields."""
+    return {v.id: v for v in c.vertices}, {v.id: c.neighbors(v.id) for v in c.vertices}
+
+
+def stage_snapshots(trace):
+    """A copy of every (id map, adjacency map) the trace's stage walk yields."""
+    return [(dict(curves), {u: dict(row) for u, row in adj.items()})
+            for curves, adj in trace.stages()]
+
+
 def candidate_contractions():
     """Every candidate config with ell <= 5, its externals frozen, under both tie-breaks."""
     for t, internal, hits in SMALL_CANDIDATES:
@@ -337,11 +349,10 @@ class TestInPlaceContraction:
         for step, (_, hits, cfg, violations) in zip(trace.steps, steps):
             assert dict(step.hits) == hits
             assert [(w.vertex, w.rule) for w in step.violations] == violations
-            assert step.config == cfg
+        assert stage_snapshots(trace) == [config_maps(c)] + [
+            config_maps(cfg) for _, _, cfg, _ in steps]
         assert trace_jsonl_lines(trace) == eager_jsonl_lines(status, steps)
-        # a fresh trace builds its last stage first, through every unread stage
-        fresh = contract_all(c, frozen=frozen, sw_exempt=sw_exempt, tie_break=tie_break)
-        assert fresh.final_config == (steps[-1][2] if steps else c)
+        assert trace.final_config == (steps[-1][2] if steps else c)
         if status == CONTRACTED_TO_POINT:
             assert derived_multiplicities(trace) == stage_pair_multiplicities(c, steps)
 
@@ -399,14 +410,18 @@ class TestInPlaceContraction:
         with pytest.raises(AttributeError):
             step.hits.clear()
         status, steps = eager_contract_all(c)
-        assert [s.config for s in trace.steps] == [cfg for _, _, cfg, _ in steps]
         assert derived_multiplicities(trace) == {v.id: v.mult for v in c.vertices}
         assert dict(step.hits) == steps[0][1]
 
-    def test_stage_configs_are_built_once(self):
-        trace = contract_all(random_blowup(random.Random(3), 6))
-        first = [s.config for s in trace.steps]
-        assert all(a is b for a, b in zip(first, (s.config for s in trace.steps)))
+    def test_every_stage_walk_starts_again_from_the_initial_config(self):
+        c = random_blowup(random.Random(3), 6)
+        before = config_maps(c)
+        trace = contract_all(c)
+        first = stage_snapshots(trace)
+        assert len(first) == len(trace.steps) + 1
+        assert first[0] == before and first[-1] == ({}, {})
+        assert stage_snapshots(trace) == first
+        assert config_maps(c) == before
 
     def test_reading_the_last_stage_first_does_not_recurse_per_stage(self):
         trace = contract_all(chain_config([-2] * 199 + [-1]))
@@ -515,12 +530,12 @@ class TestZariskiValidation:
         report = validate_zariski(chain_config([-2, -1, -2], mults=[1, 1, 1]))
         assert not report.passed
 
-    def test_induced_subgraph(self):
-        c = chain_config([-2, -1, -2, -3])
-        assert induced_subgraph(c, {1, 2, 3}) == ([Edge(1, 2), Edge(2, 3)], True)
-        assert induced_subgraph(c, {1, 3, 4}) == ([Edge(3, 4)], False)
-        assert induced_subgraph(c, {4}) == ([], True)
-        assert induced_subgraph(c, set()) == ([], False)
+    def test_connects(self):
+        _, adj = config_maps(chain_config([-2, -1, -2, -3]))
+        assert connects(adj, {1, 2, 3})
+        assert not connects(adj, {1, 3, 4})
+        assert connects(adj, {4})
+        assert not connects(adj, set())  # the empty set has no component to reach
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9), st.integers(1, 6))
@@ -529,6 +544,106 @@ class TestZariskiValidation:
         report = validate_zariski(c)
         assert report.passed, report.failures
         assert report.mult_recursion_creation_order is True
+
+
+def expected_structure(c, comp):
+    """validate_zariski's structural fields from the edge-scan reference, in failure order."""
+    faults = scan_shape_faults(c, comp)
+    members = [v for v in c.vertices if v.id in comp]
+    return {
+        "negative_self_ints": all(v.self_int < 0 for v in members),
+        "simple_edges": "MULTI_EDGE" not in faults,
+        "connected_tree": not {"DISCONNECTED_STAGE", "CYCLE"} & faults,
+        "has_minus_one": any((v.self_int, v.k_degree) == (-1, -1) for v in members),
+        "minus_one_neighbors_ok": "THREE_NEIGHBOR" not in faults,
+    }
+
+
+def with_extra_edges(c, extra):
+    """c with each (a, b, m) of extra added to the intersection of a and b."""
+    pairs = {(e.a, e.b): e.m for e in c.edges}
+    for a, b, m in extra:
+        key = (min(a, b), max(a, b))
+        pairs[key] = pairs.get(key, 0) + m
+    return CurveConfig.make(c.vertices, [Edge(a, b, m) for (a, b), m in pairs.items()])
+
+
+class TestZariskiStructure:
+    """validate_zariski's tree-shape fields agree with an edge scan of the components."""
+
+    @staticmethod
+    def assert_structure(c, mults):
+        report = validate_zariski(c, mults)
+        expected = expected_structure(c, {v for v, m in mults.items() if m})
+        assert {name: getattr(report, name) for name in expected} == expected
+        failed = tuple(name for name, ok in expected.items() if not ok)
+        assert report.failures[:len(failed)] == failed
+        assert not set(report.failures[len(failed):]) & set(expected)
+        return report
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 10), st.data())
+    def test_random_divisors_with_random_components(self, seed, depth, data):
+        c = random_blowup(random.Random(seed), depth)
+        ids = c.ids()
+        if len(ids) >= 2:
+            pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.integers(1, 2))
+            extra = data.draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=3))
+            c = with_extra_edges(c, extra)
+        comp = data.draw(st.sets(st.sampled_from(ids), min_size=1))
+        assert shape_faults(*config_maps(c), comp) == scan_shape_faults(c, comp)
+        self.assert_structure(c, {v: c.curve(v).mult for v in comp})
+
+    def test_a_double_edge(self):
+        c = CurveConfig.make([Curve(1, -1, -1, 1), Curve(2, -3, 1, 2)], [Edge(1, 2, 2)])
+        report = self.assert_structure(c, {1: 1, 2: 2})
+        assert report.failures[0] == "simple_edges"
+        assert report.connected_tree and report.minus_one_neighbors_ok
+
+    def test_a_cycle(self):
+        c = CurveConfig.make(
+            [Curve(1, -2, 0, 1), Curve(2, -1, -1, 1), Curve(3, -2, 0, 1)],
+            [Edge(1, 2), Edge(2, 3), Edge(1, 3)],
+        )
+        report = self.assert_structure(c, {1: 1, 2: 1, 3: 1})
+        assert report.failures[0] == "connected_tree"
+        assert report.simple_edges and report.minus_one_neighbors_ok
+
+    def test_disconnected_components(self):
+        c = CurveConfig.make([Curve(1, -1, -1, 1), Curve(2, -2, 0, 1)], [])
+        report = self.assert_structure(c, {1: 1, 2: 1})
+        assert report.failures[0] == "connected_tree"
+        assert report.simple_edges and report.has_minus_one
+
+    def test_a_minus_one_curve_with_three_neighbours(self):
+        c = chain_config([-2, -2, -2], attached=[(Curve(4, -1, -1, 1), [1, 2, 3])])
+        report = self.assert_structure(c, {1: 1, 2: 1, 3: 1, 4: 1})
+        assert report.failures[:2] == ("connected_tree", "minus_one_neighbors_ok")
+        # the same curve on the star alone is a tree, and still fails
+        star = CurveConfig.make(
+            [Curve(1, -2, 0, 1), Curve(2, -2, 0, 1), Curve(3, -2, 0, 1), Curve(4, -1, -1, 1)],
+            [Edge(1, 4), Edge(2, 4), Edge(3, 4)],
+        )
+        report = self.assert_structure(star, {1: 1, 2: 1, 3: 1, 4: 1})
+        assert report.failures[0] == "minus_one_neighbors_ok"
+        assert report.simple_edges and report.connected_tree
+
+    def test_a_double_edge_counts_twice_towards_three_neighbours(self):
+        c = CurveConfig.make(
+            [Curve(1, -1, -1, 1), Curve(2, -3, 1, 1), Curve(3, -2, 0, 1)],
+            [Edge(1, 2, 2), Edge(1, 3)],
+        )
+        report = self.assert_structure(c, {1: 1, 2: 1, 3: 1})
+        assert report.failures[:2] == ("simple_edges", "minus_one_neighbors_ok")
+
+    def test_structural_failures_keep_their_order(self):
+        # a 0-curve, a double edge, a curve off the rest and no (-1)-curve
+        c = CurveConfig.make(
+            [Curve(1, 0, -2, 1), Curve(2, -2, 0, 1), Curve(3, -2, 0, 1)], [Edge(1, 2, 2)]
+        )
+        report = self.assert_structure(c, {1: 1, 2: 1, 3: 1})
+        assert report.failures[:4] == (
+            "negative_self_ints", "simple_edges", "connected_tree", "has_minus_one")
 
 
 class TestNesting:
