@@ -58,6 +58,7 @@ from .curveconfig import (
     BlowDownTrace,
     Curve,
     CurveConfig,
+    StageCallback,
     chain_config,
     contract_all,
     derived_multiplicities,
@@ -377,23 +378,23 @@ def build_candidate_config(
     return chain_config([-bj for bj in b], attached=[(e, e_hits)]), e_id
 
 
-def staged_structure_checks(components: Iterable[int], trace: BlowDownTrace) -> set[str]:
-    """Tree-shape faults of the divisor at every stage the contraction reached.
+def staged_structure_checks(components: Iterable[int], fired: set[str]) -> StageCallback:
+    """The contract_all stage callback that adds the divisor's tree-shape faults to fired.
 
-    shape_faults runs on the remaining components at each stage of the
-    trace, replayed from its initial config with every curve included:
-    blowing down a non-component still changes the pairs between components.
+    At each stage the contraction reaches, shape_faults runs on the
+    components not yet contracted, in the stage's maps with every curve
+    included: blowing down a non-component still changes the pairs between
+    components.  A single remaining component is a tree by itself.
     """
-    fired: set[str] = set()
     remaining = set(components)
-    stages = trace.stages()
-    for contracted in (None, *trace.order):
+
+    def check(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]],
+              contracted: int | None) -> None:
         remaining.discard(contracted)
-        if len(remaining) <= 1:
-            break  # remaining only shrinks, so no later stage needs a blow-down
-        curves, adj = next(stages)
-        fired |= shape_faults(curves, adj, remaining)
-    return fired
+        if len(remaining) > 1:
+            fired.update(shape_faults(curves, adj, remaining))
+
+    return check
 
 
 def _a_case(x_prime: int, x: int, y: int, y_prime: int, ell: int) -> str:
@@ -450,8 +451,9 @@ def examine_candidate(
 
     # contract E with the external chain frozen; the rational-curve rule
     # applies to every image, external or not
-    trace = contract_all(config, frozen=externals)
-    checks.update(staged_structure_checks(comps, trace))
+    trace = contract_all(
+        config, frozen=externals, on_stage=staged_structure_checks(comps, checks)
+    )
     if trace.status == SW_VIOLATION:
         checks.add(SW)
     elif trace.status == STUCK:

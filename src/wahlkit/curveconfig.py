@@ -39,11 +39,12 @@ id map and an adjacency map.  blow_down runs it on a copy of a config's maps;
 contract_all runs it on one working copy for the whole contraction, so a step
 costs O(degree**2) instead of a rebuild.  A ContractionStep is plain data:
 the contracted vertex, its neighbourhood ``hits`` (read-only) and its SW
-violations.  derived_multiplicities reads the ``hits``; everything that needs
-the stages themselves walks them with BlowDownTrace.stages, which replays the
-trace on one copy of the maps.  shape_faults is the one tree-shape rule of an
-exceptional curve, applied at every stage by the bad-curve oracle and once
-by validate_zariski.
+violations.  derived_multiplicities reads the ``hits``.  A caller that checks
+every stage while contracting hands contract_all an ``on_stage`` callback,
+which sees the working maps as they are made; readers after the fact walk the
+stages with BlowDownTrace.stages, which replays the trace on one copy of the
+maps.  shape_faults is the one tree-shape rule of an exceptional curve,
+applied at every stage by the bad-curve oracle and once by validate_zariski.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # Terminal states of contract_all.
 CONTRACTED_TO_POINT = "CONTRACTED_TO_POINT"
@@ -166,17 +168,30 @@ def chain_config(
     meets chain curve h once per occurrence of h in hits (so a repeated h is
     a double point, an edge of multiplicity 2).
     """
-    n = len(self_ints)
-    if mults is None:
-        mults = [0] * n
-    vertices = [
-        Curve(i + 1, s, -2 - s, mults[i], f"C{i + 1}") for i, s in enumerate(self_ints)
-    ]
-    edges = [Edge(i, i + 1, 1) for i in range(1, n)]
+    self_ints = tuple(self_ints)
+    mults = (0,) * len(self_ints) if mults is None else tuple(mults)
+    chain, links = _chain_parts(self_ints, mults)
+    vertices, edges = list(chain), list(links)
     for curve, hits in attached:
         vertices.append(curve)
         edges += [Edge(h, curve.id, m) for h, m in Counter(hits).items()]
     return CurveConfig.make(vertices, edges)
+
+
+@lru_cache(maxsize=64)
+def _chain_parts(
+    self_ints: tuple[int, ...], mults: tuple[int, ...]
+) -> tuple[tuple[Curve, ...], tuple[Edge, ...]]:
+    """The curves and edges of a bare chain; pure and immutable, so cached.
+
+    The bad-curve oracle builds all candidates of one T-string on the same
+    chain before it moves to the next string, so a small cache serves nearly
+    every call.
+    """
+    vertices = tuple(
+        Curve(i + 1, s, -2 - s, mults[i], f"C{i + 1}") for i, s in enumerate(self_ints)
+    )
+    return vertices, tuple(Edge(i, i + 1, 1) for i in range(1, len(self_ints)))
 
 
 # ----- Point specifications for blow-up -----
@@ -340,6 +355,10 @@ class ContractionStep:
     violations: tuple[SWViolation, ...]
 
 
+# A contraction stage's id map, adjacency map and the vertex just contracted.
+StageCallback = Callable[[Mapping[int, Curve], Mapping[int, Mapping[int, int]], int | None], None]
+
+
 @dataclass(frozen=True)
 class BlowDownTrace:
     initial: CurveConfig
@@ -374,6 +393,7 @@ def contract_all(
     frozen: Iterable[int] = (),
     sw_exempt: Iterable[int] = (),
     tie_break: str = "lowest",
+    on_stage: StageCallback | None = None,
 ) -> BlowDownTrace:
     """Blow down (-1,-1)-curves until none are left, checking the SW rule each step.
 
@@ -387,10 +407,14 @@ def contract_all(
     - SW_VIOLATION: a step produced a curve violating the SW rule.
 
     The contraction runs on one private working copy of c's maps, so a step
-    costs O(degree**2); the trace's stages() replays it for readers of the
-    stages.  The first step checks every remaining vertex
-    against the SW rule; after a clean step only the curves a step touches
-    can change, so later steps check those alone.
+    costs O(degree**2).  ``on_stage(curves, adj, vertex)``, when given, sees
+    the working maps of the initial stage (vertex None) and of the stage after
+    each blow-down (vertex the contracted one), the step that ends in
+    SW_VIOLATION included: the same maps, in the same order, that the trace's
+    stages() yields later.  It must read them before returning, never keep or
+    alter them.  The first step checks every remaining vertex against the SW
+    rule; after a clean step only the curves a step touches can change, so
+    later steps check those alone.
     """
     if tie_break not in ("lowest", "highest"):
         raise ValueError(f"tie_break must be 'lowest' or 'highest', got {tie_break!r}")
@@ -405,10 +429,14 @@ def contract_all(
 
     candidates = {vid for vid in curves if contractible(vid)}
     steps: list[ContractionStep] = []
+    if on_stage is not None:
+        on_stage(curves, adj, None)
     while candidates:
         vid = pick(candidates)
         candidates.remove(vid)
         hits = _blow_down_in_place(curves, adj, vid)
+        if on_stage is not None:
+            on_stage(curves, adj, vid)
         for u in hits:
             if contractible(u):
                 candidates.add(u)
@@ -854,8 +882,12 @@ def config_from_json(data: dict) -> CurveConfig:
 
 
 def load_config(path: str) -> CurveConfig:
+    """config_from_json of a JSON file; nesting too deep to parse raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        return config_from_json(json.load(fh))
+        try:
+            return config_from_json(json.load(fh))
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 def trace_jsonl_lines(trace: BlowDownTrace) -> list[str]:

@@ -24,6 +24,7 @@ the workhorse necessary condition for the bad-curve analysis.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .tstring import TString, as_entries, continuants
@@ -45,12 +46,17 @@ def chain_determinant(t: TString | Iterable[int]) -> int:
     return (-1) ** len(b) * continuants(b)[-1]
 
 
-def _numerators(b: tuple[int, ...]) -> tuple[list[int], int]:
-    """(numerators, p**2) with a_j = numerators[j] / p**2."""
+@lru_cache(maxsize=64)
+def _numerators(b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(numerators, p**2) with a_j = numerators[j] / p**2; cached, so immutable.
+
+    The bad-curve oracle pairs all candidates of one string against it before
+    it moves to the next string, so a small cache serves nearly every call.
+    """
     prefix = continuants(b)  # prefix[j] = K(b[:j])
     suffix = continuants(b[::-1])[-2::-1]  # suffix[j] = K(b[j + 1:])
     p2 = prefix[-1]
-    return [x + y - p2 for x, y in zip(prefix, suffix)], p2
+    return tuple(x + y - p2 for x, y in zip(prefix, suffix)), p2
 
 
 def discrepancies(t: TString | Iterable[int]) -> tuple[Fraction, ...]:

@@ -95,9 +95,15 @@ class TString:
 
 
 def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
-    """Normalize a TString or raw sequence to a tuple of ints."""
+    """Normalize a TString or raw sequence to a tuple of ints.
+
+    A tuple of exact ints is returned as it is; anything else (a bool, a
+    list, a generator) is coerced entry by entry.
+    """
     if isinstance(t, TString):
         return t.b
+    if type(t) is tuple and all(type(x) is int for x in t):
+        return t
     return tuple(int(x) for x in t)
 
 

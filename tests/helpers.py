@@ -1,6 +1,7 @@
 """Shared brute-force generators and slow reference implementations for the tests."""
 
 import json
+from fractions import Fraction
 
 from wahlkit import Curve, CurveConfig, Edge
 
@@ -195,3 +196,29 @@ def all_pairs_self(c, mults):
         for j in range(i + 1, len(items)):
             total += 2 * items[i][1] * items[j][1] * c.pair(items[i][0], items[j][0])
     return total
+
+
+# ----- Eager discrepancies: the slow oracle for the cached continuant numerators -----
+
+
+def eliminate_discrepancies(b):
+    """Solve M a = (b_j - 2)_j by Fraction forward elimination and back substitution."""
+    b = [int(x) for x in b]
+    ell = len(b)
+    rhs = [Fraction(x - 2) for x in b]
+    diag = [Fraction(-x) for x in b]
+    for i in range(1, ell):  # eliminate the subdiagonal, all of whose entries are 1
+        factor = 1 / diag[i - 1]
+        diag[i] -= factor
+        rhs[i] -= factor * rhs[i - 1]
+    a = [Fraction(0)] * ell
+    a[-1] = rhs[-1] / diag[-1]
+    for i in range(ell - 2, -1, -1):
+        a[i] = (rhs[i] - a[i + 1]) / diag[i]
+    return tuple(a)
+
+
+def eager_pairing(b, v, kF):
+    """canonical_pairing as a Fraction sum over eliminate_discrepancies."""
+    value = sum((aj * vj for aj, vj in zip(eliminate_discrepancies(b), v)), Fraction(0))
+    return value, value < kF

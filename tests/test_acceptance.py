@@ -185,6 +185,10 @@ def test_case_oracle_regression_data_at_length_seven():
     assert len(report.outcomes) == 30464
     by_ell = Counter(len(o.t) for o in report.survivors_bad)
     assert by_ell == {3: 2, 4: 8, 5: 32, 6: 90, 7: 226}
+    # the JSONL digest through length 7, in the same form as the length-five one below
+    text = "\n".join(oracle_jsonl(report)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "32af8444c0c656b55781644056af641e9ece3c628132becb2e6348dff9da6594")
 
 
 def test_case_oracle_jsonl_is_byte_identical_at_length_five():

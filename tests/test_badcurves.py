@@ -288,8 +288,15 @@ EXPECTED_CHECK_TALLY = {
 }
 
 
+def staged_checks(comps, config, **kw):
+    """The faults staged_structure_checks collects while contract_all runs, and the trace."""
+    fired = set()
+    trace = contract_all(config, on_stage=staged_structure_checks(comps, fired), **kw)
+    return fired, trace
+
+
 class TestStagedChecksAgainstEagerStages:
-    """The replay on one working copy fires what a scan of every full stage config fires."""
+    """The stage callback fires what a scan of every full stage config fires."""
 
     def test_every_small_candidate(self):
         for ell, strings in sorted(enumerate_tstrings(5).items()):
@@ -298,10 +305,10 @@ class TestStagedChecksAgainstEagerStages:
                     config, e_id = build_candidate_config(t, internal, hits)
                     comps = set(internal) | {e_id}
                     externals = [j for j in range(1, ell + 1) if j not in internal]
-                    trace = contract_all(config, frozen=externals)
+                    fired, trace = staged_checks(comps, config, frozen=externals)
+                    assert trace == contract_all(config, frozen=externals)
                     _, steps = eager_contract_all(config, externals)
-                    assert staged_structure_checks(comps, trace) == (
-                        scan_staged_checks(config, comps, steps)), (t, internal, hits)
+                    assert fired == scan_staged_checks(config, comps, steps), (t, internal, hits)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9), st.integers(1, 12), st.data())
@@ -310,9 +317,9 @@ class TestStagedChecksAgainstEagerStages:
         # blowing down the others changes the pairs between components
         c = random_blowup(random.Random(seed), depth)
         comps = data.draw(st.sets(st.sampled_from(c.ids())))
-        trace = contract_all(c, sw_exempt=c.ids())
+        fired, _ = staged_checks(comps, c, sw_exempt=c.ids())
         _, steps = eager_contract_all(c, sw_exempt=c.ids())
-        assert staged_structure_checks(comps, trace) == scan_staged_checks(c, comps, steps)
+        assert fired == scan_staged_checks(c, comps, steps)
 
     def test_a_contracted_non_component_makes_a_double_edge(self):
         # components 1 and 3 meet once and both meet the non-component 2;
@@ -321,10 +328,10 @@ class TestStagedChecksAgainstEagerStages:
             [Curve(1, -3, 1), Curve(2, -1, -1), Curve(3, -3, 1)],
             [Edge(1, 2), Edge(2, 3), Edge(1, 3)],
         )
-        trace = contract_all(c, sw_exempt=c.ids())
+        fired, trace = staged_checks({1, 3}, c, sw_exempt=c.ids())
         assert trace.order == (2,)
         _, steps = eager_contract_all(c, sw_exempt=c.ids())
-        assert staged_structure_checks({1, 3}, trace) == {MULTI_EDGE}
+        assert fired == {MULTI_EDGE}
         assert scan_staged_checks(c, {1, 3}, steps) == {MULTI_EDGE}
 
 

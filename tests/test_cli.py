@@ -287,6 +287,13 @@ class TestBlowdownFuzz:
         if code == 2:
             assert err.startswith("error: ")
 
+    def test_nesting_too_deep_to_parse(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "blowdown", str(path))
+        assert code == 2
+        assert err == f"error: {path}: invalid configuration: JSON nested too deeply\n"
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(JSON_VALUES)

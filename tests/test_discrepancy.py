@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import eager_pairing, eliminate_discrepancies
 from wahlkit import (
     canonical_pairing,
     chain_determinant,
@@ -22,6 +23,7 @@ from wahlkit import (
     validate_discrepancies,
     wahl_tstring,
 )
+from wahlkit.discrepancy import _numerators
 
 F = Fraction
 STRINGS_TO_7 = list(iter_tstrings(7))
@@ -172,6 +174,29 @@ class TestPairing:
         value = sum((a * vj for a, vj in zip(_discrepancies_cramer(t), v)), F(0))
         kF = data.draw(st.sampled_from([value, math.floor(value)]) | st.integers(-12, 2))
         assert canonical_pairing(t, v, kF) == (value, value < kF)
+
+
+class TestCachedNumerators:
+    """The cached continuant numerators against Fraction elimination, in every input form."""
+
+    def test_numerators_are_an_immutable_bounded_cache_entry(self):
+        nums, p2 = _numerators((2, 3, 5, 3))
+        assert (nums, p2) == ((-24, -48, -56, -40), 64)
+        assert type(nums) is tuple  # the cached entry cannot be changed by a caller
+        assert _numerators((2, 3, 5, 3)) is _numerators((2, 3, 5, 3))
+        assert _numerators.cache_info().maxsize is not None
+
+    def test_every_string_to_ten_in_every_form(self):
+        strings = list(iter_tstrings(10))
+        assert len(strings) == 1023  # far more than the cache holds, so entries are evicted
+        for t in strings:
+            a = eliminate_discrepancies(t.b)
+            vectors = [(1,) + (0,) * (t.ell - 1), tuple(range(1, t.ell + 1))]
+            expected = [eager_pairing(t.b, v, kF) for v in vectors for kF in (-1, 0)]
+            for form in (t, list(t.b), t.b):
+                assert discrepancies(form) == a
+                assert [canonical_pairing(form, v, kF)
+                        for v in vectors for kF in (-1, 0)] == expected
 
 
 class TestFractionStrings:

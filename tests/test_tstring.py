@@ -65,6 +65,28 @@ def _level_entries(levels, ell):
     return {as_entries(t) for t in levels[ell]}
 
 
+class TestAsEntries:
+    def test_a_tuple_of_exact_ints_is_returned_as_it_is(self):
+        t = (2, 5)
+        assert as_entries(t) is t
+
+    def test_every_other_input_is_coerced_entry_by_entry(self):
+        for raw, expected in [
+            ((True, 3), (1, 3)),
+            ([2, 5], (2, 5)),
+            ((x for x in (3, 5, 2)), (3, 5, 2)),
+            ((2.0, 5), (2, 5)),
+            (("4",), (4,)),
+        ]:
+            out = as_entries(raw)
+            assert out == expected and type(out) is tuple
+            assert all(type(x) is int for x in out)
+
+    def test_a_tstring_gives_its_entries(self):
+        t = TString((3, 5, 2))
+        assert as_entries(t) is t.b
+
+
 class TestHJExpansion:
     @pytest.mark.parametrize("nm,expected", sorted(HJ_EXPANSIONS.items()))
     def test_known_expansions(self, nm, expected):
