@@ -211,7 +211,7 @@ def _check_q1_family(rng: random.Random) -> list[str]:
 
 def _check_kawamata(rng: random.Random) -> list[str]:
     fails = []
-    for ell, strings in enumerate_tstrings(6).items():
+    for ell, strings in enumerate_tstrings(10).items():
         for t in strings:
             a = discrepancies(t)
             problems = validate_discrepancies(t, a)
@@ -222,7 +222,7 @@ def _check_kawamata(rng: random.Random) -> list[str]:
 
 def _check_determinant(rng: random.Random) -> list[str]:
     fails = []
-    for ell, strings in enumerate_tstrings(6).items():
+    for ell, strings in enumerate_tstrings(10).items():
         for t in strings:
             p = tstring_to_params(t).p
             if abs(chain_determinant(t)) != p * p:

@@ -835,6 +835,13 @@ def config_to_json(c: CurveConfig) -> dict:
 
 
 _JSON_TYPES = {int: "an integer", str: "a valid Unicode string", list: "a JSON array"}
+_SHOWN_CHARS = 80
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut to its first 80 characters plus "..."."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 def _field(obj: dict, kind: str, name: str, typ: type, default=None):
@@ -845,21 +852,21 @@ def _field(obj: dict, kind: str, name: str, typ: type, default=None):
     output, and a lone surrogate could not be printed at all.
     """
     if not isinstance(obj, dict):
-        raise ValueError(f"each {kind} must be a JSON object, got {obj!r}")
+        raise ValueError(f"each {kind} must be a JSON object, got {_shown(obj)}")
     if name not in obj and default is None:
         raise ValueError(f"{kind} field {name!r} is missing")
     value = obj.get(name, default)
     if isinstance(value, bool) or not isinstance(value, typ):
-        raise ValueError(f"{kind} field {name!r} must be {_JSON_TYPES[typ]}, got {value!r}")
+        raise ValueError(f"{kind} field {name!r} must be {_JSON_TYPES[typ]}, got {_shown(value)}")
     if typ is str and not value.isprintable():
-        raise ValueError(f"{kind} field {name!r} must be printable, got {value!r}")
+        raise ValueError(f"{kind} field {name!r} must be printable, got {_shown(value)}")
     return value
 
 
 def config_from_json(data: dict) -> CurveConfig:
     """Inverse of config_to_json; a malformed field raises ValueError naming it."""
     if not isinstance(data, dict):
-        raise ValueError(f"configuration must be a JSON object, got {data!r}")
+        raise ValueError(f"configuration must be a JSON object, got {_shown(data)}")
     vertices = [
         Curve(
             _field(v, "vertex", "id", int),

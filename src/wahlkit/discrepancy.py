@@ -15,6 +15,8 @@ continuants K of :func:`wahlkit.tstring.continuants` it reads
 
 with p**2 = K(b_1..b_ell) = |det M|.  Key facts checked throughout the
 suite: a_j in (-1, 0), a_1 + a_ell = -1, and denominators divide p**2.
+validate_discrepancies checks them and the system itself in exact integer
+arithmetic over the vector's common denominator.
 
 canonical_pairing evaluates sum a_j v_j against a K-degree threshold: a curve
 class F with incidences v_j = F.C_j must satisfy sum a_j v_j < K.F, which is
@@ -23,6 +25,7 @@ the workhorse necessary condition for the bad-curve analysis.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -69,29 +72,36 @@ def discrepancies(t: TString | Iterable[int]) -> tuple[Fraction, ...]:
 
 
 def validate_discrepancies(t: TString | Iterable[int], a: Sequence[Fraction]) -> list[str]:
-    """Return a list of violated invariants (empty when all hold)."""
+    """Return a list of violated invariants (empty when all hold).
+
+    The checks run in exact integer arithmetic over the vector's common
+    denominator: with D the lcm of the entries' denominators and
+    n_j = a_j * D, they read -D < n_j < 0, n_1 + n_ell = -D, p**2 % D == 0
+    (p**2 from the chain determinant, not from a) and
+    -b_j n_j + n_{j-1} + n_{j+1} = (b_j - 2) D.  A Fraction is built only to
+    show the value of a check that fails.
+    """
     b = as_entries(t)
-    problems: list[str] = []
     if len(a) != len(b):
         return [f"length mismatch: {len(a)} != {len(b)}"]
-    if not all(Fraction(-1) < x < 0 for x in a):
+    d = math.lcm(*(x.denominator for x in a))
+    n = [x.numerator * (d // x.denominator) for x in a]
+    problems: list[str] = []
+    if not all(-d < x < 0 for x in n):
         problems.append(f"some a_j outside (-1, 0): {a}")
-    if a[0] + a[-1] != -1:
-        problems.append(f"a_1 + a_ell = {a[0] + a[-1]} != -1")
-    # |det M| = K(b) is p**2 for every T-string
+    if n[0] + n[-1] != -d:
+        problems.append(f"a_1 + a_ell = {Fraction(n[0] + n[-1], d)} != -1")
+    # |det M| = K(b) is p**2 for every T-string, and each denominator divides
+    # it exactly when their lcm D does
     p2 = abs(chain_determinant(b))
-    if any(x.denominator > 0 and p2 % x.denominator != 0 for x in a):
+    if p2 % d:
         problems.append(f"denominator does not divide p**2 = {p2}")
-    # residual check M a = b - 2
-    ell = len(b)
-    for j in range(ell):
-        lhs = -b[j] * a[j]
-        if j > 0:
-            lhs += a[j - 1]
-        if j < ell - 1:
-            lhs += a[j + 1]
-        if lhs != b[j] - 2:
-            problems.append(f"row {j + 1} residual: {lhs} != {b[j] - 2}")
+    # residual check M a = b - 2, scaled by D
+    padded = [0, *n, 0]
+    for j, bj in enumerate(b):
+        lhs = padded[j] - bj * padded[j + 1] + padded[j + 2]
+        if lhs != (bj - 2) * d:
+            problems.append(f"row {j + 1} residual: {Fraction(lhs, d)} != {bj - 2}")
     return problems
 
 

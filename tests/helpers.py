@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 
-from wahlkit import Curve, CurveConfig, Edge
+from wahlkit import Curve, CurveConfig, Edge, as_entries, chain_determinant
 
 
 def path_census(max_n: int) -> set[tuple[int, ...]]:
@@ -222,3 +222,31 @@ def eager_pairing(b, v, kF):
     """canonical_pairing as a Fraction sum over eliminate_discrepancies."""
     value = sum((aj * vj for aj, vj in zip(eliminate_discrepancies(b), v)), Fraction(0))
     return value, value < kF
+
+
+# ----- Fraction validation: the slow oracle for the integer validator -----
+
+
+def fraction_validate_discrepancies(t, a):
+    """validate_discrepancies in Fraction arithmetic, one entry at a time."""
+    b = as_entries(t)
+    problems = []
+    if len(a) != len(b):
+        return [f"length mismatch: {len(a)} != {len(b)}"]
+    if not all(Fraction(-1) < x < 0 for x in a):
+        problems.append(f"some a_j outside (-1, 0): {a}")
+    if a[0] + a[-1] != -1:
+        problems.append(f"a_1 + a_ell = {a[0] + a[-1]} != -1")
+    p2 = abs(chain_determinant(b))
+    if any(x.denominator > 0 and p2 % x.denominator != 0 for x in a):
+        problems.append(f"denominator does not divide p**2 = {p2}")
+    ell = len(b)
+    for j in range(ell):
+        lhs = -b[j] * a[j]
+        if j > 0:
+            lhs += a[j - 1]
+        if j < ell - 1:
+            lhs += a[j + 1]
+        if lhs != b[j] - 2:
+            problems.append(f"row {j + 1} residual: {lhs} != {b[j] - 2}")
+    return problems

@@ -41,6 +41,7 @@ from wahlkit import (
 )
 from wahlkit.badcurves import oracle_jsonl
 from wahlkit.bounds import HORIKAWA
+from wahlkit.cli import main
 
 
 def test_smallest_singularity_discrepancy_is_exact_and_fast():
@@ -197,6 +198,14 @@ def test_case_oracle_jsonl_is_byte_identical_at_length_five():
     text = "\n".join(oracle_jsonl(case_oracle(5))) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "78ce31bfc36412a037443e365d584026239d6bc96ad33a24e33157e18e042481")
+
+
+def test_atlas_output_is_byte_identical_through_length_twelve(capsys):
+    # the digest of `wahlkit atlas --max-len 12` stdout, 4 095 records
+    assert main(["atlas", "--max-len", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1bb300438799e2d7579c71105761043987849b0c0d9deda0e7da475c24f3f62c")
 
 
 def test_homology_ball_parameter_bound_and_horikawa_lengths():

@@ -206,6 +206,25 @@ class TestBlowdown:
         assert_refused(capsys, tmp_path, data,
                        f"vertex field 'label' must be printable, got {label!r}")
 
+    def test_a_deeply_nested_value_is_cut_in_the_message(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a short path, so the line length is the message's
+        Path("deep.json").write_text("[" * 900 + "]" * 900)
+        code, out, err = run(capsys, "blowdown", "deep.json")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "configuration must be a JSON object, got [[[" in err
+        assert err.endswith("[" * 80 + "...\n")
+
+    def test_a_long_unprintable_label_is_cut_in_the_message(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        label = "\x07" * 10_000
+        Path("long.json").write_text(json.dumps(
+            {"vertices": [{"id": 1, "self_int": -2, "k_degree": 0, "label": label}], "edges": []}))
+        code, out, err = run(capsys, "blowdown", "long.json")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert f"vertex field 'label' must be printable, got {repr(label)[:80]}...\n" in err
+
     def test_a_label_cannot_forge_a_status_line(self, capsys, tmp_path):
         # a stuck curve whose label, printed verbatim, would add a line that
         # reads like the status of a successful contraction

@@ -1,6 +1,7 @@
 """Exact discrepancies, chain determinants, and the pairing test."""
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import eager_pairing, eliminate_discrepancies
+from helpers import eager_pairing, eliminate_discrepancies, fraction_validate_discrepancies
 from wahlkit import (
     canonical_pairing,
     chain_determinant,
@@ -23,6 +24,7 @@ from wahlkit import (
     validate_discrepancies,
     wahl_tstring,
 )
+from wahlkit import discrepancy
 from wahlkit.discrepancy import _numerators
 
 F = Fraction
@@ -120,7 +122,12 @@ class TestDiscrepancies:
     def test_validation_catches_corruption(self):
         a = list(discrepancies((3, 5, 2)))
         a[1] += F(1, 7)
-        assert validate_discrepancies((3, 5, 2), tuple(a))
+        assert validate_discrepancies((3, 5, 2), tuple(a)) == [
+            "denominator does not divide p**2 = 25",
+            "row 1 residual: 8/7 != 1",
+            "row 2 residual: 16/7 != 3",
+            "row 3 residual: 1/7 != 0",
+        ]
 
     def test_validation_reports_a_non_tstring_instead_of_raising(self):
         b = (3, 4)  # passes the checksum sum(b) = 3 ell + 1, but is no T-string
@@ -197,6 +204,68 @@ class TestCachedNumerators:
                 assert discrepancies(form) == a
                 assert [canonical_pairing(form, v, kF)
                         for v in vectors for kF in (-1, 0)] == expected
+
+
+def corrupted_case(rng, strings):
+    """A (t, a) pair for the validator: a real vector spoiled in one of several ways."""
+    kind = rng.choice(["perturb", "ints", "random", "non_tstring", "length", "shift", "reverse"])
+    t = rng.choice(strings)
+    a = list(discrepancies(t))
+    if kind == "perturb":  # one or more entries moved by a small fraction
+        for _ in range(rng.randint(1, 3)):
+            a[rng.randrange(len(a))] += F(rng.randint(-3, 3), rng.randint(1, 9))
+    elif kind == "ints":  # plain int entries, alone or mixed with Fractions
+        for j in range(len(a)):
+            if rng.random() < 0.5:
+                a[j] = rng.randint(-2, 1)
+    elif kind == "random":
+        a = [F(rng.randint(-12, 2), rng.randint(1, 12)) for _ in a]
+    elif kind == "non_tstring":  # any chain with K(b) != 0, such as (3, 4)
+        b = rng.choice([(3, 4), (1, 3), (2, 2), (4, 4)]) if rng.random() < 0.3 else tuple(
+            rng.randint(1, 6) for _ in range(rng.randint(1, 6)))
+        if chain_determinant(b) == 0:
+            return b, [F(-1, 2)] * len(b)
+        t, a = b, list(discrepancies(b))
+    elif kind == "length":
+        a = a[:-1] if len(a) > 1 and rng.random() < 0.5 else a + [F(-1, 2)]
+    elif kind == "shift":  # a multiple of 1/p**2: the denominators still divide p**2
+        p2 = abs(chain_determinant(t))
+        a[rng.randrange(len(a))] += F(rng.choice([-1, 1]) * rng.randint(1, 3), p2)
+    else:  # the mirror image's vector, right only for palindromes
+        a = a[::-1]
+    if rng.random() < 0.5:
+        t = list(t) if rng.random() < 0.5 else tuple(t)
+    return t, (a if rng.random() < 0.5 else tuple(a))
+
+
+class TestIntegerValidation:
+    """The integer validator against the Fraction reference, problem list for problem list."""
+
+    def test_every_string_to_ten_passes_in_both(self):
+        for t in iter_tstrings(10):
+            a = discrepancies(t)
+            assert validate_discrepancies(t, a) == fraction_validate_discrepancies(t, a) == []
+
+    def test_corrupted_vectors_match_the_reference(self):
+        rng = random.Random(7)
+        strings = list(iter_tstrings(8))
+        seen = set()
+        for _ in range(20_000):
+            t, a = corrupted_case(rng, strings)
+            problems = validate_discrepancies(t, a)
+            assert problems == fraction_validate_discrepancies(t, a), (t, a)
+            seen.update(p.split(":")[0].split(" = ")[0] for p in problems)
+            seen.add(bool(problems))
+        # the sample has passing vectors, and every check fires on some vector
+        rows = {f"row {j} residual" for j in range(1, 9)}
+        assert seen == {True, False, "length mismatch", "some a_j outside (-1, 0)",
+                        "a_1 + a_ell", "denominator does not divide p**2", *rows}
+
+    def test_builds_no_fraction_when_every_check_passes(self, monkeypatch):
+        cases = [(t, discrepancies(t)) for t in iter_tstrings(8)]
+        monkeypatch.setattr(discrepancy, "Fraction", None)  # calling it would raise
+        for t, a in cases:
+            assert validate_discrepancies(t, a) == []
 
 
 class TestFractionStrings:
