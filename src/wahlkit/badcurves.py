@@ -34,6 +34,11 @@ recording every independent reason the candidate dies:
       = -1 without being a (-1)-sphere;
   MULT_NONPOSITIVE / ZERO_INCIDENCE - degenerate multiplicity bookkeeping.
 
+The chain-plus-e configuration and e's own checks (PATTERN_SINGLE,
+PATTERN_ENDPOINTS, MAGIC_E) depend on the T-string and e's hits alone, so
+the oracle computes them once per (T-string, e_hits) in a bounded cache, not
+once per candidate.
+
 Survivors are the configurations no combinatorial argument excludes; the
 oracle checks that they obey the counting bounds 2n <= ell + 4 (single type)
 and 2(n1 + n2) <= ell + 5 (coexisting B1 + B2), which feed the final length
@@ -45,6 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .curveconfig import (
@@ -369,13 +375,39 @@ class CandidateOutcome:
 
 
 def build_candidate_config(
-    t: TString | Iterable[int], internal: Iterable[int], e_hits: Sequence[int]
+    t: TString | Iterable[int], e_hits: Sequence[int]
 ) -> tuple[CurveConfig, int]:
-    """Chain plus the (-1)-sphere e wired to its hit points; returns (config, e id)."""
+    """Chain plus the (-1)-sphere e wired to its hit points; returns (config, e id).
+
+    The config does not depend on which chain spheres are internal to E.
+    """
     b = as_entries(t)
     e_id = len(b) + 1
     e = Curve(e_id, -1, -1, 0, "e")
     return chain_config([-bj for bj in b], attached=[(e, e_hits)]), e_id
+
+
+@lru_cache(maxsize=128)
+def _e_parts(
+    b: tuple[int, ...], e_hits: tuple[int, ...]
+) -> tuple[CurveConfig, int, frozenset[str]]:
+    """The candidate config, e's id and e's own checks, once per (b, e_hits).
+
+    None of them depends on the internal set.  The oracle finishes one string
+    before the next, so a bound well above one string's distinct e_hits
+    (65 at ell = 10) keeps every repeat a hit.  Callers only read the config
+    and copy the checks before adding to them.
+    """
+    config, e_id = build_candidate_config(b, e_hits)
+    # incidence patterns of the bare (-1)-sphere
+    v_e = [0] * len(b)
+    for h in e_hits:
+        v_e[h - 1] += 1
+    pat = forbidden_patterns(b, v_e, k_degree=-1)
+    checks = set(pat.patterns)
+    if not pat.pairing_ok:
+        checks.add(MAGIC_E)
+    return config, e_id, frozenset(checks)
 
 
 def staged_structure_checks(components: Iterable[int], fired: set[str]) -> StageCallback:
@@ -428,26 +460,22 @@ def examine_candidate(
     internal: Iterable[int],
     e_hits: Sequence[int],
 ) -> CandidateOutcome:
-    """Run every combinatorial obstruction against one candidate bad curve."""
+    """Run every combinatorial obstruction against one candidate bad curve.
+
+    e's configuration and pattern checks are computed once per (T-string,
+    e_hits); everything that depends on ``internal`` is computed per candidate.
+    """
     b = as_entries(t)
     ell = len(b)
     internal = tuple(sorted(internal))
     e_hits = tuple(sorted(e_hits))
 
-    config, e_id = build_candidate_config(b, internal, e_hits)
+    config, e_id, e_checks = _e_parts(b, e_hits)
     comps = set(internal) | {e_id}
     externals = [j for j in range(1, ell + 1) if j not in internal]
 
-    checks: set[str] = set()
-
-    # incidence patterns of the bare (-1)-sphere
-    v_e = [0] * ell
-    for h in e_hits:
-        v_e[h - 1] += 1
-    pat = forbidden_patterns(b, v_e, k_degree=-1)
-    checks.update(pat.patterns)
-    if not pat.pairing_ok:
-        checks.add(MAGIC_E)
+    # a fresh set: the stage callback adds to it
+    checks = set(e_checks)
 
     # contract E with the external chain frozen; the rational-curve rule
     # applies to every image, external or not

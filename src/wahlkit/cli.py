@@ -132,6 +132,9 @@ def cmd_atlas(args: argparse.Namespace) -> int:
 
 
 def cmd_blowdown(args: argparse.Namespace) -> int:
+    if args.out is not None and not args.json:
+        print("error: --out writes the JSONL trace and needs --json", file=sys.stderr)
+        return 2
     try:
         config = load_config(args.config)
     except OSError as exc:
@@ -419,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_blow = sub.add_parser("blowdown", help="contract a configuration file")
     p_blow.add_argument("config", help="configuration JSON file")
     p_blow.add_argument("--json", action="store_true", help="emit the trace as JSONL")
-    p_blow.add_argument("--out", default=None, help="write JSONL here instead of stdout")
+    p_blow.add_argument(
+        "--out", default=None, help="with --json, write JSONL here instead of stdout"
+    )
     p_blow.set_defaults(func=cmd_blowdown)
 
     p_verify = sub.add_parser("verify", help="run the built-in regression checks")

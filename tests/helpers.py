@@ -3,7 +3,22 @@
 import json
 from fractions import Fraction
 
-from wahlkit import Curve, CurveConfig, Edge, as_entries, chain_determinant
+import wahlkit.badcurves as bc
+from wahlkit import (
+    CONTRACTED_TO_POINT,
+    STUCK,
+    SW_VIOLATION,
+    Curve,
+    CurveConfig,
+    Edge,
+    as_entries,
+    canonical_pairing,
+    chain_determinant,
+    contract_all,
+    derived_multiplicities,
+    divisor_k,
+    divisor_pairing,
+)
 
 
 def path_census(max_n: int) -> set[tuple[int, ...]]:
@@ -250,3 +265,74 @@ def fraction_validate_discrepancies(t, a):
         if lhs != b[j] - 2:
             problems.append(f"row {j + 1} residual: {lhs} != {b[j] - 2}")
     return problems
+
+
+# ----- Eager candidate examination: the slow oracle for the cached e parts -----
+
+
+def eager_examine_candidate(t, kind, internal, e_hits):
+    """examine_candidate building e's config and pattern checks for every candidate."""
+    b = as_entries(t)
+    ell = len(b)
+    internal = tuple(sorted(internal))
+    e_hits = tuple(sorted(e_hits))
+
+    config, e_id = bc.build_candidate_config(b, e_hits)
+    comps = set(internal) | {e_id}
+    externals = [j for j in range(1, ell + 1) if j not in internal]
+
+    checks = set()
+
+    v_e = [0] * ell
+    for h in e_hits:
+        v_e[h - 1] += 1
+    pat = bc.forbidden_patterns(b, v_e, k_degree=-1)
+    checks.update(pat.patterns)
+    if not pat.pairing_ok:
+        checks.add(bc.MAGIC_E)
+
+    trace = contract_all(
+        config, frozen=externals, on_stage=bc.staged_structure_checks(comps, checks)
+    )
+    if trace.status == SW_VIOLATION:
+        checks.add(bc.SW)
+    elif trace.status == STUCK:
+        checks.add(bc.NO_MINUS_ONE)
+
+    badness = v_full = mult_items = None
+    if trace.status == CONTRACTED_TO_POINT:
+        mults = derived_multiplicities(trace)
+        mult_items = tuple(sorted(mults.items()))
+        if any(m <= 0 for m in mults.values()):
+            checks.add(bc.MULT_NONPOSITIVE)
+        else:
+            v_full = tuple(divisor_pairing(config, mults, j) for j in range(1, ell + 1))
+            badness = sum(v_full)
+            k_e = divisor_k(config, mults)
+            assert k_e == -1, k_e
+            if badness <= 0:
+                checks.add(bc.ZERO_INCIDENCE)
+            if not canonical_pairing(b, v_full, k_e)[1]:
+                checks.add(bc.MAGIC_FULL)
+
+    if checks:
+        verdict = bc.DIES
+    else:
+        verdict = bc.SURVIVES_BAD if badness == 1 else bc.SURVIVES_GOOD
+
+    case = None
+    if kind == "A":
+        x, y = bc._end_intervals(frozenset(internal), ell)
+        case = bc._a_case(e_hits[0], x, y, e_hits[1], ell)
+    elif kind in ("B1", "B2") and len(set(e_hits)) == len(e_hits):
+        lo, hi = min(internal), max(internal)
+        inside = [h for h in e_hits if lo <= h <= hi]
+        outside = [h for h in e_hits if not lo <= h <= hi]
+        if len(inside) == 1 and len(outside) <= 1:
+            case = bc._b_case(kind, inside[0], lo, hi)
+
+    return bc.CandidateOutcome(
+        t=b, kind=kind, internal=internal, e_hits=e_hits, case=case,
+        checks=tuple(sorted(checks)), verdict=verdict, badness=badness,
+        v=v_full, mults=mult_items,
+    )

@@ -192,6 +192,25 @@ def test_case_oracle_regression_data_at_length_seven():
         "32af8444c0c656b55781644056af641e9ece3c628132becb2e6348dff9da6594")
 
 
+def test_case_oracle_regression_data_at_length_eight():
+    # about 8 s on a 2-vCPU host; the budget only catches a blow-up in cost
+    report, elapsed = _timed(lambda: case_oracle(8))
+    assert elapsed < 120, f"took {elapsed:.1f} s, budget 120 s"
+    assert report.passed
+    assert len(report.outcomes) == 96768
+    by_ell = Counter(len(o.t) for o in report.survivors_bad)
+    assert by_ell == {3: 2, 4: 8, 5: 32, 6: 90, 7: 226, 8: 546}
+    assert sum(o.verdict == "SURVIVES_GOOD" for o in report.outcomes) == 24
+    lines = oracle_jsonl(report)
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3a0442319af28b7661b7815a9995eaafd5eb05a5051a7829fb93b04f043bad08")
+    # the outcomes with ell <= 7 come first and are those of case_oracle(7)
+    head = "\n".join(lines[:30464]) + "\n"
+    assert hashlib.sha256(head.encode()).hexdigest() == (
+        "32af8444c0c656b55781644056af641e9ece3c628132becb2e6348dff9da6594")
+
+
 def test_case_oracle_jsonl_is_byte_identical_at_length_five():
     # "same behaviour" means byte-identical JSONL, not only equal counts; the
     # digest is of the oracle's JSONL output through length 5 as first pinned

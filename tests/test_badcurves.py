@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eager_contract_all, scan_staged_checks
+from helpers import eager_contract_all, eager_examine_candidate, scan_staged_checks
 from wahlkit import (
     BadCurveClass,
     CandidateOutcome,
@@ -40,6 +40,7 @@ from wahlkit.badcurves import (
     SURVIVES_BAD,
     SURVIVES_GOOD,
     THREE_NEIGHBOR,
+    _e_parts,
     build_candidate_config,
     staged_structure_checks,
 )
@@ -271,6 +272,37 @@ class TestExamineCandidate:
             assert {THREE_NEIGHBOR, NO_MINUS_ONE} & set(out.checks), out
 
 
+class TestCachedEParts:
+    """examine_candidate with e's parts cached against the eager examination."""
+
+    def test_cache_is_bounded_and_hands_out_immutable_checks(self):
+        config, e_id, checks = _e_parts((2, 5, 3), (1, 3))
+        assert (config, e_id) == build_candidate_config((2, 5, 3), (1, 3))
+        assert type(checks) is frozenset  # a caller cannot add to the cached entry
+        assert _e_parts((2, 5, 3), (1, 3)) is _e_parts((2, 5, 3), (1, 3))
+        assert _e_parts.cache_info().maxsize is not None
+
+    def test_every_candidate_to_six_in_shuffled_order(self):
+        rows = [
+            (t, kind, internal, hits)
+            for ell, strings in sorted(enumerate_tstrings(6).items())
+            for t in strings
+            for kind, internal, hits in enumerate_candidates(ell)
+        ]
+        assert len(rows) == 8960
+        rng = random.Random(20261018)
+        rng.shuffle(rows)  # the fill order of the cache must not matter
+        hits_before = _e_parts.cache_info().hits
+        for k, (t, kind, internal, hits) in enumerate(rows):
+            form = (t, list(t.b), t.b)[k % 3]
+            e_hits = hits[::-1] if k % 2 else hits  # two distinct hits arrive unsorted
+            expected = eager_examine_candidate(t.b, kind, internal, hits)
+            got = examine_candidate(form, kind, internal, e_hits)
+            assert got == expected, (t, kind, internal, hits)
+        # the comparison read cached entries, not only fresh ones
+        assert _e_parts.cache_info().hits > hits_before
+
+
 ORACLE4 = case_oracle(4)
 
 # every reason recorded across all 560 candidates at lengths <= 4
@@ -302,7 +334,7 @@ class TestStagedChecksAgainstEagerStages:
         for ell, strings in sorted(enumerate_tstrings(5).items()):
             for t in sorted(tuple(s) for s in strings):
                 for _, internal, hits in enumerate_candidates(ell):
-                    config, e_id = build_candidate_config(t, internal, hits)
+                    config, e_id = build_candidate_config(t, hits)
                     comps = set(internal) | {e_id}
                     externals = [j for j in range(1, ell + 1) if j not in internal]
                     fired, trace = staged_checks(comps, config, frozen=externals)

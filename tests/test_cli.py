@@ -132,6 +132,26 @@ class TestBlowdown:
         assert records[-1]["status"] == "SW_VIOLATION"
         assert records[0]["step"] == 1
 
+    def test_out_without_json_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "x.jsonl"
+        code, out, err = run(
+            capsys, "blowdown", str(FIXTURES / "interior_hit.json"), "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--json" in err
+        assert not target.exists()
+
+    def test_out_with_json_writes_the_trace(self, capsys, tmp_path):
+        target = tmp_path / "x.jsonl"
+        code, _, _ = run(
+            capsys, "blowdown", str(FIXTURES / "interior_hit.json"), "--json", "--out", str(target)
+        )
+        assert code == 0
+        records = [json.loads(x) for x in target.read_text().strip().split("\n")]
+        assert records[-1]["status"] == "SW_VIOLATION"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "blowdown", "/nonexistent/nowhere.json")
         assert code == 2

@@ -144,8 +144,8 @@ class TestIndex:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SMALL_CANDIDATES))
     def test_candidate_configs(self, candidate):
-        t, internal, hits = candidate
-        config, _ = build_candidate_config(t, internal, hits)
+        t, _, hits = candidate
+        config, _ = build_candidate_config(t, hits)
         self.assert_matches_scan(config)
 
     def test_pair_of_a_curve_with_itself_is_refused(self):
@@ -165,7 +165,7 @@ class TestIndex:
 
     def test_attached_curve_with_a_double_point(self):
         b = (3, 5, 2)
-        config, e_id = build_candidate_config(b, (1,), (1, 1))
+        config, e_id = build_candidate_config(b, (1, 1))
         hand_built = CurveConfig.make(
             [Curve(j + 1, -bj, bj - 2, 0, f"C{j + 1}") for j, bj in enumerate(b)]
             + [Curve(4, -1, -1, 0, "e")],
@@ -331,7 +331,7 @@ def stage_snapshots(trace):
 def candidate_contractions():
     """Every candidate config with ell <= 5, its externals frozen, under both tie-breaks."""
     for t, internal, hits in SMALL_CANDIDATES:
-        config, _ = build_candidate_config(t, internal, hits)
+        config, _ = build_candidate_config(t, hits)
         externals = [j for j in range(1, len(t) + 1) if j not in internal]
         for tie_break in ("lowest", "highest"):
             yield config, externals, tie_break
