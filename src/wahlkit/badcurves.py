@@ -454,6 +454,37 @@ def _b_case(kind: str, hit: int, lo: int, hi: int) -> str:
     return "B2.3" if hit == lo else "B2.2"
 
 
+def _candidate_shape(
+    kind: str, internal: tuple[int, ...], e_hits: tuple[int, ...], ell: int
+) -> tuple[int, int]:
+    """(x, y) with internal = {1..x} union {y..ell}, once the candidate's shape fits kind.
+
+    Raises ValueError naming the argument when kind is not A, B1 or B2, an
+    index of the sorted tuples internal or e_hits lies off 1..ell, internal
+    is not the end-intervals kind needs (A: both, with a gap; B1: the left
+    one; B2: the right one), or a type A e does not join the two intervals.
+    """
+    if kind not in ("A", "B1", "B2"):
+        raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
+    for name, idx in (("internal", internal), ("e_hits", e_hits)):
+        if idx and not (1 <= idx[0] and idx[-1] <= ell):
+            raise ValueError(f"{name} indices must lie in 1..{ell}, got {idx}")
+    x = 0
+    while x < len(internal) and internal[x] == x + 1:
+        x += 1
+    y = ell + 1 - (len(internal) - x)
+    ends = y > x + 1 and internal[x:] == tuple(range(y, ell + 1))
+    shape = ("A" if y <= ell else "B1") if x else ("B2" if y <= ell else None)
+    if not ends or shape != kind:
+        raise ValueError(
+            f"internal {internal} is not the end-intervals of a type {kind} "
+            f"candidate on 1..{ell}"
+        )
+    if kind == "A" and not (len(e_hits) == 2 and e_hits[0] <= x and e_hits[1] >= y):
+        raise ValueError(f"type A e_hits must join the two end-intervals, got {e_hits}")
+    return x, y
+
+
 def examine_candidate(
     t: TString | Iterable[int],
     kind: str,
@@ -464,11 +495,14 @@ def examine_candidate(
 
     e's configuration and pattern checks are computed once per (T-string,
     e_hits); everything that depends on ``internal`` is computed per candidate.
+    A (kind, internal, e_hits) of a shape enumerate_candidates does not yield
+    raises ValueError naming the argument.
     """
     b = as_entries(t)
     ell = len(b)
     internal = tuple(sorted(internal))
     e_hits = tuple(sorted(e_hits))
+    x, y = _candidate_shape(kind, internal, e_hits, ell)
 
     config, e_id, e_checks = _e_parts(b, e_hits)
     comps = set(internal) | {e_id}
@@ -515,7 +549,6 @@ def examine_candidate(
 
     case: str | None = None
     if kind == "A":
-        x, y = _end_intervals(frozenset(internal), ell)
         case = _a_case(e_hits[0], x, y, e_hits[1], ell)
     elif kind in ("B1", "B2") and len(set(e_hits)) == len(e_hits):
         lo, hi = min(internal), max(internal)

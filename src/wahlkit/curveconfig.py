@@ -28,11 +28,14 @@ ambient manifolds we care about: a rational curve with K.A <= -1 must be a
 (-1)-curve (K.A = -1, A**2 = -1).  Anything else with K.A <= -1 cannot
 exist, and sw_check flags it.
 
-Configs are immutable; every operation returns a new value.  Each one is
-built by CurveConfig.make, which sorts and validates it and indexes it by id
-and by adjacency, so looking up a curve, a pair or a neighbourhood does not
-scan the graph.  chain_config builds a chain with adjunction K-degrees plus
-any curves attached to it, the shape the bad-curve analysis works with.
+Configs are immutable; every operation returns a new value.  A config is
+indexed by id and by adjacency, so looking up a curve, a pair or a
+neighbourhood does not scan the graph.  blow_up derives its result from a copy
+of its input's index with the blow-up's local edits, at the cost of a few
+C-level copies; CurveConfig.make, which sorts, validates and indexes, builds
+every other config, fresh ones and those read from outside input alike.
+chain_config builds a chain with adjunction K-degrees plus any curves attached
+to it, the shape the bad-curve analysis works with.
 
 One private helper holds the blow-down formula and applies it in place to an
 id map and an adjacency map.  blow_down runs it on a copy of a config's maps;
@@ -51,9 +54,11 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -92,8 +97,10 @@ class CurveConfig:
     """Vertices sorted by id and edges sorted by (a, b), indexed for lookups.
 
     ``_by_id`` (id -> Curve) and ``_adj`` (id -> {neighbour: m}) are built
-    by :meth:`make` together with the tuples; they take no part in
-    equality, hashing or repr.
+    together with the tuples, by :meth:`make` or, from its input's index, by
+    blow_up; they take no part in equality, hashing or repr.  Both list ids
+    in increasing order, and so does every row of ``_adj``.  Configs may
+    share rows of ``_adj``, so no row is ever changed in place.
     """
 
     vertices: tuple[Curve, ...]
@@ -222,6 +229,11 @@ PointSpec = GenericOn | Intersection | FreePoint
 
 # ----- Blow-up / blow-down -----
 
+# Sort keys of a config's vertex and edge tuples, for bisect.
+_ID = attrgetter("id")
+_ENDS = attrgetter("a", "b")
+_A = attrgetter("a")
+
 
 def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> CurveConfig:
     """Blow up a point, replacing every curve through it by its total transform.
@@ -232,6 +244,11 @@ def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> Curve
     once less; e inherits the sum of the multiplicities of the curves
     through the point (so the tracked divisor class is replaced by its total
     transform).
+
+    The result is c's index with these local edits, not a rebuild through
+    make: c is a validated config and the edits keep it one, so a blow-up
+    costs a few C-level copies of c's sequences and maps.  Rows of the
+    adjacency map that the point does not touch are shared with c.
     """
     match point:  # the ids of the 0, 1 or 2 curves through the point
         case FreePoint():
@@ -243,17 +260,44 @@ def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> Curve
         case _:
             raise TypeError(f"unknown point kind: {point!r}")
     hit = [c.curve(u) for u in through]
-    if len(through) == 2 and c.pair(*through) < 1:
-        raise ValueError(f"curves {through[0]} and {through[1]} do not intersect")
+    if len(through) == 2:
+        if through[0] == through[1]:
+            raise ValueError(
+                f"Intersection({through[0]}, {through[1]}) names one curve twice; "
+                "an intersection point needs two distinct curves"
+            )
+        if c.pair(*through) < 1:
+            raise ValueError(f"curves {through[0]} and {through[1]} do not intersect")
+    through = tuple(sorted(through))
     new_id = (c.vertices[-1].id if c.vertices else 0) + 1
-    vertices = [Curve(u.id, u.self_int - 1, u.k_degree + 1, u.mult, u.label)
-                if u.id in through else u for u in c.vertices]
-    vertices.append(Curve(new_id, -1, -1, sum(u.mult for u in hit),
-                          label if label is not None else f"E{new_id}"))
-    edges = [Edge(ed.a, ed.b, ed.m - 1) if ed.a in through and ed.b in through else ed
-             for ed in c.edges]
-    edges = [ed for ed in edges if ed.m] + [Edge(u, new_id, 1) for u in through]
-    return CurveConfig.make(vertices, edges)
+    curves = dict(c._by_id)
+    adj = dict(c._adj)
+    vertices = list(c.vertices)
+    edges = list(c.edges)
+    for u in hit:
+        curves[u.id] = vertices[bisect_left(vertices, u.id, key=_ID)] = Curve(
+            u.id, u.self_int - 1, u.k_degree + 1, u.mult, u.label
+        )
+        adj[u.id] = dict(adj[u.id])
+    if len(through) == 2:  # the two curves meet once less
+        a, b = through
+        i = bisect_left(edges, through, key=_ENDS)
+        m = edges[i].m - 1
+        if m:
+            edges[i] = Edge(a, b, m)
+            adj[a][b] = adj[b][a] = m
+        else:
+            del edges[i], adj[a][b], adj[b][a]
+    curves[new_id] = Curve(new_id, -1, -1, sum(u.mult for u in hit),
+                           label if label is not None else f"E{new_id}")
+    vertices.append(curves[new_id])
+    # new_id is the largest id, so (u, new_id) sorts after every edge (a, b)
+    # with a <= u, and new_id goes last in u's row, as make orders them
+    for u in through:
+        edges.insert(bisect_right(edges, u, key=_A), Edge(u, new_id, 1))
+        adj[u][new_id] = 1
+    adj[new_id] = dict.fromkeys(through, 1)
+    return CurveConfig(tuple(vertices), tuple(edges), curves, adj)
 
 
 def _blow_down_in_place(

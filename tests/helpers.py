@@ -11,6 +11,9 @@ from wahlkit import (
     Curve,
     CurveConfig,
     Edge,
+    FreePoint,
+    GenericOn,
+    Intersection,
     as_entries,
     canonical_pairing,
     chain_determinant,
@@ -66,6 +69,39 @@ def census_blowdown_inputs(max_n: int) -> list[tuple[int, int, tuple[int, ...]]]
         if 2 <= i <= n - 1:
             rows.append((n, i, t))
     return rows
+
+
+# ----- Rebuilding blow-up: the slow oracle for blow_up -----
+
+
+def rebuild_blow_up(c, point, label=None):
+    """Blow up a point by rebuilding the whole config through CurveConfig.make.
+
+    The implementation blow_up had before it edited a copy of its input's
+    index: every vertex and edge is rewritten, then sorted, validated and
+    indexed again.
+    """
+    match point:  # the ids of the 0, 1 or 2 curves through the point
+        case FreePoint():
+            through: tuple[int, ...] = ()
+        case GenericOn():
+            through = (point.v,)
+        case Intersection():
+            through = (point.v, point.w)
+        case _:
+            raise TypeError(f"unknown point kind: {point!r}")
+    hit = [c.curve(u) for u in through]
+    if len(through) == 2 and c.pair(*through) < 1:
+        raise ValueError(f"curves {through[0]} and {through[1]} do not intersect")
+    new_id = (c.vertices[-1].id if c.vertices else 0) + 1
+    vertices = [Curve(u.id, u.self_int - 1, u.k_degree + 1, u.mult, u.label)
+                if u.id in through else u for u in c.vertices]
+    vertices.append(Curve(new_id, -1, -1, sum(u.mult for u in hit),
+                          label if label is not None else f"E{new_id}"))
+    edges = [Edge(ed.a, ed.b, ed.m - 1) if ed.a in through and ed.b in through else ed
+             for ed in c.edges]
+    edges = [ed for ed in edges if ed.m] + [Edge(u, new_id, 1) for u in through]
+    return CurveConfig.make(vertices, edges)
 
 
 # ----- Eager contraction: the slow oracle for in-place contraction -----

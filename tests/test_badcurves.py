@@ -271,6 +271,39 @@ class TestExamineCandidate:
             assert out.verdict == DIES
             assert {THREE_NEIGHBOR, NO_MINUS_ONE} & set(out.checks), out
 
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be 'A', 'B1' or 'B2', got 'Q'"):
+            examine_candidate((2, 5, 3), "Q", (1,), (1, 2))
+
+    @pytest.mark.parametrize("internal, e_hits, name", [
+        ((9,), (1, 2), "internal"),
+        ((0,), (1, 2), "internal"),
+        ((1,), (7,), "e_hits"),
+        ((1,), (0, 1), "e_hits"),
+    ])
+    def test_rejects_indices_off_the_chain(self, internal, e_hits, name):
+        with pytest.raises(ValueError, match=rf"{name} indices must lie in 1\.\.3"):
+            examine_candidate((2, 5, 3), "B1", internal, e_hits)
+
+    @pytest.mark.parametrize("kind, internal", [
+        ("A", (1,)),  # a B1 shape
+        ("A", (1, 2, 3)),  # no gap
+        ("B1", (3,)),  # a B2 shape
+        ("B2", (1,)),
+        ("B1", (1, 2, 3)),  # the whole chain
+        ("B1", (2,)),  # not an end-interval
+        ("B2", ()),
+        ("B1", (1, 1)),
+    ])
+    def test_rejects_an_internal_shape_that_contradicts_kind(self, kind, internal):
+        with pytest.raises(ValueError, match=f"not the end-intervals of a type {kind}"):
+            examine_candidate((2, 5, 3), kind, internal, (1, 3))
+
+    @pytest.mark.parametrize("e_hits", [(1,), (1, 1), (3, 3), (1, 2, 3)])
+    def test_rejects_a_type_a_e_that_does_not_join_the_intervals(self, e_hits):
+        with pytest.raises(ValueError, match="must join the two end-intervals"):
+            examine_candidate((3, 5, 2), "A", (1, 3), e_hits)
+
 
 class TestCachedEParts:
     """examine_candidate with e's parts cached against the eager examination."""

@@ -16,6 +16,7 @@ from helpers import (
     eager_contract_all,
     eager_jsonl_lines,
     path_census,
+    rebuild_blow_up,
     scan_shape_faults,
     stage_pair_multiplicities,
 )
@@ -215,6 +216,89 @@ class TestBlowUp:
         c = blow_up(base_pair(), GenericOn(1), label="exc")
         assert c.curve(3).label == "exc"
         assert blow_up(base_pair(), GenericOn(1)).curve(3).label == "E3"
+
+    def test_intersection_of_a_curve_with_itself_names_both_ids(self):
+        with pytest.raises(ValueError, match=r"Intersection\(2, 2\) names one curve twice"):
+            blow_up(base_pair(), Intersection(2, 2))
+        with pytest.raises(KeyError, match="no vertex 7"):
+            blow_up(base_pair(), Intersection(7, 7))
+
+    def test_random_blowup_builds_only_its_seed_through_make(self, monkeypatch):
+        made = []
+        make = CurveConfig.make
+
+        def counted(vertices, edges):
+            made.append(1)
+            return make(vertices, edges)
+
+        monkeypatch.setattr(CurveConfig, "make", staticmethod(counted))
+        c = random_blowup(random.Random(0), 30)
+        assert len(made) == 1  # single_curve
+        assert len(c.vertices) == 31
+
+
+def index_view(c: CurveConfig):
+    """Everything a config's tuples and index show, the order of each row included."""
+    return c.vertices, c.edges, c.ids(), [list(c.neighbors(u).items()) for u in c.ids()]
+
+
+class TestBlowUpAgainstRebuild:
+    """blow_up edits a copy of its input's index; rebuilding through make is the reference."""
+
+    STARTS = {
+        "single": single_curve,
+        "empty": lambda: CurveConfig.make([], []),
+        "tangency": lambda: CurveConfig.make(
+            [Curve(1, -1, -1, 1), Curve(2, -2, 0, 1), Curve(3, -2, 0, 0)],
+            [Edge(2, 1, 2), Edge(3, 2, 1)],
+        ),
+        "after_blow_down": lambda: blow_down(chain_config([-2, -1, -3, -2]), 2),
+        "from_json": lambda: config_from_json({
+            "vertices": [{"id": i, "self_int": -2, "k_degree": 0, "mult": i % 3}
+                         for i in (12, 3, 7, 40)],
+            "edges": [{"a": 12, "b": 3}, {"a": 40, "b": 7, "m": 2}, {"a": 7, "b": 3}],
+        }),
+    }
+
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_sequences(self, start, seed):
+        rng = random.Random(seed)
+        c = self.STARTS[start]()
+        for step in range(14):
+            points = [FreePoint()] + [GenericOn(u) for u in c.ids()]
+            for e in c.edges:  # both orders, so Intersection(w, v) with w > v
+                points += [Intersection(e.a, e.b), Intersection(e.b, e.a)]
+            point = rng.choice(points)
+            label = rng.choice([None, f"x{step}"])
+            before = index_view(c)
+            got = blow_up(c, point, label)
+            want = rebuild_blow_up(c, point, label)
+            assert index_view(got) == index_view(want), (start, seed, step, point)
+            assert index_view(c) == before
+            contract_all(got, tie_break=rng.choice(["lowest", "highest"]))
+            assert index_view(c) == before
+            assert index_view(got) == index_view(want)
+            c = got
+
+    def test_a_tangency_loses_one_branch_then_its_edge(self):
+        c = self.STARTS["tangency"]()
+        for _ in range(2):
+            got, want = blow_up(c, Intersection(2, 1)), rebuild_blow_up(c, Intersection(2, 1))
+            assert index_view(got) == index_view(want)
+            c = got
+        assert c.pair(1, 2) == 0 and c.neighbors(1) == {4: 1, 5: 1}
+
+    @pytest.mark.parametrize("point", [
+        GenericOn(9), Intersection(1, 9), Intersection(9, 1), Intersection(2, 3), "not a point",
+    ])
+    def test_errors_match_the_rebuild(self, point):
+        c = blow_up(base_pair(), GenericOn(1))  # curves 2 and 3 are disjoint
+        with pytest.raises(Exception) as want:
+            rebuild_blow_up(c, point)
+        with pytest.raises(want.type) as got:
+            blow_up(c, point)
+        assert str(got.value) == str(want.value)
 
 
 class TestBlowDown:
