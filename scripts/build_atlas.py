@@ -14,8 +14,7 @@ import json
 import sys
 from collections import Counter
 
-from wahlkit import enumerate_tstrings
-from wahlkit.cli import atlas_record
+from wahlkit import atlas_record, enumerate_tstrings
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import bounds
 from .badcurves import (
@@ -44,43 +44,19 @@ from .curveconfig import (
     validate_zariski,
 )
 from .discrepancy import (
+    atlas_record,
     chain_determinant,
     discrepancies,
-    fraction_to_str,
     validate_discrepancies,
 )
 from .tstring import (
     DEFAULT_LENGTH_CAP,
-    TString,
     WahlParams,
     as_entries,
-    checksum_ok,
     enumerate_tstrings,
     tstring_to_params,
     wahl_tstring,
 )
-
-
-def atlas_record(t: TString | Iterable[int]) -> dict:
-    """The canonical JSON record for one T-string; validates its invariants."""
-    b = as_entries(t)
-    params = tstring_to_params(b)
-    a = discrepancies(b)
-    problems = validate_discrepancies(b, a)
-    if problems:
-        raise AssertionError(f"discrepancy invariants failed for {list(b)}: {problems}")
-    det = abs(chain_determinant(b))
-    if det != params.p**2:
-        raise AssertionError(f"|det| = {det} != p^2 = {params.p ** 2} for {list(b)}")
-    return {
-        "p": params.p,
-        "q": params.q,
-        "ell": len(b),
-        "b": list(b),
-        "discrepancies": [fraction_to_str(x) for x in a],
-        "det": det,
-        "checksum_ok": checksum_ok(b),
-    }
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:

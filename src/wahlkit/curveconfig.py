@@ -853,9 +853,14 @@ def random_blowup(rng: random.Random, depth: int) -> CurveConfig:
     """
     c = single_curve()
     for _ in range(depth):
-        choices: list[PointSpec] = [GenericOn(v.id) for v in c.vertices]
-        choices += [Intersection(e.a, e.b) for e in c.edges]
-        c = blow_up(c, rng.choice(choices))
+        # one draw over vertices then edges, as rng.choice on that list makes
+        i = rng.randrange(len(c.vertices) + len(c.edges))
+        if i < len(c.vertices):
+            point: PointSpec = GenericOn(c.vertices[i].id)
+        else:
+            e = c.edges[i - len(c.vertices)]
+            point = Intersection(e.a, e.b)
+        c = blow_up(c, point)
     return c
 
 

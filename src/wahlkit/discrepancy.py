@@ -18,6 +18,11 @@ suite: a_j in (-1, 0), a_1 + a_ell = -1, and denominators divide p**2.
 validate_discrepancies checks them and the system itself in exact integer
 arithmetic over the vector's common denominator.
 
+atlas_record builds the canonical JSON record of one T-string from these
+integer numerators alone: the same checks run on them directly, and each
+"num/den" string is printed from a gcd, so no Fraction is built unless a
+check fails and its message needs one.
+
 canonical_pairing evaluates sum a_j v_j against a K-degree threshold: a curve
 class F with incidences v_j = F.C_j must satisfy sum a_j v_j < K.F, which is
 the workhorse necessary condition for the bad-curve analysis.
@@ -30,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .tstring import TString, as_entries, continuants
+from .tstring import TString, as_entries, checksum_ok, continuants, tstring_to_params
 
 
 def intersection_matrix(t: TString | Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -86,14 +91,26 @@ def validate_discrepancies(t: TString | Iterable[int], a: Sequence[Fraction]) ->
         return [f"length mismatch: {len(a)} != {len(b)}"]
     d = math.lcm(*(x.denominator for x in a))
     n = [x.numerator * (d // x.denominator) for x in a]
+    return _problems(b, n, d, abs(chain_determinant(b)), shown=a)
+
+
+def _problems(
+    b: tuple[int, ...], n: Sequence[int], d: int, p2: int, shown: object = None
+) -> list[str]:
+    """The checks of validate_discrepancies on a_j = n[j] / d, with p**2 = p2.
+
+    ``shown`` is the vector as the caller holds it, printed when an entry
+    falls outside (-1, 0); by default it is rebuilt from n and d.
+    """
     problems: list[str] = []
     if not all(-d < x < 0 for x in n):
-        problems.append(f"some a_j outside (-1, 0): {a}")
+        if shown is None:
+            shown = tuple(Fraction(x, d) for x in n)
+        problems.append(f"some a_j outside (-1, 0): {shown}")
     if n[0] + n[-1] != -d:
         problems.append(f"a_1 + a_ell = {Fraction(n[0] + n[-1], d)} != -1")
     # |det M| = K(b) is p**2 for every T-string, and each denominator divides
     # it exactly when their lcm D does
-    p2 = abs(chain_determinant(b))
     if p2 % d:
         problems.append(f"denominator does not divide p**2 = {p2}")
     # residual check M a = b - 2, scaled by D
@@ -103,6 +120,36 @@ def validate_discrepancies(t: TString | Iterable[int], a: Sequence[Fraction]) ->
         if lhs != (bj - 2) * d:
             problems.append(f"row {j + 1} residual: {Fraction(lhs, d)} != {bj - 2}")
     return problems
+
+
+def atlas_record(t: TString | Iterable[int]) -> dict:
+    """The canonical JSON record for one T-string; validates its invariants.
+
+    Raises ValueError when t is not a T-string, and AssertionError when a
+    discrepancy check or |det| = p**2 fails.  The discrepancies are checked
+    as the reduced numerators over D = p**2 / gcd(p**2, n_1, ..., n_ell),
+    which is the common denominator validate_discrepancies would derive from
+    the Fractions, and each is printed as "num/den" in lowest terms.
+    """
+    b = as_entries(t)
+    params = tstring_to_params(b)
+    nums, p2 = _numerators(b)
+    det = abs(chain_determinant(b))
+    g = math.gcd(p2, *nums)
+    problems = _problems(b, [x // g for x in nums], p2 // g, det)
+    if problems:
+        raise AssertionError(f"discrepancy invariants failed for {list(b)}: {problems}")
+    if det != params.p**2:
+        raise AssertionError(f"|det| = {det} != p^2 = {params.p ** 2} for {list(b)}")
+    return {
+        "p": params.p,
+        "q": params.q,
+        "ell": len(b),
+        "b": list(b),
+        "discrepancies": [f"{x // (k := math.gcd(x, p2))}/{p2 // k}" for x in nums],
+        "det": det,
+        "checksum_ok": checksum_ok(b),
+    }
 
 
 def canonical_pairing(

@@ -102,7 +102,7 @@ def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
     """
     if isinstance(t, TString):
         return t.b
-    if type(t) is tuple and all(type(x) is int for x in t):
+    if type(t) is tuple and set(map(type, t)) <= {int}:
         return t
     return tuple(int(x) for x in t)
 

@@ -15,12 +15,19 @@ from wahlkit import (
     GenericOn,
     Intersection,
     as_entries,
+    blow_up,
     canonical_pairing,
     chain_determinant,
+    checksum_ok,
     contract_all,
     derived_multiplicities,
+    discrepancies,
     divisor_k,
     divisor_pairing,
+    fraction_to_str,
+    single_curve,
+    tstring_to_params,
+    validate_discrepancies,
 )
 
 
@@ -102,6 +109,20 @@ def rebuild_blow_up(c, point, label=None):
              for ed in c.edges]
     edges = [ed for ed in edges if ed.m] + [Edge(u, new_id, 1) for u in through]
     return CurveConfig.make(vertices, edges)
+
+
+def choice_random_blowup(rng, depth):
+    """random_blowup drawing its point with rng.choice over every point of every step.
+
+    The implementation random_blowup had before it drew one index: the list
+    holds a GenericOn per vertex, then an Intersection per edge.
+    """
+    c = single_curve()
+    for _ in range(depth):
+        choices = [GenericOn(v.id) for v in c.vertices]
+        choices += [Intersection(e.a, e.b) for e in c.edges]
+        c = blow_up(c, rng.choice(choices))
+    return c
 
 
 # ----- Eager contraction: the slow oracle for in-place contraction -----
@@ -301,6 +322,31 @@ def fraction_validate_discrepancies(t, a):
         if lhs != b[j] - 2:
             problems.append(f"row {j + 1} residual: {lhs} != {b[j] - 2}")
     return problems
+
+
+# ----- Fraction atlas record: the slow oracle for the integer record -----
+
+
+def fraction_atlas_record(t):
+    """atlas_record through discrepancies(), validate_discrepancies and fraction_to_str."""
+    b = as_entries(t)
+    params = tstring_to_params(b)
+    a = discrepancies(b)
+    problems = validate_discrepancies(b, a)
+    if problems:
+        raise AssertionError(f"discrepancy invariants failed for {list(b)}: {problems}")
+    det = abs(chain_determinant(b))
+    if det != params.p**2:
+        raise AssertionError(f"|det| = {det} != p^2 = {params.p ** 2} for {list(b)}")
+    return {
+        "p": params.p,
+        "q": params.q,
+        "ell": len(b),
+        "b": list(b),
+        "discrepancies": [fraction_to_str(x) for x in a],
+        "det": det,
+        "checksum_ok": checksum_ok(b),
+    }
 
 
 # ----- Eager candidate examination: the slow oracle for the cached e parts -----

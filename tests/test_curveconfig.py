@@ -13,6 +13,7 @@ from helpers import (
     all_pairs_pairing,
     all_pairs_self,
     census_blowdown_inputs,
+    choice_random_blowup,
     eager_contract_all,
     eager_jsonl_lines,
     path_census,
@@ -235,6 +236,15 @@ class TestBlowUp:
         c = random_blowup(random.Random(0), 30)
         assert len(made) == 1  # single_curve
         assert len(c.vertices) == 31
+
+
+    @pytest.mark.parametrize("depth", [0, 1, 5, 20, 40])
+    def test_random_blowup_draws_what_the_choice_list_drew(self, depth):
+        for seed in range(40):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got, want = random_blowup(rng, depth), choice_random_blowup(ref_rng, depth)
+            assert index_view(got) == index_view(want), (seed, depth)
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def index_view(c: CurveConfig):

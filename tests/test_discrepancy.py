@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import eager_pairing, eliminate_discrepancies, fraction_validate_discrepancies
+import helpers
+from helpers import (
+    eager_pairing,
+    eliminate_discrepancies,
+    fraction_atlas_record,
+    fraction_validate_discrepancies,
+)
 from wahlkit import (
+    TString,
+    atlas_record,
     canonical_pairing,
     chain_determinant,
     checksum_ok,
@@ -266,6 +274,85 @@ class TestIntegerValidation:
         monkeypatch.setattr(discrepancy, "Fraction", None)  # calling it would raise
         for t, a in cases:
             assert validate_discrepancies(t, a) == []
+
+
+class TestAtlasRecord:
+    """The integer record against the Fraction reference, on every string and on corrupted data."""
+
+    def test_every_string_to_twelve_matches_the_reference(self):
+        for t in iter_tstrings(12):
+            want = fraction_atlas_record(t.b)
+            for given_as in (t.b, list(t.b), t):
+                assert atlas_record(given_as) == want, given_as
+
+    def test_builds_no_fraction_for_a_valid_record(self, monkeypatch):
+        strings = list(iter_tstrings(10))
+        monkeypatch.setattr(discrepancy, "Fraction", None)  # calling it would raise
+        for t in strings:
+            assert atlas_record(t)["det"] == tstring_to_params(t).p ** 2
+
+    @staticmethod
+    def corrupted_numerators(rng, nums, p2):
+        """(nums, p2) spoiled in one of several ways; some spoilings keep the vector valid."""
+        nums = list(nums)
+        kind = rng.choice(["nudge", "whole", "shift", "reverse", "scale", "denominator"])
+        j = rng.randrange(len(nums))
+        if kind == "nudge":  # off the vector by a small amount
+            nums[j] += rng.choice([-1, 1]) * rng.randint(1, 3)
+        elif kind == "whole":  # a_j moved by one, out of (-1, 0)
+            nums[j] += rng.choice([-1, 1]) * p2
+        elif kind == "shift":  # a multiple of the reduced denominator's step
+            nums[j] += rng.choice([-2, 2]) * (p2 // math.gcd(p2, *nums))
+        elif kind == "reverse":  # the mirror image's vector
+            nums.reverse()
+        elif kind == "scale":  # the same vector over twice the denominator: still valid
+            nums, p2 = [2 * x for x in nums], 2 * p2
+        else:  # a denominator that need not divide p**2
+            p2 += rng.randint(1, 3)
+        return tuple(nums), p2
+
+    def test_corrupted_numerators_fail_with_the_reference_message(self, monkeypatch):
+        rng = random.Random(11)
+        strings = list(iter_tstrings(8))
+        kinds = ["some a_j outside (-1, 0)", "a_1 + a_ell", "denominator does not divide p**2",
+                 *(f"row {j} residual" for j in range(1, 9))]
+        outcomes = set()
+        for _ in range(1_500):
+            b = rng.choice(strings).b
+            bad = self.corrupted_numerators(rng, _numerators(b)[0], _numerators(b)[1])
+            with monkeypatch.context() as m:
+                m.setattr(discrepancy, "_numerators", lambda _b: bad)
+                try:
+                    want = fraction_atlas_record(b)
+                except AssertionError as exc:
+                    with pytest.raises(AssertionError) as got:
+                        atlas_record(b)
+                    assert str(got.value) == str(exc), (b, bad)
+                    outcomes.update(k for k in kinds if k in str(exc))
+                else:
+                    assert atlas_record(b) == want, (b, bad)
+                    outcomes.add("valid")
+        assert outcomes == {"valid", *kinds}  # every check fires on some vector
+
+    def test_a_wrong_determinant_fails_with_the_reference_message(self, monkeypatch):
+        det = chain_determinant
+        for wrong in (lambda b: 2 * det(b), lambda b: det(b) + 1):
+            for module in (discrepancy, helpers):
+                monkeypatch.setattr(module, "chain_determinant", wrong)
+            for t in iter_tstrings(5):
+                with pytest.raises(AssertionError) as want:
+                    fraction_atlas_record(t)
+                with pytest.raises(AssertionError) as got:
+                    atlas_record(t)
+                assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("b", [(3, 4), (2, 2), (4, 4), (5,), (2, 5, 3, 2)])
+    def test_a_non_tstring_raises_the_reference_error(self, b):
+        with pytest.raises(ValueError) as want:
+            fraction_atlas_record(b)
+        with pytest.raises(ValueError) as got:
+            atlas_record(b)
+        assert str(got.value) == str(want.value)
 
 
 class TestFractionStrings:

@@ -65,17 +65,25 @@ def _level_entries(levels, ell):
     return {as_entries(t) for t in levels[ell]}
 
 
+class IntEntry(int):
+    """An int subclass: as_entries must hand back plain ints, not these."""
+
+
 class TestAsEntries:
     def test_a_tuple_of_exact_ints_is_returned_as_it_is(self):
-        t = (2, 5)
-        assert as_entries(t) is t
+        for t in [(), (4,), (2, 5), (3, 5, 2), tuple(range(2, 40))]:
+            assert as_entries(t) is t
 
     def test_every_other_input_is_coerced_entry_by_entry(self):
         for raw, expected in [
             ((True, 3), (1, 3)),
+            ((2, False), (2, 0)),
+            ((IntEntry(3), 5, 2), (3, 5, 2)),
+            ((2, 5, IntEntry(2)), (2, 5, 2)),
             ([2, 5], (2, 5)),
             ((x for x in (3, 5, 2)), (3, 5, 2)),
             ((2.0, 5), (2, 5)),
+            ((3, 5, 2.0), (3, 5, 2)),
             (("4",), (4,)),
         ]:
             out = as_entries(raw)
