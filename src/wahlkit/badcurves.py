@@ -13,10 +13,17 @@ Shapes of bad curves (by the end-intervals of internal spheres):
 
   type A : internal = C_1..C_x and C_y..C_ell (both ends), e joins the two
            intervals, hitting C_{x'} (x' <= x) and C_{y'} (y' >= y);
-  type B1: internal = C_1..C_x only; e hits C_{x'} inside and at most one
-           more point (an external chain sphere C_{y'}, a second internal
-           sphere, or somewhere off the chain);
-  type B2: the mirror image of B1 at the right-hand end.
+  type B1: internal = C_1..C_x only, x <= ell - 1; e's first hit C_{x'}
+           lies inside, and e meets at most one more point (an external
+           chain sphere C_{y'}, a second internal sphere, or somewhere off
+           the chain);
+  type B2: the mirror image of B1 at the right-hand end: internal =
+           C_y..C_ell, y >= 2, and e's last hit C_{y'} lies inside.
+
+One parser, _shape, decides these shapes for examine_candidate and for
+classify alike, accepting exactly what enumerate_candidates yields.  Each
+shape has e meeting every internal interval, so internal spheres plus e form
+a connected set before any blow-down.
 
 The case oracle rebuilds each syntactically possible configuration as an
 explicit curve configuration and lets the blow-down engine decide its fate,
@@ -224,66 +231,20 @@ class BadCurveClass:
                 )
 
 
-def _end_intervals(internal: frozenset[int], ell: int) -> tuple[int, int]:
-    """(x, y): internal = {1..x} union {y..ell} with x = 0 / y = ell+1 for empty sides."""
-    x = 0
-    while x + 1 in internal:
-        x += 1
-    y = ell + 1
-    while y - 1 in internal and y - 1 > x:
-        y -= 1
-    if internal != set(range(1, x + 1)) | set(range(y, ell + 1)):
-        raise ValueError(
-            f"internal spheres {sorted(internal)} are not end-intervals of 1..{ell}"
-        )
-    return x, y
-
-
 def classify(inc: ChainIncidence) -> BadCurveClass:
     """Sort an incidence into GOOD or the unique bad shape it fits.
 
     GOOD means E . sum(C_j) >= 2.  A total of exactly 1 must come with
-    internal spheres forming end-intervals matching one of the three bad
-    shapes; anything else signals a modeling bug and raises.
+    internal spheres and e_hits of a shape enumerate_candidates yields (see
+    _shape); anything else signals a modeling bug and raises.
     """
-    ell = inc.t.ell
     if inc.total >= 2:
         return BadCurveClass("GOOD")
     if inc.total != 1:
         raise ValueError(
             f"a curve near the chain has E.sum(C_j) >= 1; got {inc.total}"
         )
-    if not inc.internal:
-        raise ValueError(
-            "total incidence 1 with no internal spheres is the forbidden "
-            "single-hit pattern"
-        )
-    x, y = _end_intervals(inc.internal, ell)
-    if x >= 1 and y <= ell:
-        left = [h for h in inc.e_hits if h <= x]
-        right = [h for h in inc.e_hits if h >= y]
-        if len(left) != 1 or len(right) != 1:
-            raise ValueError(
-                f"type A needs e to join the two intervals; e_hits={inc.e_hits}"
-            )
-        return BadCurveClass("A", x_prime=left[0], x=x, y=y, y_prime=right[0])
-    if x >= 1:
-        inside = [h for h in inc.e_hits if h <= x]
-        outside = [h for h in inc.e_hits if h > x]
-        if not inside:
-            raise ValueError(f"type B1 needs e to meet the internal chain: {inc.e_hits}")
-        return BadCurveClass(
-            "B1", x_prime=min(inside), x=x, y_prime=outside[0] if outside else None
-        )
-    if y <= ell:
-        inside = [h for h in inc.e_hits if h >= y]
-        outside = [h for h in inc.e_hits if h < y]
-        if not inside:
-            raise ValueError(f"type B2 needs e to meet the internal chain: {inc.e_hits}")
-        return BadCurveClass(
-            "B2", x_prime=outside[0] if outside else None, y=y, y_prime=max(inside)
-        )
-    raise ValueError("empty internal set cannot be a bad curve")
+    return BadCurveClass(*_shape(tuple(sorted(inc.internal)), inc.e_hits, inc.t.ell)[:5])
 
 
 # ----- Counting bounds -----
@@ -454,18 +415,24 @@ def _b_case(kind: str, hit: int, lo: int, hi: int) -> str:
     return "B2.3" if hit == lo else "B2.2"
 
 
-def _candidate_shape(
-    kind: str, internal: tuple[int, ...], e_hits: tuple[int, ...], ell: int
-) -> tuple[int, int]:
-    """(x, y) with internal = {1..x} union {y..ell}, once the candidate's shape fits kind.
+def _shape(
+    internal: tuple[int, ...], e_hits: tuple[int, ...], ell: int, kind: str | None = None
+) -> tuple[str, int | None, int | None, int | None, int | None, str | None]:
+    """(kind, x', x, y, y', case) of a shape enumerate_candidates yields; raises otherwise.
 
-    Raises ValueError naming the argument when kind is not A, B1 or B2, an
-    index of the sorted tuples internal or e_hits lies off 1..ell, internal
-    is not the end-intervals kind needs (A: both, with a gap; B1: the left
-    one; B2: the right one), or a type A e does not join the two intervals.
+    internal and e_hits are sorted tuples.  internal must be {1..x} union
+    {y..ell} with at least one chain sphere left external (y >= x + 2): both
+    intervals make type A, the left one alone B1, the right one alone B2.
+    Type A: e meets each interval once, at x' <= x and y' >= y.  B1: e meets
+    the chain once or twice, first at x' <= x; y' is the second hit when it
+    lies past x.  B2 mirrors B1: e's last hit y' >= y, x' its first hit when
+    that lies before y.  The unused side of a B kind is None, and so is
+    case when e meets the internal interval twice.
+
+    Raises ValueError naming internal or e_hits when an index lies off
+    1..ell or the shape is not one of these, and naming internal when kind
+    is given and the internal shape is another kind.
     """
-    if kind not in ("A", "B1", "B2"):
-        raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
     for name, idx in (("internal", internal), ("e_hits", e_hits)):
         if idx and not (1 <= idx[0] and idx[-1] <= ell):
             raise ValueError(f"{name} indices must lie in 1..{ell}, got {idx}")
@@ -475,14 +442,28 @@ def _candidate_shape(
     y = ell + 1 - (len(internal) - x)
     ends = y > x + 1 and internal[x:] == tuple(range(y, ell + 1))
     shape = ("A" if y <= ell else "B1") if x else ("B2" if y <= ell else None)
-    if not ends or shape != kind:
+    if not ends or shape is None or kind not in (None, shape):
         raise ValueError(
-            f"internal {internal} is not the end-intervals of a type {kind} "
-            f"candidate on 1..{ell}"
+            f"internal {internal} is not the end-intervals of a type "
+            f"{kind or 'A, B1 or B2'} candidate on 1..{ell}"
         )
-    if kind == "A" and not (len(e_hits) == 2 and e_hits[0] <= x and e_hits[1] >= y):
-        raise ValueError(f"type A e_hits must join the two end-intervals, got {e_hits}")
-    return x, y
+    if shape == "A":
+        if not (len(e_hits) == 2 and e_hits[0] <= x and e_hits[1] >= y):
+            raise ValueError(f"type A e_hits must join the two end-intervals, got {e_hits}")
+        return "A", e_hits[0], x, y, e_hits[1], _a_case(e_hits[0], x, y, e_hits[1], ell)
+    if not 1 <= len(e_hits) <= 2 or (e_hits[0] > x if shape == "B1" else e_hits[-1] < y):
+        side = "first" if shape == "B1" else "last"
+        raise ValueError(
+            f"type {shape} e_hits must be one or two hits, the {side} inside the "
+            f"internal interval, got {e_hits}"
+        )
+    if shape == "B1":
+        x_prime, y_prime, y = e_hits[0], (e_hits[-1] if e_hits[-1] > x else None), None
+        case = _b_case(shape, x_prime, 1, x) if len(e_hits) == 1 or y_prime else None
+    else:
+        x_prime, y_prime, x = (e_hits[0] if e_hits[0] < y else None), e_hits[-1], None
+        case = _b_case(shape, y_prime, y, ell) if len(e_hits) == 1 or x_prime else None
+    return shape, x_prime, x, y, y_prime, case
 
 
 def examine_candidate(
@@ -502,7 +483,9 @@ def examine_candidate(
     ell = len(b)
     internal = tuple(sorted(internal))
     e_hits = tuple(sorted(e_hits))
-    x, y = _candidate_shape(kind, internal, e_hits, ell)
+    if kind not in ("A", "B1", "B2"):
+        raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
+    case = _shape(internal, e_hits, ell, kind)[5]
 
     config, e_id, e_checks = _e_parts(b, e_hits)
     comps = set(internal) | {e_id}
@@ -546,16 +529,6 @@ def examine_candidate(
         verdict = DIES
     else:
         verdict = SURVIVES_BAD if badness == 1 else SURVIVES_GOOD
-
-    case: str | None = None
-    if kind == "A":
-        case = _a_case(e_hits[0], x, y, e_hits[1], ell)
-    elif kind in ("B1", "B2") and len(set(e_hits)) == len(e_hits):
-        lo, hi = min(internal), max(internal)
-        inside = [h for h in e_hits if lo <= h <= hi]
-        outside = [h for h in e_hits if not lo <= h <= hi]
-        if len(inside) == 1 and len(outside) <= 1:
-            case = _b_case(kind, inside[0], lo, hi)
 
     return CandidateOutcome(
         t=b,
@@ -612,9 +585,18 @@ def _remap_e(mults: Mapping[int, int], old_e: int, new_e: int) -> dict[int, int]
 def pair_product(
     t: TString | Iterable[int], s1: CandidateOutcome, s2: CandidateOutcome
 ) -> int:
-    """E1 . E2 for two candidates over the same chain, each with its own e."""
+    """E1 . E2 for two candidates over the same chain, each with its own e.
+
+    Raises ValueError naming s1 or s2 when it was examined on another string
+    than t or has no multiplicities (it did not contract to a point).
+    """
     b = as_entries(t)
     ell = len(b)
+    for name, s in (("s1", s1), ("s2", s2)):
+        if tuple(s.t) != b:
+            raise ValueError(f"{name} was examined on {list(s.t)}, not on {list(b)}")
+        if s.mults is None:
+            raise ValueError(f"{name} has no multiplicities: verdict {s.verdict}")
     e1, e2 = ell + 1, ell + 2
     combined = chain_config(
         [-bj for bj in b],

@@ -349,6 +349,76 @@ def fraction_atlas_record(t):
     }
 
 
+# ----- Bad-curve shapes: the slow reference for badcurves._shape -----
+
+
+def end_intervals(internal, ell):
+    """(x, y): internal = {1..x} union {y..ell} with x = 0 / y = ell+1 for empty sides."""
+    x = 0
+    while x + 1 in internal:
+        x += 1
+    y = ell + 1
+    while y - 1 in internal and y - 1 > x:
+        y -= 1
+    if internal != set(range(1, x + 1)) | set(range(y, ell + 1)):
+        raise ValueError(
+            f"internal spheres {sorted(internal)} are not end-intervals of 1..{ell}"
+        )
+    return x, y
+
+
+def reference_classify(inc):
+    """classify by end_intervals and per-kind hit filters, independent of badcurves._shape.
+
+    Unlike classify, it labels the whole chain {1..ell} as B1 with x = ell.
+    """
+    ell = inc.t.ell
+    if inc.total >= 2:
+        return bc.BadCurveClass("GOOD")
+    if inc.total != 1:
+        raise ValueError(f"a curve near the chain has E.sum(C_j) >= 1; got {inc.total}")
+    if not inc.internal:
+        raise ValueError("total incidence 1 with no internal spheres")
+    x, y = end_intervals(inc.internal, ell)
+    if x >= 1 and y <= ell:
+        left = [h for h in inc.e_hits if h <= x]
+        right = [h for h in inc.e_hits if h >= y]
+        if len(left) != 1 or len(right) != 1:
+            raise ValueError(f"type A needs e to join the two intervals; e_hits={inc.e_hits}")
+        return bc.BadCurveClass("A", x_prime=left[0], x=x, y=y, y_prime=right[0])
+    if x >= 1:
+        inside = [h for h in inc.e_hits if h <= x]
+        outside = [h for h in inc.e_hits if h > x]
+        if not inside:
+            raise ValueError(f"type B1 needs e to meet the internal chain: {inc.e_hits}")
+        return bc.BadCurveClass(
+            "B1", x_prime=min(inside), x=x, y_prime=outside[0] if outside else None
+        )
+    if y <= ell:
+        inside = [h for h in inc.e_hits if h >= y]
+        outside = [h for h in inc.e_hits if h < y]
+        if not inside:
+            raise ValueError(f"type B2 needs e to meet the internal chain: {inc.e_hits}")
+        return bc.BadCurveClass(
+            "B2", x_prime=outside[0] if outside else None, y=y, y_prime=max(inside)
+        )
+    raise ValueError("empty internal set cannot be a bad curve")
+
+
+def reference_case(kind, internal, e_hits, ell):
+    """The A or B subcase of an enumerated candidate, from end_intervals and hit filters."""
+    if kind == "A":
+        x, y = end_intervals(frozenset(internal), ell)
+        return bc._a_case(e_hits[0], x, y, e_hits[1], ell)
+    if len(set(e_hits)) == len(e_hits):
+        lo, hi = min(internal), max(internal)
+        inside = [h for h in e_hits if lo <= h <= hi]
+        outside = [h for h in e_hits if not lo <= h <= hi]
+        if len(inside) == 1 and len(outside) <= 1:
+            return bc._b_case(kind, inside[0], lo, hi)
+    return None
+
+
 # ----- Eager candidate examination: the slow oracle for the cached e parts -----
 
 
@@ -402,19 +472,9 @@ def eager_examine_candidate(t, kind, internal, e_hits):
     else:
         verdict = bc.SURVIVES_BAD if badness == 1 else bc.SURVIVES_GOOD
 
-    case = None
-    if kind == "A":
-        x, y = bc._end_intervals(frozenset(internal), ell)
-        case = bc._a_case(e_hits[0], x, y, e_hits[1], ell)
-    elif kind in ("B1", "B2") and len(set(e_hits)) == len(e_hits):
-        lo, hi = min(internal), max(internal)
-        inside = [h for h in e_hits if lo <= h <= hi]
-        outside = [h for h in e_hits if not lo <= h <= hi]
-        if len(inside) == 1 and len(outside) <= 1:
-            case = bc._b_case(kind, inside[0], lo, hi)
-
     return bc.CandidateOutcome(
-        t=b, kind=kind, internal=internal, e_hits=e_hits, case=case,
+        t=b, kind=kind, internal=internal, e_hits=e_hits,
+        case=reference_case(kind, internal, e_hits, ell),
         checks=tuple(sorted(checks)), verdict=verdict, badness=badness,
         v=v_full, mults=mult_items,
     )

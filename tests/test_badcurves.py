@@ -1,5 +1,6 @@
 """Bad-curve classification, the forbidden patterns, and the case oracle."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eager_contract_all, eager_examine_candidate, scan_staged_checks
+from helpers import (
+    eager_contract_all,
+    eager_examine_candidate,
+    reference_case,
+    reference_classify,
+    scan_staged_checks,
+)
 from wahlkit import (
     BadCurveClass,
     CandidateOutcome,
@@ -41,10 +48,11 @@ from wahlkit.badcurves import (
     SURVIVES_GOOD,
     THREE_NEIGHBOR,
     _e_parts,
+    _shape,
     build_candidate_config,
     staged_structure_checks,
 )
-from wahlkit.curveconfig import SW_VIOLATION, contract_all, random_blowup
+from wahlkit.curveconfig import SW_VIOLATION, connects, contract_all, random_blowup
 
 
 class TestForbiddenPatterns:
@@ -162,6 +170,27 @@ class TestClassify:
             classify(ChainIncidence(t, (0, 1, 0, 0, 0), frozenset(), (2,)))
         with pytest.raises(ValueError):  # A-shape with both hits on one side
             classify(ChainIncidence(t, (0, 0, 1, 0, 0), frozenset({1, 5}), (1, 1)))
+
+    def test_rejects_the_whole_chain(self):
+        # a bad curve leaves at least one chain sphere external
+        for ell in range(1, 6):
+            t = _string_of_length(ell)
+            v = (1,) + (0,) * (ell - 1)
+            whole = frozenset(range(1, ell + 1))
+            with pytest.raises(ValueError, match="internal .* is not the end-intervals"):
+                classify(ChainIncidence(t, v, whole, (1,)))
+        with pytest.raises(ValueError, match="not the end-intervals"):
+            classify(ChainIncidence(TString((3, 5, 2)), (0, 0, 1), frozenset({1, 2, 3}), (1,)))
+
+    def test_matches_the_reference_on_every_enumerated_shape(self):
+        for ell in range(1, 8):
+            t = _string_of_length(ell)
+            v = (0,) * (ell - 1) + (1,)
+            for kind, internal, hits in enumerate_candidates(ell):
+                inc = ChainIncidence(t, v, frozenset(internal), hits)
+                got = classify(inc)
+                assert got == reference_classify(inc), (kind, internal, hits)
+                assert got.kind == kind
 
     def test_type_a_index_validation(self):
         with pytest.raises(ValueError):
@@ -303,6 +332,69 @@ class TestExamineCandidate:
     def test_rejects_a_type_a_e_that_does_not_join_the_intervals(self, e_hits):
         with pytest.raises(ValueError, match="must join the two end-intervals"):
             examine_candidate((3, 5, 2), "A", (1, 3), e_hits)
+
+    @pytest.mark.parametrize("kind, internal, e_hits", [
+        ("B1", (1,), (3,)),  # e misses the internal interval
+        ("B2", (3,), (1,)),
+        ("B1", (1,), ()),  # e has no hits
+        ("B2", (3,), ()),
+        ("B1", (1,), (1, 1, 1)),  # three hits
+        ("B2", (3,), (3, 3, 3)),
+        ("B2", (3,), (1, 2)),  # both hits outside the interval
+        ("B1", (1,), (2, 3)),
+    ])
+    def test_rejects_a_type_b_e_that_does_not_meet_its_interval(self, kind, internal, e_hits):
+        with pytest.raises(ValueError, match="e_hits"):
+            examine_candidate((3, 5, 2), kind, internal, e_hits)
+
+
+class TestShape:
+    """_shape, the one parser of bad-curve shapes, against enumerate_candidates."""
+
+    def test_accepts_exactly_the_enumerated_shapes(self):
+        for ell in range(1, 8):
+            enumerated = set(enumerate_candidates(ell))
+            subsets = [
+                tuple(j for j in range(1, ell + 1) if mask >> (j - 1) & 1)
+                for mask in range(1 << ell)
+            ]
+            hit_sets = [()] + [
+                hits
+                for size in (1, 2, 3)
+                for hits in itertools.combinations_with_replacement(range(1, ell + 1), size)
+            ]
+            accepted = 0
+            for internal in subsets:
+                for hits in hit_sets:
+                    kinds = {k for k in ("A", "B1", "B2") if (k, internal, hits) in enumerated}
+                    for kind in ("A", "B1", "B2"):
+                        if kind in kinds:
+                            assert _shape(internal, hits, ell, kind)[0] == kind
+                            accepted += 1
+                        else:
+                            with pytest.raises(ValueError, match="internal|e_hits"):
+                                _shape(internal, hits, ell, kind)
+                    if kinds:
+                        assert {_shape(internal, hits, ell)[0]} == kinds
+                    else:
+                        with pytest.raises(ValueError, match="internal|e_hits"):
+                            _shape(internal, hits, ell)
+            assert accepted == len(enumerated)
+
+    def test_case_matches_the_reference(self):
+        for ell in range(1, 8):
+            for kind, internal, hits in enumerate_candidates(ell):
+                case = reference_case(kind, internal, hits, ell)
+                assert _shape(internal, hits, ell, kind)[5] == case, (kind, internal, hits)
+        assert examine_candidate((2, 5, 3), "B1", (1,), (1,)).case == "B1.1"
+
+    def test_every_shape_is_connected_before_any_blow_down(self):
+        for ell in range(1, 9):
+            b = tuple([2] * (ell - 1) + [ell + 3])
+            for _, internal, hits in enumerate_candidates(ell):
+                config, e_id = build_candidate_config(b, hits)
+                adj = {v: config.neighbors(v) for v in [*internal, e_id]}
+                assert connects(adj, {*internal, e_id}), (internal, hits)
 
 
 class TestCachedEParts:
@@ -498,6 +590,25 @@ class TestPairProduct:
         s1 = self._outcome("B1", (1,), (1,), ((1, 1), (4, 1)))
         s2 = self._outcome("B2", (3,), (3,), ((3, 1), (4, 1)))
         assert pair_product((2, 3, 2), s1, s2) == 0
+
+    def test_rejects_an_outcome_without_multiplicities(self):
+        dead = examine_candidate((3, 5, 2), "B1", (1,), (1,))
+        assert dead.verdict == DIES and dead.mults is None
+        alive = examine_candidate((3, 5, 2), "B2", (3,), (2, 3))
+        assert alive.mults is not None
+        with pytest.raises(ValueError, match="s1 has no multiplicities"):
+            pair_product((3, 5, 2), dead, alive)
+        with pytest.raises(ValueError, match="s2 has no multiplicities"):
+            pair_product((3, 5, 2), alive, dead)
+
+    def test_rejects_an_outcome_of_another_string(self):
+        s1 = self._outcome("B1", (1,), (1,), ((1, 1), (4, 1)))
+        s2 = self._outcome("B2", (3,), (3,), ((3, 1), (4, 1)))
+        with pytest.raises(ValueError, match=r"s1 was examined on \[2, 3, 2\]"):
+            pair_product((2, 5, 3), s1, s2)
+        other = examine_candidate((2, 5, 3), "B1", (1,), (1, 2))
+        with pytest.raises(ValueError, match=r"s2 was examined on \[2, 5, 3\]"):
+            pair_product((2, 3, 2), s1, other)
 
 
 class TestInteriorHitContradiction:
