@@ -14,7 +14,7 @@ import json
 import sys
 from collections import Counter
 
-from wahlkit import atlas_record, enumerate_tstrings
+from wahlkit import DEFAULT_LENGTH_CAP, atlas_record, enumerate_tstrings
 
 
 def main(argv=None) -> int:
@@ -22,6 +22,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-len", type=int, default=10)
     parser.add_argument("--out", default=None, help="JSONL target (default stdout)")
     args = parser.parse_args(argv)
+    if not 1 <= args.max_len <= DEFAULT_LENGTH_CAP:
+        parser.error(f"--max-len must be in 1..{DEFAULT_LENGTH_CAP}, got {args.max_len}")
 
     levels = enumerate_tstrings(args.max_len)
     lines = []

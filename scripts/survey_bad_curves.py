@@ -15,7 +15,7 @@ import time
 from collections import Counter
 
 from wahlkit import case_oracle
-from wahlkit.badcurves import SURVIVES_BAD, oracle_jsonl
+from wahlkit.badcurves import ORACLE_LENGTH_CAP, SURVIVES_BAD, oracle_jsonl
 
 
 def main(argv=None) -> int:
@@ -23,6 +23,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-len", type=int, default=6)
     parser.add_argument("--out", default=None, help="write per-candidate JSONL here")
     args = parser.parse_args(argv)
+    if not 1 <= args.max_len <= ORACLE_LENGTH_CAP:
+        parser.error(f"--max-len must be in 1..{ORACLE_LENGTH_CAP}, got {args.max_len}")
 
     start = time.perf_counter()
     report = case_oracle(args.max_len)

@@ -41,10 +41,35 @@ recording every independent reason the candidate dies:
       = -1 without being a (-1)-sphere;
   MULT_NONPOSITIVE / ZERO_INCIDENCE - degenerate multiplicity bookkeeping.
 
-The chain-plus-e configuration and e's own checks (PATTERN_SINGLE,
-PATTERN_ENDPOINTS, MAGIC_E) depend on the T-string and e's hits alone, so
-the oracle computes them once per (T-string, e_hits) in a bounded cache, not
-once per candidate.
+The oracle does each piece of work once, at the level where its inputs vary.
+It rests on one lemma: every chain sphere has C**2 = -b_j <= -2 (examine_candidate
+refuses a t with an entry below 2), so before any blow-down e is the only
+(-1, -1) curve.
+
+  per length ell: the shape parse and its case, the external set, and the
+      tree-shape faults before any blow-down with the number of component
+      pairs that meet.  Before any blow-down the graph is the chain plus e
+      and depends on ell and e_hits alone, and by the lemma the (-1, -1)
+      test finds only e, so one scan of chain_config([-2] * ell) with e
+      attached answers for every string of length ell.  case_oracle also
+      enumerates the candidates and indexes their mirror images once per
+      length; reversal closure compares each row with the mirrored row of
+      the reversed string.
+  per (T-string, e_hits): the chain-plus-e configuration, e's own checks
+      (PATTERN_SINGLE, PATTERN_ENDPOINTS, MAGIC_E), and the first
+      contraction step.  By the lemma every candidate's contraction blows e
+      down first, whatever it freezes, and that step checks the SW rule on
+      every curve; a group whose first step breaks it gives SW at once.
+  per candidate: the contraction resumes from a copy of the group's stage
+      after e, and the tree shape is kept up step by step from each step's
+      hits (curveconfig._shape_step) instead of scanned at every stage.
+
+Every enumerated shape has e meeting every internal interval, so the
+components are connected before any blow-down, and blowing a component down
+keeps the rest connected (see curveconfig._shape_step).  So
+DISCONNECTED_STAGE cannot fire in the oracle; a disconnected start would fall
+back to a full scan of every stage, as staged_structure_checks, the slow
+reference, does.
 
 Survivors are the configurations no combinatorial argument excludes; the
 oracle checks that they obey the counting bounds 2n <= ell + 4 (single type)
@@ -69,9 +94,17 @@ from .curveconfig import (
     SW_VIOLATION,
     THREE_NEIGHBOR,
     BlowDownTrace,
+    ContractionStep,
     Curve,
     CurveConfig,
     StageCallback,
+    StepCallback,
+    _contract,
+    _maps,
+    _maps_to_blow_down,
+    _minus_ones,
+    _shape_scan,
+    _shape_step,
     chain_config,
     contract_all,
     derived_multiplicities,
@@ -351,14 +384,25 @@ def build_candidate_config(
 @lru_cache(maxsize=128)
 def _e_parts(
     b: tuple[int, ...], e_hits: tuple[int, ...]
-) -> tuple[CurveConfig, int, frozenset[str]]:
-    """The candidate config, e's id and e's own checks, once per (b, e_hits).
+) -> tuple[
+    CurveConfig, frozenset[str], ContractionStep, frozenset[int],
+    dict[int, Curve], dict[int, dict[int, int]],
+]:
+    """What every candidate of one (b, e_hits) group shares, once per group.
 
-    None of them depends on the internal set.  The oracle finishes one string
-    before the next, so a bound well above one string's distinct e_hits
-    (65 at ell = 10) keeps every repeat a hit.  Callers only read the config
-    and copy the checks before adding to them.
+    Returns the candidate config, e's own checks, the step that blows e
+    down, and the (-1, -1) curves, the id map and the adjacency map of the
+    stage after it.  By the lemma of the module docstring that step is the
+    first of every candidate's contraction, whatever it freezes.  A t with
+    an entry below 2, where the lemma fails, raises ValueError naming it; a
+    raising call is not cached, so the check runs on every call.
+
+    The oracle finishes one string before the next, so a bound well above
+    one string's distinct e_hits (65 at ell = 10) keeps every repeat a hit.
+    Callers copy the maps before contracting them further.
     """
+    if any(bj < 2 for bj in b):
+        raise ValueError(f"t entries must all be >= 2, got {list(b)}")
     config, e_id = build_candidate_config(b, e_hits)
     # incidence patterns of the bare (-1)-sphere
     v_e = [0] * len(b)
@@ -368,7 +412,39 @@ def _e_parts(
     checks = set(pat.patterns)
     if not pat.pairing_ok:
         checks.add(MAGIC_E)
-    return config, e_id, frozenset(checks)
+    # with the whole chain frozen the loop blows down e alone and leaves its
+    # working maps at the stage after e
+    curves, adj = _maps_to_blow_down(config, e_id)
+    chain = frozenset(range(1, e_id))
+    steps: list[ContractionStep] = []
+    _contract(curves, adj, steps, _minus_ones(curves) - chain, chain, frozenset(), min, None)
+    return config, frozenset(checks), steps[0], frozenset(_minus_ones(curves)), curves, adj
+
+
+@lru_cache(maxsize=2048)
+def _candidate_parts(
+    ell: int, kind: str, internal: tuple[int, ...], e_hits: tuple[int, ...]
+) -> tuple[str | None, frozenset[int], tuple[str, ...], int]:
+    """What a candidate's examination needs beyond its string, once per length.
+
+    Returns the case, the external chain spheres, and the tree-shape faults
+    of the components (internal spheres and e, id ell + 1) before any
+    blow-down with the number of pairs of them that meet, from one scan of
+    the -2-chain with e attached (see the module docstring).  Raises
+    _shape's ValueError for a shape enumerate_candidates does not yield; a
+    raising call is not cached.  The bound holds every candidate of one
+    length up to ell = 10 (1 080).
+    """
+    case = _shape(internal, e_hits, ell, kind)[5]
+    config, e_id = build_candidate_config((2,) * ell, e_hits)
+    faults, edges = _shape_scan(*_maps(config), {*internal, e_id})
+    return case, _external_set(ell, internal), tuple(sorted(faults)), edges
+
+
+@lru_cache(maxsize=256)
+def _external_set(ell: int, internal: tuple[int, ...]) -> frozenset[int]:
+    """The chain spheres outside internal, one set shared by all its e_hits."""
+    return frozenset(range(1, ell + 1)).difference(internal)
 
 
 def staged_structure_checks(components: Iterable[int], fired: set[str]) -> StageCallback:
@@ -386,6 +462,34 @@ def staged_structure_checks(components: Iterable[int], fired: set[str]) -> Stage
         remaining.discard(contracted)
         if len(remaining) > 1:
             fired.update(shape_faults(curves, adj, remaining))
+
+    return check
+
+
+def _tracked_shape_checks(
+    remaining: set[int], edges: int | None, fired: set[str]
+) -> StepCallback:
+    """The oracle's step callback that adds the divisor's tree-shape faults to fired.
+
+    remaining is the component set at the stage before the first step the
+    callback sees, and edges the number of its pairs that meet there, or None
+    when that stage is disconnected.  _shape_step keeps both up, step by
+    step, from the step's hits; a disconnected start falls back to a
+    shape_faults scan of every stage.  Across a contraction it fires what
+    staged_structure_checks, the full scan, fires from the same stage on.
+    """
+
+    def check(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]],
+              contracted: int, hits: Mapping[int, int]) -> None:
+        nonlocal edges
+        if edges is None:
+            remaining.discard(contracted)
+            if len(remaining) > 1:
+                fired.update(shape_faults(curves, adj, remaining))
+        else:
+            faults, edges = _shape_step(curves, adj, remaining, contracted, hits, edges)
+            remaining.discard(contracted)
+            fired.update(faults)
 
     return check
 
@@ -474,10 +578,14 @@ def examine_candidate(
 ) -> CandidateOutcome:
     """Run every combinatorial obstruction against one candidate bad curve.
 
-    e's configuration and pattern checks are computed once per (T-string,
-    e_hits); everything that depends on ``internal`` is computed per candidate.
-    A (kind, internal, e_hits) of a shape enumerate_candidates does not yield
-    raises ValueError naming the argument.
+    Work is done once at the level where its inputs vary: the shape, the
+    external set and the tree-shape faults before any blow-down once per
+    (ell, kind, internal, e_hits); e's configuration, its pattern checks and
+    the blow-down of e once per (T-string, e_hits).  The candidate resumes
+    the contraction after that shared first step and keeps its tree-shape
+    state up step by step.  A (kind, internal, e_hits) of a shape
+    enumerate_candidates does not yield raises ValueError naming the
+    argument, and so does a t with an entry below 2.
     """
     b = as_entries(t)
     ell = len(b)
@@ -485,30 +593,35 @@ def examine_candidate(
     e_hits = tuple(sorted(e_hits))
     if kind not in ("A", "B1", "B2"):
         raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
-    case = _shape(internal, e_hits, ell, kind)[5]
+    case, externals, faults, edges = _candidate_parts(ell, kind, internal, e_hits)
+    config, e_checks, first, minus_ones, curves, adj = _e_parts(b, e_hits)
 
-    config, e_id, e_checks = _e_parts(b, e_hits)
-    comps = set(internal) | {e_id}
-    externals = [j for j in range(1, ell + 1) if j not in internal]
-
-    # a fresh set: the stage callback adds to it
-    checks = set(e_checks)
-
-    # contract E with the external chain frozen; the rational-curve rule
-    # applies to every image, external or not
-    trace = contract_all(
-        config, frozen=externals, on_stage=staged_structure_checks(comps, checks)
+    # a fresh set: the step callback adds to it
+    checks = {*e_checks, *faults}
+    track = _tracked_shape_checks(
+        {*internal, ell + 1}, None if DISCONNECTED_STAGE in faults else edges, checks
     )
-    if trace.status == SW_VIOLATION:
+    track(curves, adj, first.vertex, first.hits)
+    steps = [first]
+    if first.violations:
+        status = SW_VIOLATION
+    else:
+        # contract E on from the stage after e, with the external chain
+        # frozen; the rational-curve rule applies to every image, external or not
+        status = _contract(
+            dict(curves), {u: dict(row) for u, row in adj.items()},
+            steps, set(minus_ones) - externals, externals, frozenset(), min, track,
+        )
+    if status == SW_VIOLATION:
         checks.add(SW)
-    elif trace.status == STUCK:
+    elif status == STUCK:
         checks.add(NO_MINUS_ONE)
 
     badness: int | None = None
     v_full: tuple[int, ...] | None = None
     mult_items: tuple[tuple[int, int], ...] | None = None
-    if trace.status == CONTRACTED_TO_POINT:
-        mults = derived_multiplicities(trace)
+    if status == CONTRACTED_TO_POINT:
+        mults = derived_multiplicities(BlowDownTrace(config, tuple(steps), status))
         mult_items = tuple(sorted(mults.items()))
         if any(m <= 0 for m in mults.values()):
             checks.add(MULT_NONPOSITIVE)
@@ -666,12 +779,24 @@ class OracleReport:
         )
 
 
-def _mirror_key(o: CandidateOutcome) -> tuple:
-    ell = len(o.t)
-    kind = {"A": "A", "B1": "B2", "B2": "B1"}[o.kind]
-    internal = tuple(sorted(ell + 1 - j for j in o.internal))
-    hits = tuple(sorted(ell + 1 - j for j in o.e_hits))
-    return (tuple(reversed(o.t)), kind, internal, hits)
+def _mirror_index(
+    candidates: Sequence[tuple[str, tuple[int, ...], tuple[int, ...]]], ell: int
+) -> list[int | None]:
+    """Where each candidate's mirror image lies in candidates, None when it is absent.
+
+    The mirror image reads the chain backwards: j becomes ell + 1 - j, and
+    B1 and B2 swap.
+    """
+    at = {c: i for i, c in enumerate(candidates)}
+    kinds = {"A": "A", "B1": "B2", "B2": "B1"}
+    return [
+        at.get((
+            kinds[kind],
+            tuple(sorted(ell + 1 - j for j in internal)),
+            tuple(sorted(ell + 1 - j for j in hits)),
+        ))
+        for kind, internal, hits in candidates
+    ]
 
 
 def case_oracle(ell_max: int) -> OracleReport:
@@ -689,13 +814,16 @@ def case_oracle(ell_max: int) -> OracleReport:
 
     outcomes: list[CandidateOutcome] = []
     by_string: dict[tuple[int, ...], list[CandidateOutcome]] = {}
+    mirrors: dict[int, list[int | None]] = {}
     for ell, strings in sorted(enumerate_tstrings(ell_max).items()):
+        # each string's rows in (kind, internal, e_hits) order
+        candidates = sorted(enumerate_candidates(ell))
+        mirrors[ell] = _mirror_index(candidates, ell)
         for t in sorted(as_entries(s) for s in strings):
             rows = [
                 examine_candidate(t, kind, internal, hits)
-                for kind, internal, hits in enumerate_candidates(ell)
+                for kind, internal, hits in candidates
             ]
-            rows.sort(key=lambda o: (o.kind, o.internal, o.e_hits))
             outcomes.extend(rows)
             by_string[t] = rows
 
@@ -736,16 +864,16 @@ def case_oracle(ell_max: int) -> OracleReport:
                 if not ok:
                     joint_failures.append(rec)
 
-    verdict_of: dict[tuple, str] = {
-        (o.t, o.kind, o.internal, o.e_hits): o.verdict for o in outcomes
-    }
     reversal_failures = []
-    for o in outcomes:
-        mirror = verdict_of.get(_mirror_key(o))
-        if mirror is None:
-            reversal_failures.append((o, "mirror candidate missing"))
-        elif mirror != o.verdict:
-            reversal_failures.append((o, f"mirror verdict {mirror} != {o.verdict}"))
+    for t, rows in by_string.items():
+        mirrored = by_string.get(t[::-1])
+        for o, j in zip(rows, mirrors[len(t)]):
+            if mirrored is None or j is None:
+                reversal_failures.append((o, "mirror candidate missing"))
+            elif mirrored[j].verdict != o.verdict:
+                reversal_failures.append(
+                    (o, f"mirror verdict {mirrored[j].verdict} != {o.verdict}")
+                )
 
     def count_bad(s: tuple[int, ...]) -> int:
         return sum(1 for o in by_string.get(s, ()) if o.verdict == SURVIVES_BAD)

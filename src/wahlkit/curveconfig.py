@@ -46,8 +46,19 @@ violations.  derived_multiplicities reads the ``hits``.  A caller that checks
 every stage while contracting hands contract_all an ``on_stage`` callback,
 which sees the working maps as they are made; readers after the fact walk the
 stages with BlowDownTrace.stages, which replays the trace on one copy of the
-maps.  shape_faults is the one tree-shape rule of an exceptional curve,
-applied at every stage by the bad-curve oracle and once by validate_zariski.
+maps.
+
+contract_all handles its arguments and the initial stage, then runs the one
+contraction loop, _contract, on its working copy.  The loop can resume: it
+runs on any working maps after the steps already taken, so the bad-curve
+oracle blows e down once per group of candidates and starts each candidate
+on a copy of the stage after it.  The loop's step callback also receives the
+step's read-only ``hits``.
+
+shape_faults is the one tree-shape rule of an exceptional curve, applied
+once by validate_zariski and at every stage by staged_structure_checks;
+_shape_step keeps the same rule up across a blow-down from the step's hits,
+which is how the bad-curve oracle applies it.
 """
 
 from __future__ import annotations
@@ -337,6 +348,21 @@ def _maps(c: CurveConfig) -> tuple[dict[int, Curve], dict[int, dict[int, int]]]:
     return dict(c._by_id), {u: dict(row) for u, row in c._adj.items()}
 
 
+def _maps_to_blow_down(
+    c: CurveConfig, vid: int
+) -> tuple[dict[int, Curve], dict[int, dict[int, int]]]:
+    """Copies of c's maps to blow vid down in place, sharing the rows it leaves alone.
+
+    The adjacency map holds c's own rows, but for copies of the rows of
+    vid's neighbours, the only rows the blow-down changes; c itself never
+    changes a row.
+    """
+    curves, adj = dict(c._by_id), dict(c._adj)
+    for u in adj[vid]:
+        adj[u] = dict(adj[u])
+    return curves, adj
+
+
 def _from_maps(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]]) -> CurveConfig:
     """The config with the given id map and adjacency map, built by make."""
     edges = [Edge(a, b, m) for a, row in adj.items() for b, m in row.items() if a < b]
@@ -462,38 +488,80 @@ def contract_all(
     """
     if tie_break not in ("lowest", "highest"):
         raise ValueError(f"tie_break must be 'lowest' or 'highest', got {tie_break!r}")
-    pick = min if tie_break == "lowest" else max
-    hold = frozenset(frozen)
-    skip = frozenset(sw_exempt)
     curves, adj = _maps(c)
+    on_step = None
+    if on_stage is not None:
+        on_stage(curves, adj, None)
+
+        def on_step(curves, adj, vid, hits):
+            on_stage(curves, adj, vid)
+
+    steps: list[ContractionStep] = []
+    hold = frozenset(frozen)
+    status = _contract(
+        curves, adj, steps, _minus_ones(curves) - hold, hold, frozenset(sw_exempt),
+        min if tie_break == "lowest" else max, on_step,
+    )
+    return BlowDownTrace(c, tuple(steps), status)
+
+
+# A step's stage maps, its contracted vertex and the step's read-only hits.
+StepCallback = Callable[
+    [Mapping[int, Curve], Mapping[int, Mapping[int, int]], int, Mapping[int, int]], None
+]
+
+
+def _minus_ones(curves: Mapping[int, Curve]) -> set[int]:
+    """The ids of the (-1, -1) curves, the ones a contraction may blow down."""
+    return {vid for vid, v in curves.items() if v.self_int == -1 and v.k_degree == -1}
+
+
+def _contract(
+    curves: dict[int, Curve],
+    adj: dict[int, dict[int, int]],
+    steps: list[ContractionStep],
+    candidates: set[int],
+    hold: frozenset[int],
+    skip: frozenset[int],
+    pick: Callable[[Iterable[int]], int],
+    on_step: StepCallback | None,
+) -> str:
+    """contract_all's loop, run on working maps after the given steps; returns the status.
+
+    curves and adj are the stage the steps reach; the loop blows them down
+    in place and appends its steps to steps.  contract_all starts it on a
+    copy of a config's maps with no steps; a caller that already took the
+    first steps, as the bad-curve oracle does for the step every candidate
+    of a group shares, starts it on a copy of the stage those steps reach.
+    ``on_step(curves, adj, vertex, hits)``, when given, sees each stage after
+    a blow-down with the step's read-only hits, under contract_all's rules
+    for on_stage.
+    """
 
     def contractible(vid: int) -> bool:
         v = curves[vid]
         return vid not in hold and v.self_int == -1 and v.k_degree == -1
 
-    candidates = {vid for vid in curves if contractible(vid)}
-    steps: list[ContractionStep] = []
-    if on_stage is not None:
-        on_stage(curves, adj, None)
     while candidates:
         vid = pick(candidates)
         candidates.remove(vid)
         hits = _blow_down_in_place(curves, adj, vid)
-        if on_stage is not None:
-            on_stage(curves, adj, vid)
+        view = MappingProxyType(hits)
+        if on_step is not None:
+            on_step(curves, adj, vid, view)
         for u in hits:
             if contractible(u):
                 candidates.add(u)
             else:
                 candidates.discard(u)
         checked = sorted(hits) if steps else sorted(curves)
-        found = (_sw_violation(curves[u]) for u in checked if u not in skip)
-        violations = tuple(w for w in found if w is not None)
-        steps.append(ContractionStep(vid, MappingProxyType(hits), violations))
+        if skip:
+            checked = [u for u in checked if u not in skip]
+        violations = tuple(filter(None, map(_sw_violation, map(curves.__getitem__, checked))))
+        steps.append(ContractionStep(vid, view, violations))
         if violations:
-            return BlowDownTrace(c, tuple(steps), SW_VIOLATION)
-    status = STUCK if any(u not in hold for u in curves) else CONTRACTED_TO_POINT
-    return BlowDownTrace(c, tuple(steps), status)
+            return SW_VIOLATION
+    return CONTRACTED_TO_POINT if hold.issuperset(curves) else STUCK
 
 
 def derived_multiplicities(trace: BlowDownTrace) -> dict[int, int]:
@@ -584,8 +652,16 @@ def shape_faults(
     The edges between members of comp must be simple (else MULTI_EDGE) and
     form a connected tree (else DISCONNECTED_STAGE, or CYCLE when they do
     connect comp), and each (-1, -1) member must meet the others at most
-    twice in total (else THREE_NEIGHBOR).
+    twice in total (else THREE_NEIGHBOR).  _shape_step keeps the same rule
+    up across a contraction without scanning each stage.
     """
+    return _shape_scan(curves, adj, comp)[0]
+
+
+def _shape_scan(
+    curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]], comp: set[int]
+) -> tuple[set[str], int]:
+    """shape_faults of comp, and the number of pairs of members that meet."""
     fired: set[str] = set()
     ends = 0  # each edge inside comp is seen from both of its ends
     for vid in comp:
@@ -603,7 +679,71 @@ def shape_faults(
         fired.add(DISCONNECTED_STAGE)
     elif ends >= 2 * len(comp):
         fired.add(CYCLE)
-    return fired
+    return fired, ends // 2
+
+
+def _shape_step(
+    curves: Mapping[int, Curve],
+    adj: Mapping[int, Mapping[int, int]],
+    comp: set[int],
+    vid: int,
+    hits: Mapping[int, int],
+    edges: int,
+) -> tuple[set[str], int]:
+    """shape_faults across one blow-down, kept up from the stage before.
+
+    comp is a connected set of components at the stage before the step that
+    blows vid down, and edges the number of pairs of its members that meet
+    there (as _shape_scan counts them); curves and adj are the stage after,
+    and hits the step's hits.  Returns faults and the pair count of
+    comp - {vid} at the stage after.  The faults, joined with those of the
+    stages before, are what shape_faults finds at this stage and the stages
+    before.
+
+    Why this is enough.  A step changes only the rows and curves of vid's
+    neighbours (its hits): the pair of two of them gains m_u * m_w >= 1, and
+    every other pair and curve is as before.
+    - Connected stays connected.  A path through vid becomes a direct edge
+      between two of its neighbours, and removing a leaf keeps the rest
+      connected, so DISCONNECTED_STAGE never fires after a connected stage.
+    - CYCLE.  A connected graph on n vertices is a tree exactly when it has
+      n - 1 edges, so comp - {vid} has a cycle iff its edge count is >= n.
+      That count is edges, less vid's edges to the others when vid was in
+      comp, plus each pair of neighbours in comp that did not meet before
+      (its multiplicity now equals m_u * m_w).
+    - MULTI_EDGE.  A pair that did not change had the same multiplicity at
+      the stage before, where comp held both its ends, so only the changed
+      pairs can bring a new one.
+    - THREE_NEIGHBOR.  A curve that is no neighbour of vid keeps its
+      self-intersection, K-degree and row, and its weight inside comp can
+      only shrink with comp, so only vid's neighbours can bring a new one.
+    With one member or none left no rule applies, as in the callers of
+    shape_faults, and no fault is returned.
+    """
+    inside = list(comp.intersection(hits))
+    left = len(comp)
+    if vid in comp:
+        left -= 1
+        edges -= len(inside)
+    fired: set[str] = set()
+    if left <= 1:
+        return fired, edges
+    for i, u in enumerate(inside):
+        row = adj[u]
+        mu = hits[u]
+        for w in inside[i + 1:]:
+            m = row[w]
+            if m == mu * hits[w]:  # the pair did not meet before the step
+                edges += 1
+            if m >= 2:
+                fired.add(MULTI_EDGE)
+        v = curves[u]
+        if v.self_int == -1 and v.k_degree == -1:
+            if sum(m for w, m in row.items() if w in comp) >= 3:
+                fired.add(THREE_NEIGHBOR)
+    if edges >= left:
+        fired.add(CYCLE)
+    return fired, edges
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Bad-curve classification, the forbidden patterns, and the case oracle."""
 
+import dataclasses
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -36,8 +38,11 @@ from wahlkit import (
     type_bounds,
     unbroken_checks,
 )
+from wahlkit import badcurves
 from wahlkit.badcurves import (
+    CYCLE,
     DIES,
+    DISCONNECTED_STAGE,
     MAGIC_E,
     MAGIC_FULL,
     MULTI_EDGE,
@@ -47,12 +52,21 @@ from wahlkit.badcurves import (
     SURVIVES_BAD,
     SURVIVES_GOOD,
     THREE_NEIGHBOR,
+    _candidate_parts,
     _e_parts,
     _shape,
+    _tracked_shape_checks,
     build_candidate_config,
     staged_structure_checks,
 )
-from wahlkit.curveconfig import SW_VIOLATION, connects, contract_all, random_blowup
+from wahlkit.curveconfig import (
+    SW_VIOLATION,
+    _shape_scan,
+    connects,
+    contract_all,
+    random_blowup,
+    shape_faults,
+)
 
 
 class TestForbiddenPatterns:
@@ -401,11 +415,30 @@ class TestCachedEParts:
     """examine_candidate with e's parts cached against the eager examination."""
 
     def test_cache_is_bounded_and_hands_out_immutable_checks(self):
-        config, e_id, checks = _e_parts((2, 5, 3), (1, 3))
-        assert (config, e_id) == build_candidate_config((2, 5, 3), (1, 3))
+        config, checks, first, minus_ones, curves, adj = _e_parts((2, 5, 3), (1, 3))
+        assert (config, 4) == build_candidate_config((2, 5, 3), (1, 3))
         assert type(checks) is frozenset  # a caller cannot add to the cached entry
+        assert type(minus_ones) is frozenset
         assert _e_parts((2, 5, 3), (1, 3)) is _e_parts((2, 5, 3), (1, 3))
         assert _e_parts.cache_info().maxsize is not None
+
+    def test_the_shared_first_step_is_every_candidates_first_step(self):
+        # e is the only (-1, -1) curve before any blow-down, so the group's step
+        # and stage are those of each candidate's own contraction
+        for t in [(2, 5, 3), (3, 5, 2), (2, 2, 6, 2, 4)]:
+            ell = len(t)
+            for kind, internal, hits in enumerate_candidates(ell):
+                config, _, first, minus_ones, curves, adj = _e_parts(t, hits)
+                externals = [j for j in range(1, ell + 1) if j not in internal]
+                trace = contract_all(config, frozen=externals)
+                assert trace.steps[0] == first
+                _, steps = eager_contract_all(config, externals)
+                stage = steps[0][2]
+                assert curves == {v.id: v for v in stage.vertices}
+                assert adj == {v.id: stage.neighbors(v.id) for v in stage.vertices}
+                assert minus_ones == {
+                    v.id for v in stage.vertices if (v.self_int, v.k_degree) == (-1, -1)
+                }
 
     def test_every_candidate_to_six_in_shuffled_order(self):
         rows = [
@@ -492,6 +525,172 @@ class TestStagedChecksAgainstEagerStages:
         assert scan_staged_checks(c, {1, 3}, steps) == {MULTI_EDGE}
 
 
+def scanned_stages(config, comps, **kw):
+    """contract_all's trace, and the faults staged_structure_checks holds after each stage."""
+    fired, seen = set(), []
+    scan = staged_structure_checks(comps, fired)
+
+    def record(curves, adj, vertex):
+        scan(curves, adj, vertex)
+        seen.append(frozenset(fired))
+
+    return contract_all(config, on_stage=record, **kw), seen
+
+
+def tracked_stages(trace, comps):
+    """The faults the oracle's step callback holds after each stage of trace.
+
+    Stage 0 is scanned as the oracle's per-length cache scans it; the
+    callback takes every later stage from the step's hits.
+    """
+    stages = trace.stages()
+    curves, adj = next(stages)
+    faults, edges = _shape_scan(curves, adj, set(comps)) if len(comps) > 1 else (set(), 0)
+    fired = set(faults)
+    seen = [frozenset(fired)]
+    track = _tracked_shape_checks(
+        set(comps), None if DISCONNECTED_STAGE in faults else edges, fired
+    )
+    for step, (curves, adj) in zip(trace.steps, stages):
+        track(curves, adj, step.vertex, step.hits)
+        seen.append(frozenset(fired))
+    return seen
+
+
+class TestIncrementalTreeShape:
+    """The per-length stage-0 scan and the step-by-step tree shape against full scans."""
+
+    def test_stage_zero_per_length_matches_each_candidates_own_config(self):
+        for ell, strings in sorted(enumerate_tstrings(7).items()):
+            for t in strings:
+                for kind, internal, hits in enumerate_candidates(ell):
+                    _, externals, faults, edges = _candidate_parts(ell, kind, internal, hits)
+                    config, e_id = build_candidate_config(t, hits)
+                    comps = {*internal, e_id}
+                    curves = {v.id: v for v in config.vertices}
+                    adj = {v.id: config.neighbors(v.id) for v in config.vertices}
+                    assert set(faults) == shape_faults(curves, adj, comps), (t, internal, hits)
+                    assert edges == sum(1 for e in config.edges if {e.a, e.b} <= comps)
+                    assert externals == set(range(1, ell + 1)) - set(internal)
+                    # every enumerated shape is connected, so the oracle never
+                    # takes the fallback and never fires DISCONNECTED_STAGE
+                    assert DISCONNECTED_STAGE not in faults
+
+    def test_every_stage_of_every_candidate_to_six_matches_the_full_scan(self):
+        stages = 0
+        for ell, strings in sorted(enumerate_tstrings(6).items()):
+            for t in sorted(s.b for s in strings):
+                for _, internal, hits in enumerate_candidates(ell):
+                    config, e_id = build_candidate_config(t, hits)
+                    comps = {*internal, e_id}
+                    externals = [j for j in range(1, ell + 1) if j not in internal]
+                    trace, scanned = scanned_stages(config, comps, frozen=externals)
+                    assert tracked_stages(trace, comps) == scanned, (t, internal, hits)
+                    stages += len(scanned)
+        assert stages == 8960 + 16328  # stage 0 of each candidate, then one per step
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 12), st.data())
+    def test_random_divisors_and_component_sets(self, seed, depth, data):
+        # every vertex is contracted, components or not, and the component
+        # set is connected at stage 0 or not
+        c = random_blowup(random.Random(seed), depth)
+        comps = data.draw(st.sets(st.sampled_from(c.ids())))
+        trace, scanned = scanned_stages(c, comps, sw_exempt=c.ids())
+        assert tracked_stages(trace, comps) == scanned
+
+    def test_a_pair_that_met_before_is_not_a_new_edge(self):
+        # components 1 and 3 meet once and both meet the non-component 2;
+        # blowing 2 down leaves them meeting twice: a double edge, still
+        # one edge between two components, so no cycle
+        c = CurveConfig.make(
+            [Curve(1, -3, 1), Curve(2, -1, -1), Curve(3, -3, 1)],
+            [Edge(1, 2), Edge(2, 3), Edge(1, 3)],
+        )
+        trace, scanned = scanned_stages(c, {1, 3}, sw_exempt=c.ids())
+        assert trace.order == (2,)
+        assert scanned == [set(), {MULTI_EDGE}]
+        assert tracked_stages(trace, {1, 3}) == scanned
+
+    def test_a_disconnected_stage_zero_takes_the_fallback(self):
+        # components 1..4 and 6: a triangle 1-2-3, 3-4, and 6 alone; blowing
+        # down the non-component 5 joins 1 and 4, so the five components have
+        # five edges but are still not connected.  The edge count alone would
+        # call that a cycle; the full scan of the fallback does not.
+        c = CurveConfig.make(
+            [Curve(j, -3, 1) for j in (1, 2, 3, 4, 6)] + [Curve(5, -1, -1)],
+            [Edge(1, 2), Edge(2, 3), Edge(1, 3), Edge(3, 4), Edge(1, 5), Edge(4, 5)],
+        )
+        comps = {1, 2, 3, 4, 6}
+        trace, scanned = scanned_stages(c, comps, frozen=comps, sw_exempt=c.ids())
+        assert trace.order == (5,)
+        assert scanned == [{DISCONNECTED_STAGE}] * 2
+        assert tracked_stages(trace, comps) == scanned
+        # what the step-by-step rule, wrongly started here, would have said
+        fired = set()
+        _, after = trace.stages()
+        step = trace.steps[0]
+        _tracked_shape_checks(set(comps), 4, fired)(*after, 5, step.hits)
+        assert fired == {CYCLE}
+
+    def test_per_length_cache_is_bounded_and_holds_one_length_to_ten(self):
+        info = _candidate_parts.cache_info()
+        candidates = enumerate_candidates(10)
+        assert len(candidates) == 1080
+        assert info.maxsize is not None and info.maxsize >= len(candidates)
+        for kind, internal, hits in candidates:
+            _candidate_parts(10, kind, internal, hits)
+        hits_before = _candidate_parts.cache_info().hits
+        for kind, internal, hits in candidates:
+            _candidate_parts(10, kind, internal, hits)
+        assert _candidate_parts.cache_info().hits == hits_before + len(candidates)
+
+    def test_a_bad_shape_is_refused_on_every_call(self):
+        misses = _candidate_parts.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(ValueError, match="e_hits"):
+                examine_candidate((3, 5, 2), "B1", (1,), (2, 3))
+        assert _candidate_parts.cache_info().misses == misses + 2
+
+
+class TestStrictString:
+    """examine_candidate takes any t with entries >= 2 and refuses one below 2, on every call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(2, 7), min_size=1, max_size=7), st.data())
+    def test_any_string_with_entries_from_two_matches_the_eager_examination(self, b, data):
+        # the lemma behind the shared first step needs entries >= 2, not a T-string
+        candidates = enumerate_candidates(len(b))
+        if candidates:
+            kind, internal, hits = data.draw(st.sampled_from(candidates))
+            got = examine_candidate(b, kind, internal, hits)
+            assert got == eager_examine_candidate(tuple(b), kind, internal, hits)
+
+    @pytest.mark.parametrize("b,kind,internal,hits", [
+        ((0, 0, 1), "B2", (2, 3), (3, 3)),
+        ((1, 3, 4), "B1", (1,), (1, 2)),
+        ((2, 1, 5, 3), "A", (1, 4), (1, 4)),
+    ])
+    def test_an_entry_below_two_raises_naming_t(self, b, kind, internal, hits):
+        forged = object.__new__(TString)  # TString's constructor refuses these entries
+        object.__setattr__(forged, "b", b)
+        info = _e_parts.cache_info()
+        for form in (b, list(b), forged, b):
+            with pytest.raises(ValueError, match=re.escape(f"t entries must all be >= 2, got {list(b)}")):
+                examine_candidate(form, kind, internal, hits)
+        # each call missed the cache and stored nothing
+        assert _e_parts.cache_info().hits == info.hits
+        assert _e_parts.cache_info().misses == info.misses + 4
+
+    def test_a_tstring_cannot_hold_such_an_entry(self):
+        with pytest.raises(ValueError, match="entries must be >= 2"):
+            TString((1, 3, 4))
+
+    def test_the_shape_is_checked_first(self):
+        with pytest.raises(ValueError, match="internal"):
+            examine_candidate((0, 0, 1), "B1", (2,), (2,))
+
+
 class TestCaseOracle:
     def test_passes(self):
         assert ORACLE4.passed
@@ -522,6 +721,43 @@ class TestCaseOracle:
             m_internal = tuple(sorted(ell + 1 - j for j in internal))
             m_hits = tuple(sorted(ell + 1 - j for j in hits))
             assert (tuple(reversed(t)), m_kind, m_internal, m_hits) in survivors
+
+    def test_reversal_closure_names_a_flipped_verdict_and_its_mirror(self, monkeypatch):
+        examine = badcurves.examine_candidate
+        flipped = ((2, 3, 5, 3), "B1", (1,), (1, 3))
+        mirror = ((3, 5, 3, 2), "B2", (4,), (2, 4))
+
+        def flip_one(t, kind, internal, e_hits):
+            o = examine(t, kind, internal, e_hits)
+            if (o.t, o.kind, o.internal, o.e_hits) == flipped:
+                assert o.verdict == SURVIVES_BAD
+                return dataclasses.replace(o, verdict=DIES)
+            return o
+
+        monkeypatch.setattr(badcurves, "examine_candidate", flip_one)
+        report = case_oracle(4)
+        assert not report.passed
+        assert {(o.t, o.kind, o.internal, o.e_hits): why
+                for o, why in report.reversal_failures} == {
+            flipped: f"mirror verdict {SURVIVES_BAD} != {DIES}",
+            mirror: f"mirror verdict {DIES} != {SURVIVES_BAD}",
+        }
+
+    def test_reversal_closure_names_rows_whose_mirror_string_is_missing(self, monkeypatch):
+        enumerate_all = badcurves.enumerate_tstrings
+        dropped = (3, 5, 2)
+
+        def without_one(ell_max):
+            levels = enumerate_all(ell_max)
+            return {ell: tuple(s for s in strings if s.b != dropped)
+                    for ell, strings in levels.items()}
+
+        monkeypatch.setattr(badcurves, "enumerate_tstrings", without_one)
+        report = case_oracle(3)
+        assert not report.passed
+        assert [(o.t, why) for o, why in report.reversal_failures] == [
+            ((2, 5, 3), "mirror candidate missing")
+        ] * len(enumerate_candidates(3))
 
     def test_survivor_budget(self):
         assert ORACLE4.bound_failures == ()

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wahlkit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +76,18 @@ def test_survey_bad_curves_passes_and_prints_the_pinned_survivors():
     timing, rest = done.stdout.split("\n", 1)
     assert timing.startswith("examined 560 candidates in ")
     assert rest == SURVEY_4
+
+
+@pytest.mark.parametrize("script,max_len,allowed", [
+    ("survey_bad_curves.py", "9", "1..8"),
+    ("survey_bad_curves.py", "0", "1..8"),
+    ("build_atlas.py", "0", "1..16"),
+    ("build_atlas.py", "-3", "1..16"),
+    ("build_atlas.py", "17", "1..16"),
+])
+def test_an_out_of_range_max_len_is_a_usage_error(script, max_len, allowed):
+    done = run_script(script, "--max-len", max_len)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"error: --max-len must be in {allowed}, got {max_len}" in done.stderr
+    assert "Traceback" not in done.stderr
