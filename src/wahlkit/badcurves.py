@@ -20,10 +20,10 @@ Shapes of bad curves (by the end-intervals of internal spheres):
   type B2: the mirror image of B1 at the right-hand end: internal =
            C_y..C_ell, y >= 2, and e's last hit C_{y'} lies inside.
 
-One parser, _shape, decides these shapes for examine_candidate and for
-classify alike, accepting exactly what enumerate_candidates yields.  Each
-shape has e meeting every internal interval, so internal spheres plus e form
-a connected set before any blow-down.
+One parser, _shape, decides these shapes for examine_candidate, accepting
+exactly what enumerate_candidates yields.  Each shape has e meeting every
+internal interval, so internal spheres plus e form a connected set before any
+blow-down.
 
 The case oracle rebuilds each syntactically possible configuration as an
 explicit curve configuration and lets the blow-down engine decide its fate,
@@ -41,35 +41,37 @@ recording every independent reason the candidate dies:
       = -1 without being a (-1)-sphere;
   MULT_NONPOSITIVE / ZERO_INCIDENCE - degenerate multiplicity bookkeeping.
 
-The oracle does each piece of work once, at the level where its inputs vary.
-It rests on one lemma: every chain sphere has C**2 = -b_j <= -2 (examine_candidate
-refuses a t with an entry below 2), so before any blow-down e is the only
-(-1, -1) curve.
+case_oracle does each piece of work once, in the loop over the inputs it
+depends on.  It rests on one lemma: every chain sphere has
+C**2 = -b_j <= -2 (examine_candidate refuses a t with an entry below 2), so
+before any blow-down e is the only (-1, -1) curve.
 
-  per length ell: the shape parse and its case, the external set, and the
+  per length ell (_candidate_parts): the case, the external set, and the
       tree-shape faults before any blow-down with the number of component
       pairs that meet.  Before any blow-down the graph is the chain plus e
       and depends on ell and e_hits alone, and by the lemma the (-1, -1)
       test finds only e, so one scan of chain_config([-2] * ell) with e
-      attached answers for every string of length ell.  case_oracle also
-      enumerates the candidates and indexes their mirror images once per
-      length; reversal closure compares each row with the mirrored row of
-      the reversed string.
-  per (T-string, e_hits): the chain-plus-e configuration, e's own checks
-      (PATTERN_SINGLE, PATTERN_ENDPOINTS, MAGIC_E), and the first
-      contraction step.  By the lemma every candidate's contraction blows e
-      down first, whatever it freezes, and that step checks the SW rule on
-      every curve; a group whose first step breaks it gives SW at once.
-  per candidate: the contraction resumes from a copy of the group's stage
-      after e, and the tree shape is kept up step by step from each step's
-      hits (curveconfig._shape_step) instead of scanned at every stage.
+      attached answers for every string of length ell.  The candidates are
+      grouped by e_hits, and their mirror images indexed, once per length;
+      reversal closure compares each row with the mirrored row of the
+      reversed string.
+  per (T-string, e_hits) group (_e_parts): the chain-plus-e configuration,
+      e's own checks (PATTERN_SINGLE, PATTERN_ENDPOINTS, MAGIC_E), and the
+      first contraction step.  By the lemma every candidate's contraction
+      blows e down first, whatever it freezes, and that step checks the SW
+      rule on every curve; a group whose first step breaks it gives SW at
+      once.
+  per candidate (_examine): the contraction resumes from a copy of the
+      group's stage after e, and the tree shape is kept up step by step from
+      each step's hits (curveconfig._shape_step) instead of scanned at every
+      stage.
 
-Every enumerated shape has e meeting every internal interval, so the
-components are connected before any blow-down, and blowing a component down
-keeps the rest connected (see curveconfig._shape_step).  So
-DISCONNECTED_STAGE cannot fire in the oracle; a disconnected start would fall
-back to a full scan of every stage, as staged_structure_checks, the slow
-reference, does.
+examine_candidate computes both parts for its one candidate and runs the same
+_examine.  Every enumerated shape has e meeting every internal interval, so
+the components are connected before any blow-down (_candidate_parts asserts
+it), and blowing a component down keeps the rest connected (see
+curveconfig._shape_step).  So DISCONNECTED_STAGE cannot fire in the oracle;
+staged_structure_checks, the slow reference, scans every stage in full.
 
 Survivors are the configurations no combinatorial argument excludes; the
 oracle checks that they obey the counting bounds 2n <= ell + 4 (single type)
@@ -82,7 +84,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .curveconfig import (
@@ -204,82 +205,6 @@ def unbroken_checks(t: TString | Iterable[int], v: Sequence[int]) -> UnbrokenRep
     return UnbrokenReport(sum(v), sum(v) >= 2, tuple(failures))
 
 
-# ----- Classification -----
-
-
-@dataclass(frozen=True)
-class ChainIncidence:
-    """How a candidate divisor meets the chain.
-
-    ``v`` is the (signed) vector E.C_j; ``internal`` the chain indices whose
-    spheres are components of E; ``e_hits`` the chain indices met by the
-    (-1)-sphere e, with repetition for a double point.
-    """
-
-    t: TString
-    v: tuple[int, ...]
-    internal: frozenset[int]
-    e_hits: tuple[int, ...]
-
-    def __post_init__(self):
-        ell = self.t.ell
-        if len(self.v) != ell:
-            raise ValueError(f"v has length {len(self.v)}, expected {ell}")
-        if not all(1 <= j <= ell for j in self.internal):
-            raise ValueError(f"internal indices out of range: {sorted(self.internal)}")
-        if not all(1 <= j <= ell for j in self.e_hits):
-            raise ValueError(f"e_hits out of range: {self.e_hits}")
-        if len(self.e_hits) > 2:
-            raise ValueError(f"e meets at most two chain points, got {self.e_hits}")
-        if tuple(sorted(self.e_hits)) != self.e_hits:
-            raise ValueError(f"e_hits must be sorted: {self.e_hits}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.v)
-
-
-@dataclass(frozen=True)
-class BadCurveClass:
-    """GOOD, or one of the bad shapes A / B1 / B2 with its index data."""
-
-    kind: str
-    x_prime: int | None = None
-    x: int | None = None
-    y: int | None = None
-    y_prime: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("GOOD", "A", "B1", "B2"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "A":
-            if not (
-                1 <= self.x_prime <= self.x
-                and self.x < self.y - 1
-                and self.y <= self.y_prime
-            ):
-                raise ValueError(
-                    f"type A indices must satisfy 1 <= x' <= x < y-1 < y': "
-                    f"x'={self.x_prime} x={self.x} y={self.y} y'={self.y_prime}"
-                )
-
-
-def classify(inc: ChainIncidence) -> BadCurveClass:
-    """Sort an incidence into GOOD or the unique bad shape it fits.
-
-    GOOD means E . sum(C_j) >= 2.  A total of exactly 1 must come with
-    internal spheres and e_hits of a shape enumerate_candidates yields (see
-    _shape); anything else signals a modeling bug and raises.
-    """
-    if inc.total >= 2:
-        return BadCurveClass("GOOD")
-    if inc.total != 1:
-        raise ValueError(
-            f"a curve near the chain has E.sum(C_j) >= 1; got {inc.total}"
-        )
-    return BadCurveClass(*_shape(tuple(sorted(inc.internal)), inc.e_hits, inc.t.ell)[:5])
-
-
 # ----- Counting bounds -----
 
 
@@ -322,13 +247,6 @@ def type_bounds(ell: int, n_a: int = 0, n_b1: int = 0, n_b2: int = 0) -> TypeBou
     p_max = n_a if n_a else n_b1 + n_b2
     p_ok = 2 * p_max <= ell + 5
     return TypeBoundReport(ell, n_a, n_b1, n_b2, a_ok, b1_ok, b2_ok, joint_ok, p_max, p_ok)
-
-
-def max_bad_curves(ell: int) -> int:
-    """The largest number of bad curves the counting bounds permit."""
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
-    return (ell + 5) // 2
 
 
 # ----- The contradiction machine on one candidate -----
@@ -381,25 +299,24 @@ def build_candidate_config(
     return chain_config([-bj for bj in b], attached=[(e, e_hits)]), e_id
 
 
-@lru_cache(maxsize=128)
-def _e_parts(
-    b: tuple[int, ...], e_hits: tuple[int, ...]
-) -> tuple[
+# what _e_parts and _candidate_parts return, in that order
+_GroupParts = tuple[
     CurveConfig, frozenset[str], ContractionStep, frozenset[int],
     dict[int, Curve], dict[int, dict[int, int]],
-]:
-    """What every candidate of one (b, e_hits) group shares, once per group.
+]
+_CandidateParts = tuple[str | None, frozenset[int], tuple[str, ...], int]
+
+
+def _e_parts(b: tuple[int, ...], e_hits: tuple[int, ...]) -> _GroupParts:
+    """What every candidate of one (b, e_hits) group shares.
 
     Returns the candidate config, e's own checks, the step that blows e
     down, and the (-1, -1) curves, the id map and the adjacency map of the
     stage after it.  By the lemma of the module docstring that step is the
     first of every candidate's contraction, whatever it freezes.  A t with
-    an entry below 2, where the lemma fails, raises ValueError naming it; a
-    raising call is not cached, so the check runs on every call.
-
-    The oracle finishes one string before the next, so a bound well above
-    one string's distinct e_hits (65 at ell = 10) keeps every repeat a hit.
-    Callers copy the maps before contracting them further.
+    an entry below 2, where the lemma fails, raises ValueError naming it.
+    case_oracle computes it once per group and hands it to each member;
+    _examine copies the maps before contracting them further.
     """
     if any(bj < 2 for bj in b):
         raise ValueError(f"t entries must all be >= 2, got {list(b)}")
@@ -421,30 +338,27 @@ def _e_parts(
     return config, frozenset(checks), steps[0], frozenset(_minus_ones(curves)), curves, adj
 
 
-@lru_cache(maxsize=2048)
 def _candidate_parts(
     ell: int, kind: str, internal: tuple[int, ...], e_hits: tuple[int, ...]
-) -> tuple[str | None, frozenset[int], tuple[str, ...], int]:
-    """What a candidate's examination needs beyond its string, once per length.
+) -> _CandidateParts:
+    """What a candidate's examination needs beyond its string.
 
     Returns the case, the external chain spheres, and the tree-shape faults
     of the components (internal spheres and e, id ell + 1) before any
     blow-down with the number of pairs of them that meet, from one scan of
     the -2-chain with e attached (see the module docstring).  Raises
-    _shape's ValueError for a shape enumerate_candidates does not yield; a
-    raising call is not cached.  The bound holds every candidate of one
-    length up to ell = 10 (1 080).
+    _shape's ValueError for a shape enumerate_candidates does not yield, and
+    AssertionError naming the candidate if its components are disconnected,
+    which no such shape is.  case_oracle computes it once per length.
     """
     case = _shape(internal, e_hits, ell, kind)[5]
     config, e_id = build_candidate_config((2,) * ell, e_hits)
     faults, edges = _shape_scan(*_maps(config), {*internal, e_id})
-    return case, _external_set(ell, internal), tuple(sorted(faults)), edges
-
-
-@lru_cache(maxsize=256)
-def _external_set(ell: int, internal: tuple[int, ...]) -> frozenset[int]:
-    """The chain spheres outside internal, one set shared by all its e_hits."""
-    return frozenset(range(1, ell + 1)).difference(internal)
+    if DISCONNECTED_STAGE in faults:
+        raise AssertionError(
+            f"candidate {kind} {internal} {e_hits} is disconnected before any blow-down"
+        )
+    return case, frozenset(range(1, ell + 1)).difference(internal), tuple(sorted(faults)), edges
 
 
 def staged_structure_checks(components: Iterable[int], fired: set[str]) -> StageCallback:
@@ -466,30 +380,22 @@ def staged_structure_checks(components: Iterable[int], fired: set[str]) -> Stage
     return check
 
 
-def _tracked_shape_checks(
-    remaining: set[int], edges: int | None, fired: set[str]
-) -> StepCallback:
+def _tracked_shape_checks(remaining: set[int], edges: int, fired: set[str]) -> StepCallback:
     """The oracle's step callback that adds the divisor's tree-shape faults to fired.
 
-    remaining is the component set at the stage before the first step the
-    callback sees, and edges the number of its pairs that meet there, or None
-    when that stage is disconnected.  _shape_step keeps both up, step by
-    step, from the step's hits; a disconnected start falls back to a
-    shape_faults scan of every stage.  Across a contraction it fires what
-    staged_structure_checks, the full scan, fires from the same stage on.
+    remaining is the connected component set at the stage before the first
+    step the callback sees, and edges the number of its pairs that meet
+    there.  _shape_step keeps both up, step by step, from the step's hits.
+    Across a contraction it fires what staged_structure_checks, the full
+    scan, fires from the same stage on.
     """
 
     def check(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]],
               contracted: int, hits: Mapping[int, int]) -> None:
         nonlocal edges
-        if edges is None:
-            remaining.discard(contracted)
-            if len(remaining) > 1:
-                fired.update(shape_faults(curves, adj, remaining))
-        else:
-            faults, edges = _shape_step(curves, adj, remaining, contracted, hits, edges)
-            remaining.discard(contracted)
-            fired.update(faults)
+        faults, edges = _shape_step(curves, adj, remaining, contracted, hits, edges)
+        remaining.discard(contracted)
+        fired.update(faults)
 
     return check
 
@@ -520,7 +426,7 @@ def _b_case(kind: str, hit: int, lo: int, hi: int) -> str:
 
 
 def _shape(
-    internal: tuple[int, ...], e_hits: tuple[int, ...], ell: int, kind: str | None = None
+    internal: tuple[int, ...], e_hits: tuple[int, ...], ell: int, kind: str
 ) -> tuple[str, int | None, int | None, int | None, int | None, str | None]:
     """(kind, x', x, y, y', case) of a shape enumerate_candidates yields; raises otherwise.
 
@@ -534,8 +440,8 @@ def _shape(
     case when e meets the internal interval twice.
 
     Raises ValueError naming internal or e_hits when an index lies off
-    1..ell or the shape is not one of these, and naming internal when kind
-    is given and the internal shape is another kind.
+    1..ell or the shape is not one of these, and naming internal when the
+    internal shape is another kind.
     """
     for name, idx in (("internal", internal), ("e_hits", e_hits)):
         if idx and not (1 <= idx[0] and idx[-1] <= ell):
@@ -546,10 +452,9 @@ def _shape(
     y = ell + 1 - (len(internal) - x)
     ends = y > x + 1 and internal[x:] == tuple(range(y, ell + 1))
     shape = ("A" if y <= ell else "B1") if x else ("B2" if y <= ell else None)
-    if not ends or shape is None or kind not in (None, shape):
+    if not ends or shape != kind:
         raise ValueError(
-            f"internal {internal} is not the end-intervals of a type "
-            f"{kind or 'A, B1 or B2'} candidate on 1..{ell}"
+            f"internal {internal} is not the end-intervals of a type {kind} candidate on 1..{ell}"
         )
     if shape == "A":
         if not (len(e_hits) == 2 and e_hits[0] <= x and e_hits[1] >= y):
@@ -578,29 +483,42 @@ def examine_candidate(
 ) -> CandidateOutcome:
     """Run every combinatorial obstruction against one candidate bad curve.
 
-    Work is done once at the level where its inputs vary: the shape, the
-    external set and the tree-shape faults before any blow-down once per
-    (ell, kind, internal, e_hits); e's configuration, its pattern checks and
-    the blow-down of e once per (T-string, e_hits).  The candidate resumes
-    the contraction after that shared first step and keeps its tree-shape
-    state up step by step.  A (kind, internal, e_hits) of a shape
-    enumerate_candidates does not yield raises ValueError naming the
-    argument, and so does a t with an entry below 2.
+    Computes the candidate's parts (_candidate_parts) and its group's parts
+    (_e_parts) for this one candidate, then examines it as case_oracle
+    does: the contraction resumes after the blow-down of e and keeps its
+    tree-shape state up step by step.  Raises ValueError, checked in this
+    order, for a kind other than A, B1 or B2, for a (kind, internal, e_hits)
+    of a shape enumerate_candidates does not yield (naming the argument),
+    and for a t with an entry below 2.
     """
     b = as_entries(t)
-    ell = len(b)
     internal = tuple(sorted(internal))
     e_hits = tuple(sorted(e_hits))
     if kind not in ("A", "B1", "B2"):
         raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
-    case, externals, faults, edges = _candidate_parts(ell, kind, internal, e_hits)
-    config, e_checks, first, minus_ones, curves, adj = _e_parts(b, e_hits)
+    parts = _candidate_parts(len(b), kind, internal, e_hits)
+    return _examine(b, kind, internal, e_hits, parts, _e_parts(b, e_hits))
+
+
+def _examine(
+    b: tuple[int, ...],
+    kind: str,
+    internal: tuple[int, ...],
+    e_hits: tuple[int, ...],
+    parts: _CandidateParts,
+    group: _GroupParts,
+) -> CandidateOutcome:
+    """The outcome of one candidate from its _candidate_parts and its group's _e_parts.
+
+    internal and e_hits are sorted tuples; group's maps are left unchanged.
+    """
+    ell = len(b)
+    case, externals, faults, edges = parts
+    config, e_checks, first, minus_ones, curves, adj = group
 
     # a fresh set: the step callback adds to it
     checks = {*e_checks, *faults}
-    track = _tracked_shape_checks(
-        {*internal, ell + 1}, None if DISCONNECTED_STAGE in faults else edges, checks
-    )
+    track = _tracked_shape_checks({*internal, ell + 1}, edges, checks)
     track(curves, adj, first.vertex, first.hits)
     steps = [first]
     if first.violations:
@@ -819,11 +737,17 @@ def case_oracle(ell_max: int) -> OracleReport:
         # each string's rows in (kind, internal, e_hits) order
         candidates = sorted(enumerate_candidates(ell))
         mirrors[ell] = _mirror_index(candidates, ell)
+        parts = [_candidate_parts(ell, *c) for c in candidates]
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, (_, _, hits) in enumerate(candidates):
+            groups.setdefault(hits, []).append(i)
         for t in sorted(as_entries(s) for s in strings):
-            rows = [
-                examine_candidate(t, kind, internal, hits)
-                for kind, internal, hits in candidates
-            ]
+            rows = [None] * len(candidates)  # filled group by group, in row order
+            for hits, members in groups.items():
+                group = _e_parts(t, hits)
+                for i in members:
+                    kind, internal, _ = candidates[i]
+                    rows[i] = _examine(t, kind, internal, hits, parts[i], group)
             outcomes.extend(rows)
             by_string[t] = rows
 

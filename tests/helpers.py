@@ -367,44 +367,6 @@ def end_intervals(internal, ell):
     return x, y
 
 
-def reference_classify(inc):
-    """classify by end_intervals and per-kind hit filters, independent of badcurves._shape.
-
-    Unlike classify, it labels the whole chain {1..ell} as B1 with x = ell.
-    """
-    ell = inc.t.ell
-    if inc.total >= 2:
-        return bc.BadCurveClass("GOOD")
-    if inc.total != 1:
-        raise ValueError(f"a curve near the chain has E.sum(C_j) >= 1; got {inc.total}")
-    if not inc.internal:
-        raise ValueError("total incidence 1 with no internal spheres")
-    x, y = end_intervals(inc.internal, ell)
-    if x >= 1 and y <= ell:
-        left = [h for h in inc.e_hits if h <= x]
-        right = [h for h in inc.e_hits if h >= y]
-        if len(left) != 1 or len(right) != 1:
-            raise ValueError(f"type A needs e to join the two intervals; e_hits={inc.e_hits}")
-        return bc.BadCurveClass("A", x_prime=left[0], x=x, y=y, y_prime=right[0])
-    if x >= 1:
-        inside = [h for h in inc.e_hits if h <= x]
-        outside = [h for h in inc.e_hits if h > x]
-        if not inside:
-            raise ValueError(f"type B1 needs e to meet the internal chain: {inc.e_hits}")
-        return bc.BadCurveClass(
-            "B1", x_prime=min(inside), x=x, y_prime=outside[0] if outside else None
-        )
-    if y <= ell:
-        inside = [h for h in inc.e_hits if h >= y]
-        outside = [h for h in inc.e_hits if h < y]
-        if not inside:
-            raise ValueError(f"type B2 needs e to meet the internal chain: {inc.e_hits}")
-        return bc.BadCurveClass(
-            "B2", x_prime=outside[0] if outside else None, y=y, y_prime=max(inside)
-        )
-    raise ValueError("empty internal set cannot be a bad curve")
-
-
 def reference_case(kind, internal, e_hits, ell):
     """The A or B subcase of an enumerated candidate, from end_intervals and hit filters."""
     if kind == "A":
@@ -419,7 +381,7 @@ def reference_case(kind, internal, e_hits, ell):
     return None
 
 
-# ----- Eager candidate examination: the slow oracle for the cached e parts -----
+# ----- Eager candidate examination: the slow oracle for the shared parts -----
 
 
 def eager_examine_candidate(t, kind, internal, e_hits):

@@ -15,32 +15,26 @@ from helpers import (
     eager_contract_all,
     eager_examine_candidate,
     reference_case,
-    reference_classify,
     scan_staged_checks,
 )
 from wahlkit import (
-    BadCurveClass,
     CandidateOutcome,
-    ChainIncidence,
     Curve,
     CurveConfig,
     Edge,
     TString,
     case_oracle,
-    classify,
     enumerate_candidates,
     enumerate_tstrings,
     examine_candidate,
     forbidden_patterns,
     interior_hit_contradiction,
-    max_bad_curves,
     pair_product,
     type_bounds,
     unbroken_checks,
 )
 from wahlkit import badcurves
 from wahlkit.badcurves import (
-    CYCLE,
     DIES,
     DISCONNECTED_STAGE,
     MAGIC_E,
@@ -54,6 +48,7 @@ from wahlkit.badcurves import (
     THREE_NEIGHBOR,
     _candidate_parts,
     _e_parts,
+    _examine,
     _shape,
     _tracked_shape_checks,
     build_candidate_config,
@@ -129,92 +124,6 @@ class TestUnbrokenChecks:
         assert not rep.total_ok
 
 
-class TestChainIncidence:
-    def test_valid(self):
-        t = TString((3, 5, 2))
-        inc = ChainIncidence(t, (0, 1, 0), frozenset({1}), (1,))
-        assert inc.total == 1
-
-    def test_rejects_bad_shapes(self):
-        t = TString((3, 5, 2))
-        with pytest.raises(ValueError):
-            ChainIncidence(t, (0, 1), frozenset(), ())
-        with pytest.raises(ValueError):
-            ChainIncidence(t, (0, 1, 0), frozenset({4}), ())
-        with pytest.raises(ValueError):
-            ChainIncidence(t, (0, 1, 0), frozenset(), (1, 2, 3))
-        with pytest.raises(ValueError):
-            ChainIncidence(t, (0, 1, 0), frozenset(), (2, 1))
-
-
-def _string_of_length(ell):
-    return TString(tuple([2] * (ell - 1) + [ell + 3]))
-
-
-class TestClassify:
-    def test_good(self):
-        t = TString((3, 5, 2))
-        assert classify(ChainIncidence(t, (1, 1, 0), frozenset(), ())).kind == "GOOD"
-
-    def test_type_a(self):
-        t = _string_of_length(5)
-        inc = ChainIncidence(t, (0, 0, 1, 0, 0), frozenset({1, 4, 5}), (1, 4))
-        got = classify(inc)
-        assert got == BadCurveClass("A", x_prime=1, x=1, y=4, y_prime=4)
-
-    def test_type_b1(self):
-        t = _string_of_length(5)
-        inc = ChainIncidence(t, (0, 0, 1, 0, 0), frozenset({1, 2}), (2, 4))
-        assert classify(inc) == BadCurveClass("B1", x_prime=2, x=2, y_prime=4)
-        inc2 = ChainIncidence(t, (0, 0, 1, 0, 0), frozenset({1, 2}), (2,))
-        assert classify(inc2) == BadCurveClass("B1", x_prime=2, x=2, y_prime=None)
-
-    def test_type_b2(self):
-        t = _string_of_length(5)
-        inc = ChainIncidence(t, (0, 0, 1, 0, 0), frozenset({4, 5}), (2, 5))
-        assert classify(inc) == BadCurveClass("B2", x_prime=2, y=4, y_prime=5)
-
-    def test_rejects_impossible_incidences(self):
-        t = _string_of_length(5)
-        with pytest.raises(ValueError):
-            classify(ChainIncidence(t, (0, 0, 0, 0, 0), frozenset({1}), (1,)))
-        with pytest.raises(ValueError):  # internal not an end-interval
-            classify(ChainIncidence(t, (0, 0, 1, 0, 0), frozenset({2, 3}), (2,)))
-        with pytest.raises(ValueError):  # total 1 with no internal spheres
-            classify(ChainIncidence(t, (0, 1, 0, 0, 0), frozenset(), (2,)))
-        with pytest.raises(ValueError):  # A-shape with both hits on one side
-            classify(ChainIncidence(t, (0, 0, 1, 0, 0), frozenset({1, 5}), (1, 1)))
-
-    def test_rejects_the_whole_chain(self):
-        # a bad curve leaves at least one chain sphere external
-        for ell in range(1, 6):
-            t = _string_of_length(ell)
-            v = (1,) + (0,) * (ell - 1)
-            whole = frozenset(range(1, ell + 1))
-            with pytest.raises(ValueError, match="internal .* is not the end-intervals"):
-                classify(ChainIncidence(t, v, whole, (1,)))
-        with pytest.raises(ValueError, match="not the end-intervals"):
-            classify(ChainIncidence(TString((3, 5, 2)), (0, 0, 1), frozenset({1, 2, 3}), (1,)))
-
-    def test_matches_the_reference_on_every_enumerated_shape(self):
-        for ell in range(1, 8):
-            t = _string_of_length(ell)
-            v = (0,) * (ell - 1) + (1,)
-            for kind, internal, hits in enumerate_candidates(ell):
-                inc = ChainIncidence(t, v, frozenset(internal), hits)
-                got = classify(inc)
-                assert got == reference_classify(inc), (kind, internal, hits)
-                assert got.kind == kind
-
-    def test_type_a_index_validation(self):
-        with pytest.raises(ValueError):
-            BadCurveClass("A", x_prime=2, x=1, y=4, y_prime=4)
-        with pytest.raises(ValueError):
-            BadCurveClass("A", x_prime=1, x=3, y=4, y_prime=5)  # gap too small
-        with pytest.raises(ValueError):
-            BadCurveClass("WEIRD")
-
-
 class TestTypeBounds:
     def test_single_type_budget(self):
         assert type_bounds(4, n_a=4).a_ok
@@ -231,19 +140,11 @@ class TestTypeBounds:
         assert rep.p_max == 3
         assert type_bounds(9, n_b1=2, n_b2=1).p_max == 3
 
-    def test_max_bad_curves(self):
-        assert max_bad_curves(1) == 3
-        assert max_bad_curves(3) == 4
-        assert max_bad_curves(6) == 5
-        assert max_bad_curves(27) == 16
-
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             type_bounds(0)
         with pytest.raises(ValueError):
             type_bounds(3, n_a=-1)
-        with pytest.raises(ValueError):
-            max_bad_curves(0)
 
 
 class TestEnumerateCandidates:
@@ -380,19 +281,13 @@ class TestShape:
             accepted = 0
             for internal in subsets:
                 for hits in hit_sets:
-                    kinds = {k for k in ("A", "B1", "B2") if (k, internal, hits) in enumerated}
                     for kind in ("A", "B1", "B2"):
-                        if kind in kinds:
+                        if (kind, internal, hits) in enumerated:
                             assert _shape(internal, hits, ell, kind)[0] == kind
                             accepted += 1
                         else:
                             with pytest.raises(ValueError, match="internal|e_hits"):
                                 _shape(internal, hits, ell, kind)
-                    if kinds:
-                        assert {_shape(internal, hits, ell)[0]} == kinds
-                    else:
-                        with pytest.raises(ValueError, match="internal|e_hits"):
-                            _shape(internal, hits, ell)
             assert accepted == len(enumerated)
 
     def test_case_matches_the_reference(self):
@@ -410,17 +305,51 @@ class TestShape:
                 adj = {v: config.neighbors(v) for v in [*internal, e_id]}
                 assert connects(adj, {*internal, e_id}), (internal, hits)
 
+    def test_a_type_a_shape(self):
+        # e joins the left interval {1} at its end and the right one {4, 5} at its start
+        assert _shape((1, 4, 5), (1, 4), 5, "A") == ("A", 1, 1, 4, 4, "A4")
 
-class TestCachedEParts:
-    """examine_candidate with e's parts cached against the eager examination."""
+    def test_b1_shapes_with_and_without_a_second_hit(self):
+        assert _shape((1, 2), (2, 4), 5, "B1") == ("B1", 2, 2, None, 4, "B1.3")
+        assert _shape((1, 2), (2,), 5, "B1") == ("B1", 2, 2, None, None, "B1.3")
 
-    def test_cache_is_bounded_and_hands_out_immutable_checks(self):
+    def test_a_b2_shape_with_a_hit_before_its_interval(self):
+        assert _shape((4, 5), (2, 5), 5, "B2") == ("B2", 2, None, 4, 5, "B2.1")
+
+    def test_a_b_curve_meeting_its_interval_twice_has_no_case(self):
+        assert _shape((1, 2), (1, 2), 5, "B1") == ("B1", 1, 2, None, None, None)
+        assert _shape((1, 2), (2, 2), 5, "B1") == ("B1", 2, 2, None, None, None)
+        assert _shape((4, 5), (4, 5), 5, "B2") == ("B2", None, None, 4, 5, None)
+
+    @pytest.mark.parametrize("internal, hits, kind, message", [
+        ((2, 3), (2,), "B1", "internal"),  # not an end-interval
+        ((), (1,), "B1", "internal"),  # no internal spheres
+        ((), (1,), "B2", "internal"),
+        ((1, 5), (1, 1), "A", "e_hits"),  # both hits on one side
+        ((1, 4, 5), (2, 4), "A", "e_hits"),  # x' past the left interval
+    ])
+    def test_rejects_impossible_shapes(self, internal, hits, kind, message):
+        with pytest.raises(ValueError, match=message):
+            _shape(internal, hits, 5, kind)
+
+    def test_rejects_the_whole_chain(self):
+        # a bad curve leaves at least one chain sphere external
+        for ell in range(1, 6):
+            whole = tuple(range(1, ell + 1))
+            for kind in ("A", "B1", "B2"):
+                with pytest.raises(ValueError, match="internal .* is not the end-intervals"):
+                    _shape(whole, (1,), ell, kind)
+
+
+class TestSharedParts:
+    """The parts a group of candidates shares against the single and eager examinations."""
+
+    def test_hands_out_immutable_checks(self):
         config, checks, first, minus_ones, curves, adj = _e_parts((2, 5, 3), (1, 3))
         assert (config, 4) == build_candidate_config((2, 5, 3), (1, 3))
-        assert type(checks) is frozenset  # a caller cannot add to the cached entry
+        assert type(checks) is frozenset  # a group member cannot add to the shared entry
         assert type(minus_ones) is frozenset
-        assert _e_parts((2, 5, 3), (1, 3)) is _e_parts((2, 5, 3), (1, 3))
-        assert _e_parts.cache_info().maxsize is not None
+        assert _e_parts((2, 5, 3), (1, 3)) == _e_parts((2, 5, 3), (1, 3))
 
     def test_the_shared_first_step_is_every_candidates_first_step(self):
         # e is the only (-1, -1) curve before any blow-down, so the group's step
@@ -449,16 +378,65 @@ class TestCachedEParts:
         ]
         assert len(rows) == 8960
         rng = random.Random(20261018)
-        rng.shuffle(rows)  # the fill order of the cache must not matter
-        hits_before = _e_parts.cache_info().hits
+        rng.shuffle(rows)  # no call may depend on the one before
         for k, (t, kind, internal, hits) in enumerate(rows):
             form = (t, list(t.b), t.b)[k % 3]
             e_hits = hits[::-1] if k % 2 else hits  # two distinct hits arrive unsorted
             expected = eager_examine_candidate(t.b, kind, internal, hits)
             got = examine_candidate(form, kind, internal, e_hits)
             assert got == expected, (t, kind, internal, hits)
-        # the comparison read cached entries, not only fresh ones
-        assert _e_parts.cache_info().hits > hits_before
+
+    def test_the_grouped_oracle_matches_examine_candidate_row_by_row(self):
+        rows = [
+            examine_candidate(t, kind, internal, hits)
+            for ell, strings in sorted(enumerate_tstrings(6).items())
+            for t in sorted(s.b for s in strings)
+            for kind, internal, hits in sorted(enumerate_candidates(ell))
+        ]
+        outcomes = case_oracle(6).outcomes
+        assert len(outcomes) == len(rows) == 8960
+        for got, want in zip(outcomes, rows):
+            assert got == want, (want.t, want.kind, want.internal, want.e_hits)
+
+    def test_the_oracle_builds_one_config_per_group_and_one_per_shape(self, monkeypatch):
+        calls = Counter()
+        build = badcurves.build_candidate_config
+
+        def counted(t, e_hits):
+            calls[len(tuple(t))] += 1
+            return build(t, e_hits)
+
+        monkeypatch.setattr(badcurves, "build_candidate_config", counted)
+        case_oracle(6)
+        expected = Counter()
+        for ell, strings in enumerate_tstrings(6).items():
+            candidates = enumerate_candidates(ell)
+            groups = {hits for _, _, hits in candidates}
+            expected[ell] = len(strings) * len(groups) + len(candidates)
+        assert calls == +expected
+        assert sum(calls.values()) == 1748
+
+    def test_examining_a_group_leaves_its_shared_maps_unchanged(self):
+        for t in [(2, 5, 3), (3, 5, 2), (2, 2, 6, 2, 4)]:
+            ell = len(t)
+            candidates = enumerate_candidates(ell)
+            for hits in sorted({h for _, _, h in candidates}):
+                group = _e_parts(t, hits)
+                curves, adj = dict(group[4]), {u: dict(row) for u, row in group[5].items()}
+                for kind, internal, h in candidates:
+                    if h != hits:
+                        continue
+                    parts = _candidate_parts(ell, kind, internal, hits)
+                    got = _examine(t, kind, internal, hits, parts, group)
+                    assert got == examine_candidate(t, kind, internal, hits)
+                    assert group[4] == curves and group[5] == adj, (t, kind, internal, hits)
+
+    def test_the_oracle_refuses_a_disconnected_start_naming_the_candidate(self, monkeypatch):
+        # the per-length parts assert what examine_candidate asserts
+        monkeypatch.setattr(badcurves, "_shape_scan", lambda *_: ({DISCONNECTED_STAGE}, 0))
+        message = "candidate B1 (1,) (1,) is disconnected"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            case_oracle(2)
 
 
 ORACLE4 = case_oracle(4)
@@ -540,17 +518,16 @@ def scanned_stages(config, comps, **kw):
 def tracked_stages(trace, comps):
     """The faults the oracle's step callback holds after each stage of trace.
 
-    Stage 0 is scanned as the oracle's per-length cache scans it; the
-    callback takes every later stage from the step's hits.
+    Stage 0 is scanned as _candidate_parts scans it, and must be connected;
+    the callback takes every later stage from the step's hits.
     """
     stages = trace.stages()
     curves, adj = next(stages)
     faults, edges = _shape_scan(curves, adj, set(comps)) if len(comps) > 1 else (set(), 0)
+    assert DISCONNECTED_STAGE not in faults, comps
     fired = set(faults)
     seen = [frozenset(fired)]
-    track = _tracked_shape_checks(
-        set(comps), None if DISCONNECTED_STAGE in faults else edges, fired
-    )
+    track = _tracked_shape_checks(set(comps), edges, fired)
     for step, (curves, adj) in zip(trace.steps, stages):
         track(curves, adj, step.vertex, step.hits)
         seen.append(frozenset(fired))
@@ -562,9 +539,12 @@ class TestIncrementalTreeShape:
 
     def test_stage_zero_per_length_matches_each_candidates_own_config(self):
         for ell, strings in sorted(enumerate_tstrings(7).items()):
+            candidates = enumerate_candidates(ell)
+            # _candidate_parts raises on a disconnected start, so each of
+            # these is connected and never fires DISCONNECTED_STAGE
+            parts = [_candidate_parts(ell, *c) for c in candidates]
             for t in strings:
-                for kind, internal, hits in enumerate_candidates(ell):
-                    _, externals, faults, edges = _candidate_parts(ell, kind, internal, hits)
+                for (_, internal, hits), (_, externals, faults, edges) in zip(candidates, parts):
                     config, e_id = build_candidate_config(t, hits)
                     comps = {*internal, e_id}
                     curves = {v.id: v for v in config.vertices}
@@ -572,9 +552,28 @@ class TestIncrementalTreeShape:
                     assert set(faults) == shape_faults(curves, adj, comps), (t, internal, hits)
                     assert edges == sum(1 for e in config.edges if {e.a, e.b} <= comps)
                     assert externals == set(range(1, ell + 1)) - set(internal)
-                    # every enumerated shape is connected, so the oracle never
-                    # takes the fallback and never fires DISCONNECTED_STAGE
-                    assert DISCONNECTED_STAGE not in faults
+
+    def test_the_full_scan_still_flags_a_disconnected_stage(self):
+        # components 1..4 and 6: a triangle 1-2-3, 3-4, and 6 alone; blowing
+        # down the non-component 5 joins 1 and 4, so the five components have
+        # five edges but are still not connected.  The edge count alone would
+        # call that a cycle; the full scan does not.
+        c = CurveConfig.make(
+            [Curve(j, -3, 1) for j in (1, 2, 3, 4, 6)] + [Curve(5, -1, -1)],
+            [Edge(1, 2), Edge(2, 3), Edge(1, 3), Edge(3, 4), Edge(1, 5), Edge(4, 5)],
+        )
+        comps = {1, 2, 3, 4, 6}
+        trace, scanned = scanned_stages(c, comps, frozen=comps, sw_exempt=c.ids())
+        assert trace.order == (5,)
+        assert scanned == [{DISCONNECTED_STAGE}] * 2
+
+    def test_a_disconnected_start_is_refused_naming_the_candidate(self, monkeypatch):
+        # no enumerated shape is disconnected; a scan that says otherwise
+        # must stop the examination, not start the step-by-step rule on it
+        monkeypatch.setattr(badcurves, "_shape_scan", lambda *_: ({DISCONNECTED_STAGE}, 0))
+        message = "candidate B1 (1,) (1, 2) is disconnected"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            examine_candidate((2, 5, 3), "B1", (1,), (1, 2))
 
     def test_every_stage_of_every_candidate_to_six_matches_the_full_scan(self):
         stages = 0
@@ -592,10 +591,16 @@ class TestIncrementalTreeShape:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9), st.integers(1, 12), st.data())
     def test_random_divisors_and_component_sets(self, seed, depth, data):
-        # every vertex is contracted, components or not, and the component
-        # set is connected at stage 0 or not
+        # every vertex is contracted, components or not; the component set
+        # is connected at stage 0, as every enumerated shape is, grown from a
+        # drawn vertex one drawn neighbour at a time
         c = random_blowup(random.Random(seed), depth)
-        comps = data.draw(st.sets(st.sampled_from(c.ids())))
+        comps = {data.draw(st.sampled_from(c.ids()))}
+        while True:
+            frontier = sorted({u for v in comps for u in c.neighbors(v)} - comps)
+            if not frontier or not data.draw(st.booleans()):
+                break
+            comps.add(data.draw(st.sampled_from(frontier)))
         trace, scanned = scanned_stages(c, comps, sw_exempt=c.ids())
         assert tracked_stages(trace, comps) == scanned
 
@@ -612,45 +617,10 @@ class TestIncrementalTreeShape:
         assert scanned == [set(), {MULTI_EDGE}]
         assert tracked_stages(trace, {1, 3}) == scanned
 
-    def test_a_disconnected_stage_zero_takes_the_fallback(self):
-        # components 1..4 and 6: a triangle 1-2-3, 3-4, and 6 alone; blowing
-        # down the non-component 5 joins 1 and 4, so the five components have
-        # five edges but are still not connected.  The edge count alone would
-        # call that a cycle; the full scan of the fallback does not.
-        c = CurveConfig.make(
-            [Curve(j, -3, 1) for j in (1, 2, 3, 4, 6)] + [Curve(5, -1, -1)],
-            [Edge(1, 2), Edge(2, 3), Edge(1, 3), Edge(3, 4), Edge(1, 5), Edge(4, 5)],
-        )
-        comps = {1, 2, 3, 4, 6}
-        trace, scanned = scanned_stages(c, comps, frozen=comps, sw_exempt=c.ids())
-        assert trace.order == (5,)
-        assert scanned == [{DISCONNECTED_STAGE}] * 2
-        assert tracked_stages(trace, comps) == scanned
-        # what the step-by-step rule, wrongly started here, would have said
-        fired = set()
-        _, after = trace.stages()
-        step = trace.steps[0]
-        _tracked_shape_checks(set(comps), 4, fired)(*after, 5, step.hits)
-        assert fired == {CYCLE}
-
-    def test_per_length_cache_is_bounded_and_holds_one_length_to_ten(self):
-        info = _candidate_parts.cache_info()
-        candidates = enumerate_candidates(10)
-        assert len(candidates) == 1080
-        assert info.maxsize is not None and info.maxsize >= len(candidates)
-        for kind, internal, hits in candidates:
-            _candidate_parts(10, kind, internal, hits)
-        hits_before = _candidate_parts.cache_info().hits
-        for kind, internal, hits in candidates:
-            _candidate_parts(10, kind, internal, hits)
-        assert _candidate_parts.cache_info().hits == hits_before + len(candidates)
-
     def test_a_bad_shape_is_refused_on_every_call(self):
-        misses = _candidate_parts.cache_info().misses
         for _ in range(2):
             with pytest.raises(ValueError, match="e_hits"):
                 examine_candidate((3, 5, 2), "B1", (1,), (2, 3))
-        assert _candidate_parts.cache_info().misses == misses + 2
 
 
 class TestStrictString:
@@ -674,13 +644,9 @@ class TestStrictString:
     def test_an_entry_below_two_raises_naming_t(self, b, kind, internal, hits):
         forged = object.__new__(TString)  # TString's constructor refuses these entries
         object.__setattr__(forged, "b", b)
-        info = _e_parts.cache_info()
         for form in (b, list(b), forged, b):
             with pytest.raises(ValueError, match=re.escape(f"t entries must all be >= 2, got {list(b)}")):
                 examine_candidate(form, kind, internal, hits)
-        # each call missed the cache and stored nothing
-        assert _e_parts.cache_info().hits == info.hits
-        assert _e_parts.cache_info().misses == info.misses + 4
 
     def test_a_tstring_cannot_hold_such_an_entry(self):
         with pytest.raises(ValueError, match="entries must be >= 2"):
@@ -723,18 +689,18 @@ class TestCaseOracle:
             assert (tuple(reversed(t)), m_kind, m_internal, m_hits) in survivors
 
     def test_reversal_closure_names_a_flipped_verdict_and_its_mirror(self, monkeypatch):
-        examine = badcurves.examine_candidate
+        examine = badcurves._examine
         flipped = ((2, 3, 5, 3), "B1", (1,), (1, 3))
         mirror = ((3, 5, 3, 2), "B2", (4,), (2, 4))
 
-        def flip_one(t, kind, internal, e_hits):
-            o = examine(t, kind, internal, e_hits)
+        def flip_one(*args):
+            o = examine(*args)
             if (o.t, o.kind, o.internal, o.e_hits) == flipped:
                 assert o.verdict == SURVIVES_BAD
                 return dataclasses.replace(o, verdict=DIES)
             return o
 
-        monkeypatch.setattr(badcurves, "examine_candidate", flip_one)
+        monkeypatch.setattr(badcurves, "_examine", flip_one)
         report = case_oracle(4)
         assert not report.passed
         assert {(o.t, o.kind, o.internal, o.e_hits): why
