@@ -84,8 +84,6 @@ from .discrepancy import (
     canonical_pairing,
     chain_determinant,
     discrepancies,
-    fraction_from_str,
-    fraction_to_str,
     intersection_matrix,
     validate_discrepancies,
 )
@@ -104,8 +102,6 @@ from .tstring import (
     hj_expand,
     is_tstring,
     iter_tstrings,
-    params_after_L,
-    params_after_R,
     tstring_to_params,
     wahl_tstring,
 )
@@ -128,8 +124,6 @@ __all__ = [
     "hj_expand",
     "is_tstring",
     "iter_tstrings",
-    "params_after_L",
-    "params_after_R",
     "tstring_to_params",
     "wahl_tstring",
     # discrepancy
@@ -137,8 +131,6 @@ __all__ = [
     "canonical_pairing",
     "chain_determinant",
     "discrepancies",
-    "fraction_from_str",
-    "fraction_to_str",
     "intersection_matrix",
     "validate_discrepancies",
     # curveconfig

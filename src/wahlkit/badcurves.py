@@ -20,7 +20,7 @@ Shapes of bad curves (by the end-intervals of internal spheres):
   type B2: the mirror image of B1 at the right-hand end: internal =
            C_y..C_ell, y >= 2, and e's last hit C_{y'} lies inside.
 
-One parser, _shape, decides these shapes for examine_candidate, accepting
+One parser, _shape, decides these shapes and returns their case, accepting
 exactly what enumerate_candidates yields.  Each shape has e meeting every
 internal interval, so internal spheres plus e form a connected set before any
 blow-down.
@@ -70,8 +70,9 @@ examine_candidate computes both parts for its one candidate and runs the same
 _examine.  Every enumerated shape has e meeting every internal interval, so
 the components are connected before any blow-down (_candidate_parts asserts
 it), and blowing a component down keeps the rest connected (see
-curveconfig._shape_step).  So DISCONNECTED_STAGE cannot fire in the oracle;
-staged_structure_checks, the slow reference, scans every stage in full.
+curveconfig._shape_step).  So DISCONNECTED_STAGE cannot fire in the oracle.
+staged_structure_checks, the slow reference, replays a finished contraction
+through BlowDownTrace.stages and scans every stage in full.
 
 Survivors are the configurations no combinatorial argument excludes; the
 oracle checks that they obey the counting bounds 2n <= ell + 4 (single type)
@@ -98,11 +99,9 @@ from .curveconfig import (
     ContractionStep,
     Curve,
     CurveConfig,
-    StageCallback,
     StepCallback,
     _contract,
     _maps,
-    _maps_to_blow_down,
     _minus_ones,
     _shape_scan,
     _shape_step,
@@ -331,7 +330,7 @@ def _e_parts(b: tuple[int, ...], e_hits: tuple[int, ...]) -> _GroupParts:
         checks.add(MAGIC_E)
     # with the whole chain frozen the loop blows down e alone and leaves its
     # working maps at the stage after e
-    curves, adj = _maps_to_blow_down(config, e_id)
+    curves, adj = _maps(config)
     chain = frozenset(range(1, e_id))
     steps: list[ContractionStep] = []
     _contract(curves, adj, steps, _minus_ones(curves) - chain, chain, frozenset(), min, None)
@@ -351,7 +350,7 @@ def _candidate_parts(
     AssertionError naming the candidate if its components are disconnected,
     which no such shape is.  case_oracle computes it once per length.
     """
-    case = _shape(internal, e_hits, ell, kind)[5]
+    case = _shape(internal, e_hits, ell, kind)
     config, e_id = build_candidate_config((2,) * ell, e_hits)
     faults, edges = _shape_scan(*_maps(config), {*internal, e_id})
     if DISCONNECTED_STAGE in faults:
@@ -361,23 +360,22 @@ def _candidate_parts(
     return case, frozenset(range(1, ell + 1)).difference(internal), tuple(sorted(faults)), edges
 
 
-def staged_structure_checks(components: Iterable[int], fired: set[str]) -> StageCallback:
-    """The contract_all stage callback that adds the divisor's tree-shape faults to fired.
+def staged_structure_checks(components: Iterable[int], trace: BlowDownTrace) -> set[str]:
+    """The divisor's tree-shape faults at every stage of trace, each stage scanned in full.
 
-    At each stage the contraction reaches, shape_faults runs on the
-    components not yet contracted, in the stage's maps with every curve
-    included: blowing down a non-component still changes the pairs between
-    components.  A single remaining component is a tree by itself.
+    On a replay of the trace (trace.stages()), shape_faults runs at each
+    stage on the components not yet contracted, in the stage's maps with
+    every curve included: blowing down a non-component still changes the
+    pairs between components.  A single remaining component is a tree by
+    itself.  This is the slow reference for the oracle's step-by-step rule.
     """
     remaining = set(components)
-
-    def check(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]],
-              contracted: int | None) -> None:
+    fired: set[str] = set()
+    for contracted, (curves, adj) in zip((None, *trace.order), trace.stages()):
         remaining.discard(contracted)
         if len(remaining) > 1:
-            fired.update(shape_faults(curves, adj, remaining))
-
-    return check
+            fired |= shape_faults(curves, adj, remaining)
+    return fired
 
 
 def _tracked_shape_checks(remaining: set[int], edges: int, fired: set[str]) -> StepCallback:
@@ -387,7 +385,7 @@ def _tracked_shape_checks(remaining: set[int], edges: int, fired: set[str]) -> S
     step the callback sees, and edges the number of its pairs that meet
     there.  _shape_step keeps both up, step by step, from the step's hits.
     Across a contraction it fires what staged_structure_checks, the full
-    scan, fires from the same stage on.
+    scan of a replay, fires from the same stage on.
     """
 
     def check(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]],
@@ -427,17 +425,16 @@ def _b_case(kind: str, hit: int, lo: int, hi: int) -> str:
 
 def _shape(
     internal: tuple[int, ...], e_hits: tuple[int, ...], ell: int, kind: str
-) -> tuple[str, int | None, int | None, int | None, int | None, str | None]:
-    """(kind, x', x, y, y', case) of a shape enumerate_candidates yields; raises otherwise.
+) -> str | None:
+    """The case of a shape enumerate_candidates yields; raises otherwise.
 
     internal and e_hits are sorted tuples.  internal must be {1..x} union
     {y..ell} with at least one chain sphere left external (y >= x + 2): both
     intervals make type A, the left one alone B1, the right one alone B2.
     Type A: e meets each interval once, at x' <= x and y' >= y.  B1: e meets
-    the chain once or twice, first at x' <= x; y' is the second hit when it
-    lies past x.  B2 mirrors B1: e's last hit y' >= y, x' its first hit when
-    that lies before y.  The unused side of a B kind is None, and so is
-    case when e meets the internal interval twice.
+    the chain once or twice, first at x' <= x.  B2 mirrors B1: e's last hit
+    y' >= y.  The case is None when e meets the internal interval of a B
+    kind twice.
 
     Raises ValueError naming internal or e_hits when an index lies off
     1..ell or the shape is not one of these, and naming internal when the
@@ -459,20 +456,18 @@ def _shape(
     if shape == "A":
         if not (len(e_hits) == 2 and e_hits[0] <= x and e_hits[1] >= y):
             raise ValueError(f"type A e_hits must join the two end-intervals, got {e_hits}")
-        return "A", e_hits[0], x, y, e_hits[1], _a_case(e_hits[0], x, y, e_hits[1], ell)
+        return _a_case(e_hits[0], x, y, e_hits[1], ell)
     if not 1 <= len(e_hits) <= 2 or (e_hits[0] > x if shape == "B1" else e_hits[-1] < y):
         side = "first" if shape == "B1" else "last"
         raise ValueError(
             f"type {shape} e_hits must be one or two hits, the {side} inside the "
             f"internal interval, got {e_hits}"
         )
+    if len(e_hits) == 2 and (e_hits[-1] <= x if shape == "B1" else e_hits[0] >= y):
+        return None  # e meets the internal interval twice
     if shape == "B1":
-        x_prime, y_prime, y = e_hits[0], (e_hits[-1] if e_hits[-1] > x else None), None
-        case = _b_case(shape, x_prime, 1, x) if len(e_hits) == 1 or y_prime else None
-    else:
-        x_prime, y_prime, x = (e_hits[0] if e_hits[0] < y else None), e_hits[-1], None
-        case = _b_case(shape, y_prime, y, ell) if len(e_hits) == 1 or x_prime else None
-    return shape, x_prime, x, y, y_prime, case
+        return _b_case(shape, e_hits[0], 1, x)
+    return _b_case(shape, e_hits[-1], y, ell)
 
 
 def examine_candidate(
@@ -853,5 +848,4 @@ def interior_hit_contradiction(n: int, i: int) -> BlowDownTrace:
         raise ValueError(f"need n >= 3, got {n}")
     if not 2 <= i <= n - 1:
         raise ValueError(f"interior index required: i={i} not in [2, {n - 1}]")
-    e = Curve(n + 1, -1, -1, 0, "e")
-    return contract_all(chain_config([-2] * n, attached=[(e, [i])]))
+    return contract_all(build_candidate_config((2,) * n, (i,))[0])

@@ -42,23 +42,22 @@ id map and an adjacency map.  blow_down runs it on a copy of a config's maps;
 contract_all runs it on one working copy for the whole contraction, so a step
 costs O(degree**2) instead of a rebuild.  A ContractionStep is plain data:
 the contracted vertex, its neighbourhood ``hits`` (read-only) and its SW
-violations.  derived_multiplicities reads the ``hits``.  A caller that checks
-every stage while contracting hands contract_all an ``on_stage`` callback,
-which sees the working maps as they are made; readers after the fact walk the
-stages with BlowDownTrace.stages, which replays the trace on one copy of the
-maps.
+violations.  derived_multiplicities reads the ``hits``.  Readers of the
+stages walk them with BlowDownTrace.stages, which replays the trace on one
+copy of the maps.
 
-contract_all handles its arguments and the initial stage, then runs the one
-contraction loop, _contract, on its working copy.  The loop can resume: it
-runs on any working maps after the steps already taken, so the bad-curve
-oracle blows e down once per group of candidates and starts each candidate
-on a copy of the stage after it.  The loop's step callback also receives the
-step's read-only ``hits``.
+contract_all handles its arguments, then runs the one contraction loop,
+_contract, on its working copy.  The loop can resume: it runs on any working
+maps after the steps already taken, so the bad-curve oracle blows e down once
+per group of candidates and starts each candidate on a copy of the stage
+after it.  The loop's private step callback sees each stage as it is made,
+with the step's read-only ``hits``; the oracle keeps the tree shape up
+through it.
 
 shape_faults is the one tree-shape rule of an exceptional curve, applied
-once by validate_zariski and at every stage by staged_structure_checks;
-_shape_step keeps the same rule up across a blow-down from the step's hits,
-which is how the bad-curve oracle applies it.
+once by validate_zariski and, on a replay of every stage, by
+badcurves.staged_structure_checks; _shape_step keeps the same rule up across
+a blow-down from the step's hits, which is how the bad-curve oracle applies it.
 """
 
 from __future__ import annotations
@@ -72,6 +71,8 @@ from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from .tstring import as_entries
 
 # Terminal states of contract_all.
 CONTRACTED_TO_POINT = "CONTRACTED_TO_POINT"
@@ -126,6 +127,9 @@ class CurveConfig:
         by_id = {v.id: v for v in vs}
         if len(by_id) != len(vs):
             raise ValueError(f"duplicate vertex ids: {[v.id for v in vs]}")
+        for v in vs:
+            if v.mult < 0:
+                raise ValueError(f"vertex {v.id} has multiplicity {v.mult} < 0")
         norm = []
         for e in edges:
             a, b = (e.a, e.b) if e.a < e.b else (e.b, e.a)
@@ -348,21 +352,6 @@ def _maps(c: CurveConfig) -> tuple[dict[int, Curve], dict[int, dict[int, int]]]:
     return dict(c._by_id), {u: dict(row) for u, row in c._adj.items()}
 
 
-def _maps_to_blow_down(
-    c: CurveConfig, vid: int
-) -> tuple[dict[int, Curve], dict[int, dict[int, int]]]:
-    """Copies of c's maps to blow vid down in place, sharing the rows it leaves alone.
-
-    The adjacency map holds c's own rows, but for copies of the rows of
-    vid's neighbours, the only rows the blow-down changes; c itself never
-    changes a row.
-    """
-    curves, adj = dict(c._by_id), dict(c._adj)
-    for u in adj[vid]:
-        adj[u] = dict(adj[u])
-    return curves, adj
-
-
 def _from_maps(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]]) -> CurveConfig:
     """The config with the given id map and adjacency map, built by make."""
     edges = [Edge(a, b, m) for a, row in adj.items() for b, m in row.items() if a < b]
@@ -425,10 +414,6 @@ class ContractionStep:
     violations: tuple[SWViolation, ...]
 
 
-# A contraction stage's id map, adjacency map and the vertex just contracted.
-StageCallback = Callable[[Mapping[int, Curve], Mapping[int, Mapping[int, int]], int | None], None]
-
-
 @dataclass(frozen=True)
 class BlowDownTrace:
     initial: CurveConfig
@@ -463,7 +448,6 @@ def contract_all(
     frozen: Iterable[int] = (),
     sw_exempt: Iterable[int] = (),
     tie_break: str = "lowest",
-    on_stage: StageCallback | None = None,
 ) -> BlowDownTrace:
     """Blow down (-1,-1)-curves until none are left, checking the SW rule each step.
 
@@ -477,30 +461,19 @@ def contract_all(
     - SW_VIOLATION: a step produced a curve violating the SW rule.
 
     The contraction runs on one private working copy of c's maps, so a step
-    costs O(degree**2).  ``on_stage(curves, adj, vertex)``, when given, sees
-    the working maps of the initial stage (vertex None) and of the stage after
-    each blow-down (vertex the contracted one), the step that ends in
-    SW_VIOLATION included: the same maps, in the same order, that the trace's
-    stages() yields later.  It must read them before returning, never keep or
-    alter them.  The first step checks every remaining vertex against the SW
+    costs O(degree**2); the trace's stages() replays it for readers after
+    the fact.  The first step checks every remaining vertex against the SW
     rule; after a clean step only the curves a step touches can change, so
     later steps check those alone.
     """
     if tie_break not in ("lowest", "highest"):
         raise ValueError(f"tie_break must be 'lowest' or 'highest', got {tie_break!r}")
     curves, adj = _maps(c)
-    on_step = None
-    if on_stage is not None:
-        on_stage(curves, adj, None)
-
-        def on_step(curves, adj, vid, hits):
-            on_stage(curves, adj, vid)
-
     steps: list[ContractionStep] = []
     hold = frozenset(frozen)
     status = _contract(
         curves, adj, steps, _minus_ones(curves) - hold, hold, frozenset(sw_exempt),
-        min if tie_break == "lowest" else max, on_step,
+        min if tie_break == "lowest" else max, None,
     )
     return BlowDownTrace(c, tuple(steps), status)
 
@@ -533,9 +506,10 @@ def _contract(
     copy of a config's maps with no steps; a caller that already took the
     first steps, as the bad-curve oracle does for the step every candidate
     of a group shares, starts it on a copy of the stage those steps reach.
-    ``on_step(curves, adj, vertex, hits)``, when given, sees each stage after
-    a blow-down with the step's read-only hits, under contract_all's rules
-    for on_stage.
+    ``on_step(curves, adj, vertex, hits)``, when given, sees the working maps
+    of the stage after each blow-down, the step that ends in SW_VIOLATION
+    included, with the step's read-only hits; it must read them before
+    returning, never keep or alter them.
     """
 
     def contractible(vid: int) -> bool:
@@ -784,10 +758,14 @@ def validate_zariski(
 
     ``mults`` assigns the divisor multiplicities; by default the stored
     per-vertex multiplicities are used.  Components are the keys with m >= 1;
-    all other vertices are frozen bystanders during the contraction.
+    all other vertices are frozen bystanders during the contraction.  A
+    negative entry raises ValueError naming its vertex.
     """
     if mults is None:
         mults = {v.id: v.mult for v in c.vertices if v.mult > 0}
+    for vid, m in mults.items():
+        if m < 0:
+            raise ValueError(f"vertex {vid} has multiplicity {m} < 0")
     mults = {vid: m for vid, m in mults.items() if m}
     comp = set(mults)
     if not comp:
@@ -923,7 +901,7 @@ def iterated_blowdown_trace(
     is guaranteed to satisfy (each step meets S, the contracted set stays an
     interval, and the final bound K.T <= K.S - 2(n-1)).
     """
-    chain = tuple(int(x) for x in chain_self_ints)
+    chain = as_entries(chain_self_ints)
     if len(chain) != n:
         raise ValueError(f"chain has {len(chain)} entries, expected n={n}")
     if n < 2:

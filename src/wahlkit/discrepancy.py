@@ -167,13 +167,3 @@ def canonical_pairing(
     nums, p2 = _numerators(b)
     value = Fraction(sum(x * vj for x, vj in zip(nums, v)), p2)
     return value, value < kF
-
-
-def fraction_to_str(x: Fraction) -> str:
-    """Serialize as "num/den" (den always present, e.g. "-1/2", "4/1")."""
-    return f"{x.numerator}/{x.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)

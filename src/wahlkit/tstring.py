@@ -50,9 +50,6 @@ class WahlParams:
         # the reversed string corresponds to q -> p - q
         return WahlParams(self.p, self.p - self.q)
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q}
-
 
 @dataclass(frozen=True)
 class TString:
@@ -66,7 +63,7 @@ class TString:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        object.__setattr__(self, "b", as_entries(self.b))
         if not self.b:
             raise ValueError("empty string")
         if any(x < 2 for x in self.b):
@@ -90,21 +87,27 @@ class TString:
     def __getitem__(self, i):
         return self.b[i]
 
-    def to_json(self) -> list[int]:
-        return list(self.b)
-
 
 def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
     """Normalize a TString or raw sequence to a tuple of ints.
 
     A tuple of exact ints is returned as it is; anything else (a bool, a
-    list, a generator) is coerced entry by entry.
+    list, a generator) is coerced entry by entry.  An entry that int() would
+    change in value, such as 3.5 truncated to 3, raises ValueError naming it.
     """
     if isinstance(t, TString):
         return t.b
     if type(t) is tuple and set(map(type, t)) <= {int}:
         return t
-    return tuple(int(x) for x in t)
+    return tuple(map(_entry, t))
+
+
+def _entry(x) -> int:
+    """int(x), or ValueError naming x when that loses part of its value."""
+    n = int(x)
+    if n != x and not isinstance(x, str):  # int() of a str is exact or raises
+        raise ValueError(f"entry {x!r} is not an integer")
+    return n
 
 
 # ----- Continued fractions -----
@@ -296,13 +299,3 @@ def checksum_ok(t: TString | Iterable[int]) -> bool:
     """Necessary condition sum(b_j - 2) == ell + 1."""
     b = as_entries(t)
     return sum(x - 2 for x in b) == len(b) + 1
-
-
-def params_after_L(params: WahlParams) -> WahlParams:
-    """Parameter image of the L move: (p, q) -> (2p - q, p)."""
-    return WahlParams(2 * params.p - params.q, params.p)
-
-
-def params_after_R(params: WahlParams) -> WahlParams:
-    """Parameter image of the R move: (p, q) -> (p + q, q)."""
-    return WahlParams(params.p + params.q, params.q)

@@ -24,7 +24,6 @@ from wahlkit import (
     discrepancies,
     divisor_k,
     divisor_pairing,
-    fraction_to_str,
     single_curve,
     tstring_to_params,
     validate_discrepancies,
@@ -328,7 +327,7 @@ def fraction_validate_discrepancies(t, a):
 
 
 def fraction_atlas_record(t):
-    """atlas_record through discrepancies(), validate_discrepancies and fraction_to_str."""
+    """atlas_record through discrepancies(), validate_discrepancies and Fraction's terms."""
     b = as_entries(t)
     params = tstring_to_params(b)
     a = discrepancies(b)
@@ -343,7 +342,7 @@ def fraction_atlas_record(t):
         "q": params.q,
         "ell": len(b),
         "b": list(b),
-        "discrepancies": [fraction_to_str(x) for x in a],
+        "discrepancies": [f"{x.numerator}/{x.denominator}" for x in a],
         "det": det,
         "checksum_ok": checksum_ok(b),
     }
@@ -405,9 +404,8 @@ def eager_examine_candidate(t, kind, internal, e_hits):
     if not pat.pairing_ok:
         checks.add(bc.MAGIC_E)
 
-    trace = contract_all(
-        config, frozen=externals, on_stage=bc.staged_structure_checks(comps, checks)
-    )
+    trace = contract_all(config, frozen=externals)
+    checks |= bc.staged_structure_checks(comps, trace)
     if trace.status == SW_VIOLATION:
         checks.add(bc.SW)
     elif trace.status == STUCK:

@@ -18,6 +18,7 @@ from helpers import (
     scan_staged_checks,
 )
 from wahlkit import (
+    BlowDownTrace,
     CandidateOutcome,
     Curve,
     CurveConfig,
@@ -283,7 +284,7 @@ class TestShape:
                 for hits in hit_sets:
                     for kind in ("A", "B1", "B2"):
                         if (kind, internal, hits) in enumerated:
-                            assert _shape(internal, hits, ell, kind)[0] == kind
+                            _shape(internal, hits, ell, kind)  # accepted: no ValueError
                             accepted += 1
                         else:
                             with pytest.raises(ValueError, match="internal|e_hits"):
@@ -294,7 +295,7 @@ class TestShape:
         for ell in range(1, 8):
             for kind, internal, hits in enumerate_candidates(ell):
                 case = reference_case(kind, internal, hits, ell)
-                assert _shape(internal, hits, ell, kind)[5] == case, (kind, internal, hits)
+                assert _shape(internal, hits, ell, kind) == case, (kind, internal, hits)
         assert examine_candidate((2, 5, 3), "B1", (1,), (1,)).case == "B1.1"
 
     def test_every_shape_is_connected_before_any_blow_down(self):
@@ -307,19 +308,19 @@ class TestShape:
 
     def test_a_type_a_shape(self):
         # e joins the left interval {1} at its end and the right one {4, 5} at its start
-        assert _shape((1, 4, 5), (1, 4), 5, "A") == ("A", 1, 1, 4, 4, "A4")
+        assert _shape((1, 4, 5), (1, 4), 5, "A") == "A4"
 
     def test_b1_shapes_with_and_without_a_second_hit(self):
-        assert _shape((1, 2), (2, 4), 5, "B1") == ("B1", 2, 2, None, 4, "B1.3")
-        assert _shape((1, 2), (2,), 5, "B1") == ("B1", 2, 2, None, None, "B1.3")
+        assert _shape((1, 2), (2, 4), 5, "B1") == "B1.3"
+        assert _shape((1, 2), (2,), 5, "B1") == "B1.3"
 
     def test_a_b2_shape_with_a_hit_before_its_interval(self):
-        assert _shape((4, 5), (2, 5), 5, "B2") == ("B2", 2, None, 4, 5, "B2.1")
+        assert _shape((4, 5), (2, 5), 5, "B2") == "B2.1"
 
     def test_a_b_curve_meeting_its_interval_twice_has_no_case(self):
-        assert _shape((1, 2), (1, 2), 5, "B1") == ("B1", 1, 2, None, None, None)
-        assert _shape((1, 2), (2, 2), 5, "B1") == ("B1", 2, 2, None, None, None)
-        assert _shape((4, 5), (4, 5), 5, "B2") == ("B2", None, None, 4, 5, None)
+        assert _shape((1, 2), (1, 2), 5, "B1") is None
+        assert _shape((1, 2), (2, 2), 5, "B1") is None
+        assert _shape((4, 5), (4, 5), 5, "B2") is None
 
     @pytest.mark.parametrize("internal, hits, kind, message", [
         ((2, 3), (2,), "B1", "internal"),  # not an end-interval
@@ -457,14 +458,13 @@ EXPECTED_CHECK_TALLY = {
 
 
 def staged_checks(comps, config, **kw):
-    """The faults staged_structure_checks collects while contract_all runs, and the trace."""
-    fired = set()
-    trace = contract_all(config, on_stage=staged_structure_checks(comps, fired), **kw)
-    return fired, trace
+    """The faults staged_structure_checks finds on contract_all's trace, and the trace."""
+    trace = contract_all(config, **kw)
+    return staged_structure_checks(comps, trace), trace
 
 
 class TestStagedChecksAgainstEagerStages:
-    """The stage callback fires what a scan of every full stage config fires."""
+    """The replay's scan fires what a scan of every full stage config fires."""
 
     def test_every_small_candidate(self):
         for ell, strings in sorted(enumerate_tstrings(5).items()):
@@ -473,8 +473,7 @@ class TestStagedChecksAgainstEagerStages:
                     config, e_id = build_candidate_config(t, hits)
                     comps = set(internal) | {e_id}
                     externals = [j for j in range(1, ell + 1) if j not in internal]
-                    fired, trace = staged_checks(comps, config, frozen=externals)
-                    assert trace == contract_all(config, frozen=externals)
+                    fired, _ = staged_checks(comps, config, frozen=externals)
                     _, steps = eager_contract_all(config, externals)
                     assert fired == scan_staged_checks(config, comps, steps), (t, internal, hits)
 
@@ -504,15 +503,16 @@ class TestStagedChecksAgainstEagerStages:
 
 
 def scanned_stages(config, comps, **kw):
-    """contract_all's trace, and the faults staged_structure_checks holds after each stage."""
-    fired, seen = set(), []
-    scan = staged_structure_checks(comps, fired)
+    """contract_all's trace, and the faults staged_structure_checks finds up to each stage.
 
-    def record(curves, adj, vertex):
-        scan(curves, adj, vertex)
-        seen.append(frozenset(fired))
-
-    return contract_all(config, on_stage=record, **kw), seen
+    The faults up to stage k are those of the replay of the trace's first k steps.
+    """
+    trace = contract_all(config, **kw)
+    seen = [
+        staged_structure_checks(comps, BlowDownTrace(config, trace.steps[:k], trace.status))
+        for k in range(len(trace.steps) + 1)
+    ]
+    return trace, seen
 
 
 def tracked_stages(trace, comps):

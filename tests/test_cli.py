@@ -189,6 +189,7 @@ class TestBlowdown:
             ({"self_int": -1.7}, {"a": 1, "b": 2}, "vertex field 'self_int' must be an integer"),
             ({"k_degree": "-1"}, {"a": 1, "b": 2}, "vertex field 'k_degree' must be an integer"),
             ({"mult": False}, {"a": 1, "b": 2}, "vertex field 'mult' must be an integer"),
+            ({"mult": -3}, {"a": 1, "b": 2}, "vertex 1 has multiplicity -3 < 0"),
             ({}, {"a": 1.0, "b": 2}, "edge field 'a' must be an integer, got 1.0"),
             ({}, {"a": 1, "b": None}, "edge field 'b' must be an integer, got None"),
             ({}, {"a": 1, "b": 2, "m": True}, "edge field 'm' must be an integer, got True"),

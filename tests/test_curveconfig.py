@@ -527,33 +527,6 @@ class TestInPlaceContraction:
             sys.setrecursionlimit(limit)
         assert (trace.status, final.vertices) == (CONTRACTED_TO_POINT, ())
 
-    def test_stage_callback_sees_the_stages_the_trace_replays(self):
-        seen_status = set()
-        for seed in range(60):
-            rng = random.Random(seed)
-            c = random_blowup(rng, rng.randrange(1, 12))
-            if seed % 2:  # one curve with K-degree one lower, so the SW rule can fire
-                low = rng.choice(c.ids())
-                vertices = [Curve(v.id, v.self_int, v.k_degree - (v.id == low), v.mult)
-                            for v in c.vertices]
-                c = CurveConfig.make(vertices, c.edges)
-            frozen = [vid for vid in c.ids() if rng.random() < 0.2]
-            exempt = c.ids() if seed % 3 == 0 else ()
-            for tie_break in ("lowest", "highest"):
-                calls = []
-
-                def record(curves, adj, vertex):
-                    calls.append((vertex, dict(curves), {u: dict(row) for u, row in adj.items()}))
-
-                kw = dict(frozen=frozen, sw_exempt=exempt, tie_break=tie_break)
-                trace = contract_all(c, on_stage=record, **kw)
-                assert trace == contract_all(c, **kw)
-                assert len(calls) == len(trace.steps) + 1
-                assert [vertex for vertex, _, _ in calls] == [None, *trace.order]
-                assert [maps for _, *maps in calls] == [list(m) for m in stage_snapshots(trace)]
-                seen_status.add(trace.status)
-        assert seen_status == {CONTRACTED_TO_POINT, STUCK, SW_VIOLATION}
-
     def test_blow_down_leaves_its_input_alone(self):
         c = blow_up(base_pair(), Intersection(1, 2))
         before = (c.vertices, c.edges, c.neighbors(1), c.neighbors(3))
@@ -650,6 +623,12 @@ class TestZariskiValidation:
     def test_rejects_non_contractible(self):
         report = validate_zariski(chain_config([-2, -1, -2], mults=[1, 1, 1]))
         assert not report.passed
+
+    def test_refuses_a_negative_multiplicity_naming_the_vertex(self):
+        # components have m >= 1; a negative entry is not a bystander either
+        c = blow_up(base_pair(), Intersection(1, 2))
+        with pytest.raises(ValueError, match=r"vertex 1 has multiplicity -1 < 0"):
+            validate_zariski(c, {1: -1, 2: 1})
 
     def test_connects(self):
         _, adj = config_maps(chain_config([-2, -1, -2, -3]))

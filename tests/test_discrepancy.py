@@ -23,8 +23,6 @@ from wahlkit import (
     chain_determinant,
     checksum_ok,
     discrepancies,
-    fraction_from_str,
-    fraction_to_str,
     intersection_matrix,
     is_tstring,
     iter_tstrings,
@@ -353,14 +351,3 @@ class TestAtlasRecord:
         with pytest.raises(ValueError) as got:
             atlas_record(b)
         assert str(got.value) == str(want.value)
-
-
-class TestFractionStrings:
-    def test_always_num_slash_den(self):
-        assert fraction_to_str(F(-1, 2)) == "-1/2"
-        assert fraction_to_str(F(3)) == "3/1"
-        assert fraction_to_str(F(0)) == "0/1"
-
-    @given(st.fractions())
-    def test_roundtrip(self, x):
-        assert fraction_from_str(fraction_to_str(x)) == x

@@ -1,6 +1,7 @@
 """T-string generation, recognition, and parameter arithmetic."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,13 @@ from wahlkit import (
     as_entries,
     checksum_ok,
     continuants,
+    discrepancies,
     enumerate_tstrings,
     eval_cf,
     hj_expand,
     is_tstring,
     iter_tstrings,
-    params_after_L,
-    params_after_R,
+    iterated_blowdown_trace,
     tstring_to_params,
     wahl_tstring,
 )
@@ -93,6 +94,26 @@ class TestAsEntries:
     def test_a_tstring_gives_its_entries(self):
         t = TString((3, 5, 2))
         assert as_entries(t) is t.b
+
+    @pytest.mark.parametrize("raw, shown", [
+        ((3.9, 5, 2), "3.9"),
+        ([3.5, 5.2, 2], "3.5"),
+        ((3, Fraction(11, 2), 2), "Fraction(11, 2)"),
+        ((x for x in (3, 5, 2.5)), "2.5"),
+    ])
+    def test_a_lossy_entry_raises_naming_it(self, raw, shown):
+        with pytest.raises(ValueError, match=re.escape(f"entry {shown} is not an integer")):
+            as_entries(raw)
+
+    @pytest.mark.parametrize("call, raw", [
+        (discrepancies, [3.9, 5, 2]),
+        (is_tstring, [3.5, 5.2, 2]),
+        (TString, (3.7, 5, 2)),
+        (lambda b: iterated_blowdown_trace(3, 2, b, 0), [-2, -1, -2.5]),
+    ])
+    def test_callers_refuse_a_lossy_entry(self, call, raw):
+        with pytest.raises(ValueError, match="is not an integer"):
+            call(raw)
 
 
 class TestHJExpansion:
@@ -228,17 +249,19 @@ class TestMoves:
         assert as_entries(apply_R((2, 5))) == (3, 5, 2)
 
     def test_parameter_actions(self):
-        assert params_after_L(WahlParams(2, 1)) == WahlParams(3, 2)
-        assert params_after_R(WahlParams(2, 1)) == WahlParams(3, 1)
-        assert params_after_L(WahlParams(5, 2)) == WahlParams(8, 5)
-        assert params_after_R(WahlParams(5, 2)) == WahlParams(7, 2)
+        # L acts as (p, q) -> (2p - q, p), R as (p, q) -> (p + q, q)
+        assert tstring_to_params(apply_L(wahl_tstring(2, 1))) == WahlParams(3, 2)
+        assert tstring_to_params(apply_R(wahl_tstring(2, 1))) == WahlParams(3, 1)
+        assert tstring_to_params(apply_L(wahl_tstring(5, 2))) == WahlParams(8, 5)
+        assert tstring_to_params(apply_R(wahl_tstring(5, 2))) == WahlParams(7, 2)
 
     @given(st.lists(st.booleans(), max_size=9))
     def test_moves_track_parameters(self, word):
         t, params = TString((4,)), WahlParams(2, 1)
         for left in word:
             t = apply_L(t) if left else apply_R(t)
-            params = params_after_L(params) if left else params_after_R(params)
+            p, q = params.p, params.q
+            params = WahlParams(2 * p - q, p) if left else WahlParams(p + q, q)
         assert tstring_to_params(t) == params
         assert as_entries(wahl_tstring(params)) == as_entries(t)
 
