@@ -138,7 +138,7 @@ SURVIVES_GOOD = "SURVIVES_GOOD"
 
 @dataclass(frozen=True)
 class PatternReport:
-    """Forbidden-pattern scan for a curve with K-degree k_degree meeting the chain."""
+    """Forbidden-pattern scan for a (-1)-curve, of K-degree -1, meeting the chain."""
 
     patterns: tuple[str, ...]
     pairing: Fraction
@@ -149,15 +149,13 @@ class PatternReport:
         return self.pairing_ok and not self.patterns
 
 
-def forbidden_patterns(
-    t: TString | Iterable[int], v: Sequence[int], k_degree: int = -1
-) -> PatternReport:
+def forbidden_patterns(t: TString | Iterable[int], v: Sequence[int]) -> PatternReport:
     """Scan an incidence vector for the two forbidden patterns.
 
     Pattern SINGLE: the curve meets exactly one chain sphere, once.  Pattern
     ENDPOINTS: it meets C_1 and C_ell once each and nothing in between.
     Both kill the curve outright; the general necessary condition
-    sum a_j v_j < k_degree is evaluated alongside (every flagged pattern
+    sum a_j v_j < -1 is evaluated alongside (every flagged pattern
     also fails it).
     """
     b = as_entries(t)
@@ -170,7 +168,7 @@ def forbidden_patterns(
         patterns.append(PATTERN_SINGLE)
     if len(b) >= 2 and v[0] == 1 and v[-1] == 1 and not any(v[1:-1]):
         patterns.append(PATTERN_ENDPOINTS)
-    value, ok = canonical_pairing(b, v, k_degree)
+    value, ok = canonical_pairing(b, v, -1)
     return PatternReport(tuple(patterns), value, ok)
 
 
@@ -324,7 +322,7 @@ def _e_parts(b: tuple[int, ...], e_hits: tuple[int, ...]) -> _GroupParts:
     v_e = [0] * len(b)
     for h in e_hits:
         v_e[h - 1] += 1
-    pat = forbidden_patterns(b, v_e, k_degree=-1)
+    pat = forbidden_patterns(b, v_e)
     checks = set(pat.patterns)
     if not pat.pairing_ok:
         checks.add(MAGIC_E)

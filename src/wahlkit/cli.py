@@ -1,7 +1,8 @@
-"""Command-line front end: expand, atlas, blowdown, verify.
+"""Command-line front end: expand, atlas, oracle, blowdown, verify.
 
   expand P Q        print the T-string and discrepancies of one singularity
   atlas             enumerate all T-strings up to a length and emit JSONL
+  oracle            survey every candidate bad curve up to a length
   blowdown FILE     contract a curve configuration and print the trace
   verify            run the built-in regression checks
 
@@ -15,14 +16,17 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Callable
 
 from . import bounds
 from .badcurves import (
+    ORACLE_LENGTH_CAP,
     case_oracle,
     forbidden_patterns,
     interior_hit_contradiction,
+    oracle_jsonl,
     unbroken_checks,
 )
 from .curveconfig import (
@@ -59,13 +63,26 @@ from .tstring import (
 )
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
+def _emit(lines: list[str], out_path: str | None) -> bool:
+    """Write lines to out_path, or stdout when it is None; False if the file cannot be written."""
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _max_len_ok(max_len: int, cap: int) -> bool:
+    if 1 <= max_len <= cap:
+        return True
+    print(f"error: --max-len must be in 1..{cap}, got {max_len}", file=sys.stderr)
+    return False
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
@@ -87,24 +104,44 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_atlas(args: argparse.Namespace) -> int:
-    if args.max_len < 1 or args.max_len > DEFAULT_LENGTH_CAP:
-        print(
-            f"error: --max-len must be in 1..{DEFAULT_LENGTH_CAP}, got {args.max_len}",
-            file=sys.stderr,
-        )
+    if not _max_len_ok(args.max_len, DEFAULT_LENGTH_CAP):
         return 2
     lines = []
     for ell, strings in sorted(enumerate_tstrings(args.max_len).items()):
         for b in sorted(as_entries(s) for s in strings):
             lines.append(json.dumps(atlas_record(b), separators=(",", ":")))
-    try:
-        _emit(lines, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    if not _emit(lines, args.out):
         return 1
     if args.out is not None:
         print(f"wrote {len(lines)} records to {args.out}")
     return 0
+
+
+def cmd_oracle(args: argparse.Namespace) -> int:
+    if not _max_len_ok(args.max_len, ORACLE_LENGTH_CAP):
+        return 2
+    report = case_oracle(args.max_len)
+    print(f"examined {len(report.outcomes)} candidates")
+    print(f"verdicts: {dict(Counter(o.verdict for o in report.outcomes))}")
+    for name, n in Counter(c for o in report.outcomes for c in o.checks).most_common():
+        print(f"  {name:<20} {n}")
+    survivors = report.survivors_bad
+    print(f"\n{len(survivors)} surviving bad curves:")
+    for ell, n in sorted(Counter(len(o.t) for o in survivors).items()):
+        print(f"  ell={ell}: {n}")
+    for o in survivors:
+        print(f"  {list(o.t)} {o.kind} internal={list(o.internal)} "
+              f"e_hits={list(o.e_hits)} case={o.case}")
+    print("\nfamily [2,..,2,ell+3] survivors by length:")
+    for fam in report.family_results:
+        print(f"  ell={fam.ell}: corrected={fam.corrected_bad_survivors} "
+              f"reversed={fam.reversed_bad_survivors}")
+    print(f"\noracle passed: {report.passed}")
+    if args.out is not None:
+        if not _emit(oracle_jsonl(report), args.out):
+            return 1
+        print(f"wrote {len(report.outcomes)} records to {args.out}")
+    return 0 if report.passed else 1
 
 
 def cmd_blowdown(args: argparse.Namespace) -> int:
@@ -127,12 +164,7 @@ def cmd_blowdown(args: argparse.Namespace) -> int:
         return 2
     trace = contract_all(config)
     if args.json:
-        try:
-            _emit(trace_jsonl_lines(trace), args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        return 0
+        return 0 if _emit(trace_jsonl_lines(trace), args.out) else 1
     stages = trace.stages()
     next(stages)  # the initial config
     for k, (step, (curves, _)) in enumerate(zip(trace.steps, stages), start=1):
@@ -394,6 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_atlas.add_argument("--max-len", type=int, default=6, help="largest length (<= %d)" % DEFAULT_LENGTH_CAP)
     p_atlas.add_argument("--out", default=None, help="write JSONL here instead of stdout")
     p_atlas.set_defaults(func=cmd_atlas)
+
+    p_oracle = sub.add_parser("oracle", help="survey every candidate bad curve up to a length")
+    p_oracle.add_argument("--max-len", type=int, default=6, help="largest length (<= %d)" % ORACLE_LENGTH_CAP)
+    p_oracle.add_argument("--out", default=None, help="also write one JSONL record per candidate here")
+    p_oracle.set_defaults(func=cmd_oracle)
 
     p_blow = sub.add_parser("blowdown", help="contract a configuration file")
     p_blow.add_argument("config", help="configuration JSON file")

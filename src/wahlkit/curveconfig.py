@@ -171,16 +171,13 @@ class CurveConfig:
         return dict(self._adj.get(vid, {}))
 
 
-def single_curve(
-    self_int: int = -1, k_degree: int = -1, mult: int = 1, label: str = "E1"
-) -> CurveConfig:
-    """One-vertex configuration, the usual seed for blow-up experiments."""
-    return CurveConfig.make([Curve(1, self_int, k_degree, mult, label)], [])
+def single_curve() -> CurveConfig:
+    """One (-1)-curve E1 of multiplicity 1, the usual seed for blow-up experiments."""
+    return CurveConfig.make([Curve(1, -1, -1, 1, "E1")], [])
 
 
 def chain_config(
     self_ints: Sequence[int],
-    mults: Sequence[int] | None = None,
     attached: Iterable[tuple[Curve, Iterable[int]]] = (),
 ) -> CurveConfig:
     """A chain of embedded rational curves with the given self-intersections.
@@ -190,9 +187,7 @@ def chain_config(
     meets chain curve h once per occurrence of h in hits (so a repeated h is
     a double point, an edge of multiplicity 2).
     """
-    self_ints = tuple(self_ints)
-    mults = (0,) * len(self_ints) if mults is None else tuple(mults)
-    chain, links = _chain_parts(self_ints, mults)
+    chain, links = _chain_parts(tuple(self_ints))
     vertices, edges = list(chain), list(links)
     for curve, hits in attached:
         vertices.append(curve)
@@ -201,9 +196,7 @@ def chain_config(
 
 
 @lru_cache(maxsize=64)
-def _chain_parts(
-    self_ints: tuple[int, ...], mults: tuple[int, ...]
-) -> tuple[tuple[Curve, ...], tuple[Edge, ...]]:
+def _chain_parts(self_ints: tuple[int, ...]) -> tuple[tuple[Curve, ...], tuple[Edge, ...]]:
     """The curves and edges of a bare chain; pure and immutable, so cached.
 
     The bad-curve oracle builds all candidates of one T-string on the same
@@ -211,7 +204,7 @@ def _chain_parts(
     every call.
     """
     vertices = tuple(
-        Curve(i + 1, s, -2 - s, mults[i], f"C{i + 1}") for i, s in enumerate(self_ints)
+        Curve(i + 1, s, -2 - s, 0, f"C{i + 1}") for i, s in enumerate(self_ints)
     )
     return vertices, tuple(Edge(i, i + 1, 1) for i in range(1, len(self_ints)))
 
@@ -724,11 +717,10 @@ def _shape_step(
 class ZariskiReport:
     """Property report for a candidate exceptional curve of the first kind.
 
-    ``passed`` covers the unambiguous properties.  The two multiplicity-
-    recursion fields are informational: they report which indexing convention
-    of the component-multiplicity recursion reproduces the given
-    multiplicities (creation order with stage intersections, and contraction
-    order with original intersections), without taking a side.
+    ``passed`` covers the unambiguous properties.  The multiplicity-recursion
+    field is informational: it reports whether the creation-order recursion
+    with stage intersections (:func:`derived_multiplicities`) reproduces the
+    given multiplicities.
     """
 
     contraction_status: str
@@ -743,7 +735,6 @@ class ZariskiReport:
     has_minus_one: bool
     minus_one_neighbors_ok: bool
     mult_recursion_creation_order: bool | None
-    mult_recursion_contraction_order: bool | None
     failures: tuple[str, ...]
 
     @property
@@ -806,17 +797,11 @@ def validate_zariski(
         pairing_total = need("pairing_total", sum(pairing.values()) == -1)
         self_pairing = need("self_pairing", divisor_self(c, mults) == -1)
         k_pairing = need("k_pairing", divisor_k(c, mults) == -1)
-        derived = derived_multiplicities(trace)
-        creation_ok = derived == dict(mults)
-        # printed convention: contraction-order indices, original intersections
-        rec: dict[int, int] = {}
-        for vid in trace.order:
-            rec[vid] = sum(rec[u] * m for u, m in c._adj[vid].items() if u in rec) if rec else 1
-        contraction_ok = rec == dict(mults)
+        creation_ok = derived_multiplicities(trace) == mults
     else:
         pairing_zero_nonfinal = pairing_final = pairing_total = False
         self_pairing = k_pairing = False
-        creation_ok = contraction_ok = None
+        creation_ok = None
 
     return ZariskiReport(
         contraction_status=trace.status,
@@ -831,7 +816,6 @@ def validate_zariski(
         has_minus_one=has_minus_one,
         minus_one_neighbors_ok=minus_one_neighbors_ok,
         mult_recursion_creation_order=creation_ok,
-        mult_recursion_contraction_order=contraction_ok,
         failures=tuple(failures),
     )
 

@@ -104,7 +104,10 @@ def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
 
 def _entry(x) -> int:
     """int(x), or ValueError naming x when that loses part of its value."""
-    n = int(x)
+    try:
+        n = int(x)
+    except (OverflowError, ValueError):  # an infinite or NaN float, a non-numeric str
+        raise ValueError(f"entry {x!r} is not an integer") from None
     if n != x and not isinstance(x, str):  # int() of a str is exact or raises
         raise ValueError(f"entry {x!r} is not an integer")
     return n
@@ -160,10 +163,11 @@ def eval_cf(b: TString | Iterable[int]) -> Fraction:
 def wahl_tstring(p: int | WahlParams, q: int | None = None) -> TString:
     """T-string of the Wahl singularity with parameters (p, q).
 
-    Accepts either a WahlParams or the two integers.  gcd(p**2, pq-1) = 1
+    Accepts either a WahlParams or the two integers; a p or q that int()
+    would change in value raises ValueError naming it.  gcd(p**2, pq-1) = 1
     automatically, so the expansion always exists.
     """
-    params = p if isinstance(p, WahlParams) else WahlParams(p, int(q))
+    params = p if isinstance(p, WahlParams) else WahlParams(_entry(p), _entry(q))
     return TString(hj_expand(params.p**2, params.p * params.q - 1))
 
 

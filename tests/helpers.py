@@ -399,7 +399,7 @@ def eager_examine_candidate(t, kind, internal, e_hits):
     v_e = [0] * ell
     for h in e_hits:
         v_e[h - 1] += 1
-    pat = bc.forbidden_patterns(b, v_e, k_degree=-1)
+    pat = bc.forbidden_patterns(b, v_e)
     checks.update(pat.patterns)
     if not pat.pairing_ok:
         checks.add(bc.MAGIC_E)

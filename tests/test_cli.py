@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes, byte stability."""
 
+import dataclasses
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import eager_contract_all, eager_jsonl_lines
+from wahlkit import badcurves
 from wahlkit.cli import atlas_record, main
 from wahlkit.curveconfig import config_to_json, random_blowup
 
@@ -101,9 +104,97 @@ class TestAtlas:
         assert "wrote 7 records" in out
         assert len(target.read_text().strip().split("\n")) == 7
 
-    def test_max_len_out_of_range(self, capsys):
-        assert run(capsys, "atlas", "--max-len", "0")[0] == 2
-        assert run(capsys, "atlas", "--max-len", "17")[0] == 2
+    @pytest.mark.parametrize("max_len", ["0", "-3", "17"])
+    def test_max_len_out_of_range(self, capsys, max_len):
+        code, out, err = run(capsys, "atlas", "--max-len", max_len)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-len must be in 1..16, got {max_len}\n"
+
+
+# stdout of `wahlkit oracle --max-len 4`
+SURVEY_4 = """\
+examined 560 candidates
+verdicts: {'DIES': 550, 'SURVIVES_BAD': 10}
+  NO_MINUS_ONE         310
+  MAGIC_E              306
+  MULTI_EDGE           192
+  SW                   178
+  PATTERN_SINGLE       124
+  PATTERN_ENDPOINTS    96
+  CYCLE                72
+  MAGIC_FULL           62
+  ZERO_INCIDENCE       28
+  THREE_NEIGHBOR       16
+
+10 surviving bad curves:
+  ell=3: 2
+  ell=4: 8
+  [2, 5, 3] B1 internal=[1] e_hits=[1, 2] case=B1.1
+  [3, 5, 2] B2 internal=[3] e_hits=[2, 3] case=B2.1
+  [2, 2, 5, 4] B1 internal=[1] e_hits=[1, 3] case=B1.1
+  [2, 2, 5, 4] B1 internal=[1, 2] e_hits=[2, 4] case=B1.3
+  [2, 3, 5, 3] B1 internal=[1] e_hits=[1, 3] case=B1.1
+  [2, 6, 2, 3] B1 internal=[1] e_hits=[1, 2] case=B1.1
+  [3, 2, 6, 2] B2 internal=[4] e_hits=[3, 4] case=B2.1
+  [3, 5, 3, 2] B2 internal=[4] e_hits=[2, 4] case=B2.1
+  [4, 5, 2, 2] B2 internal=[3, 4] e_hits=[1, 3] case=B2.3
+  [4, 5, 2, 2] B2 internal=[4] e_hits=[2, 4] case=B2.1
+
+family [2,..,2,ell+3] survivors by length:
+  ell=1: corrected=0 reversed=0
+  ell=2: corrected=0 reversed=0
+  ell=3: corrected=0 reversed=0
+  ell=4: corrected=0 reversed=0
+
+oracle passed: True
+"""
+
+
+class TestOracle:
+    def test_prints_the_pinned_survey(self, capsys):
+        assert run(capsys, "oracle", "--max-len", "4") == (0, SURVEY_4, "")
+
+    def test_out_file_is_the_pinned_jsonl(self, capsys, tmp_path):
+        target = tmp_path / "outcomes.jsonl"
+        code, out, err = run(capsys, "oracle", "--max-len", "5", "--out", str(target))
+        assert (code, err) == (0, "")
+        assert out.endswith(f"oracle passed: True\nwrote 2400 records to {target}\n")
+        # the digest of test_case_oracle_jsonl_is_byte_identical_at_length_five
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "78ce31bfc36412a037443e365d584026239d6bc96ad33a24e33157e18e042481")
+
+    @pytest.mark.parametrize("max_len", ["0", "9"])
+    def test_max_len_out_of_range(self, capsys, max_len):
+        code, out, err = run(capsys, "oracle", "--max-len", max_len)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-len must be in 1..8, got {max_len}\n"
+
+    def test_a_failed_oracle_exits_1(self, capsys, monkeypatch):
+        examine = badcurves._examine
+
+        def flip_one(*args):
+            o = examine(*args)
+            if (o.t, o.kind, o.internal, o.e_hits) == ((2, 3, 5, 3), "B1", (1,), (1, 3)):
+                return dataclasses.replace(o, verdict=badcurves.DIES)
+            return o
+
+        monkeypatch.setattr(badcurves, "_examine", flip_one)
+        code, out, err = run(capsys, "oracle", "--max-len", "4")
+        assert (code, err) == (1, "")
+        assert out.endswith("\noracle passed: False\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["atlas", "--max-len", "2"],
+    ["oracle", "--max-len", "2"],
+    ["blowdown", str(FIXTURES / "interior_hit.json"), "--json"],
+])
+def test_an_unwritable_out_exits_1_without_a_traceback(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.jsonl"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 1
+    assert "wrote" not in out
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 class TestBlowdown:

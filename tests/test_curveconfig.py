@@ -615,13 +615,10 @@ class TestZariskiValidation:
         assert report.contraction_status == CONTRACTED_TO_POINT
         assert report.self_pairing and report.k_pairing
         assert report.pairing_zero_nonfinal and report.pairing_final
-        # the creation-order recursion reproduces the multiplicities; the
-        # contraction-order variant does not, on this very configuration
         assert report.mult_recursion_creation_order is True
-        assert report.mult_recursion_contraction_order is False
 
     def test_rejects_non_contractible(self):
-        report = validate_zariski(chain_config([-2, -1, -2], mults=[1, 1, 1]))
+        report = validate_zariski(chain_config([-2, -1, -2]), {1: 1, 2: 1, 3: 1})
         assert not report.passed
 
     def test_refuses_a_negative_multiplicity_naming_the_vertex(self):

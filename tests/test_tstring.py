@@ -100,6 +100,9 @@ class TestAsEntries:
         ([3.5, 5.2, 2], "3.5"),
         ((3, Fraction(11, 2), 2), "Fraction(11, 2)"),
         ((x for x in (3, 5, 2.5)), "2.5"),
+        ((float("inf"), 5, 2), "inf"),
+        ((3, float("-inf")), "-inf"),
+        ((float("nan"),), "nan"),
     ])
     def test_a_lossy_entry_raises_naming_it(self, raw, shown):
         with pytest.raises(ValueError, match=re.escape(f"entry {shown} is not an integer")):
@@ -166,6 +169,15 @@ class TestWahlStrings:
             wahl_tstring(3, 3)  # q must be < p
         with pytest.raises(ValueError):
             wahl_tstring(2, 0)
+
+    @pytest.mark.parametrize("p, q, shown", [
+        (5, 2.5, "2.5"),
+        (5.5, 2, "5.5"),
+        (5, float("inf"), "inf"),
+    ])
+    def test_a_lossy_parameter_raises_naming_it(self, p, q, shown):
+        with pytest.raises(ValueError, match=re.escape(f"entry {shown} is not an integer")):
+            wahl_tstring(p, q)
 
     def test_reversal_swaps_q_and_p_minus_q(self):
         for (p, q), b in WAHL_STRINGS.items():
