@@ -28,14 +28,18 @@ ambient manifolds we care about: a rational curve with K.A <= -1 must be a
 (-1)-curve (K.A = -1, A**2 = -1).  Anything else with K.A <= -1 cannot
 exist, and sw_check flags it.
 
-Configs are immutable; every operation returns a new value.  A config is
-indexed by id and by adjacency, so looking up a curve, a pair or a
-neighbourhood does not scan the graph.  blow_up derives its result from a copy
-of its input's index with the blow-up's local edits, at the cost of a few
-C-level copies; CurveConfig.make, which sorts, validates and indexes, builds
+Configs are immutable; every operation returns a new value.  Curves and
+edges are tuple records.  A config holds one index, an id map and an
+adjacency map, so looking up a curve, a pair or a neighbourhood does not scan
+the graph; its sorted vertex and edge tuples are built from the index only
+when something reads them.  blow_up derives its result from copies of its
+input's two maps with the blow-up's local edits, at the cost of two C-level
+dict copies; CurveConfig.make, which sorts, validates and indexes, builds
 every other config, fresh ones and those read from outside input alike.
-chain_config builds a chain with adjunction K-degrees plus any curves attached
-to it, the shape the bad-curve analysis works with.
+validate_zariski and the divisor arithmetic read the maps, so validating a
+blown-up divisor never builds its tuples.  chain_config builds a chain with
+adjunction K-degrees plus any curves attached to it, the shape the bad-curve
+analysis works with.
 
 One private helper holds the blow-down formula and applies it in place to an
 id map and an adjacency map.  blow_down runs it on a copy of a config's maps;
@@ -64,13 +68,11 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .tstring import as_entries
 
@@ -86,8 +88,7 @@ THREE_NEIGHBOR = "THREE_NEIGHBOR"
 DISCONNECTED_STAGE = "DISCONNECTED_STAGE"
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     id: int
     self_int: int
     k_degree: int
@@ -95,8 +96,7 @@ class Curve:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Unordered pair a < b with intersection multiplicity m >= 1."""
 
     a: int
@@ -104,26 +104,70 @@ class Edge:
     m: int = 1
 
 
-@dataclass(frozen=True)
-class CurveConfig:
-    """Vertices sorted by id and edges sorted by (a, b), indexed for lookups.
+_set = object.__setattr__  # CurveConfig's own writes, past its read-only __setattr__
 
-    ``_by_id`` (id -> Curve) and ``_adj`` (id -> {neighbour: m}) are built
-    together with the tuples, by :meth:`make` or, from its input's index, by
-    blow_up; they take no part in equality, hashing or repr.  Both list ids
-    in increasing order, and so does every row of ``_adj``.  Configs may
-    share rows of ``_adj``, so no row is ever changed in place.
+
+class CurveConfig:
+    """A configuration held as two maps, with its sorted tuples derived on demand.
+
+    ``_by_id`` maps id -> Curve and ``_adj`` maps id -> {neighbour: m}; both
+    list ids in increasing order, and so does every row of ``_adj``.
+    ``vertices`` (ids ascending) and ``edges`` (pairs (a, b) with a < b,
+    ascending) are built from them on first read and then kept.  Equality,
+    hashing and repr are those of (vertices, edges).  A config is read-only;
+    configs may share rows of ``_adj``, so no row is ever changed in place.
+    The constructor takes the two maps as they are: :meth:`make` is the one
+    that sorts and validates.
     """
 
-    vertices: tuple[Curve, ...]
-    edges: tuple[Edge, ...]
-    _by_id: dict[int, Curve] = field(repr=False, compare=False)
-    _adj: dict[int, dict[int, int]] = field(repr=False, compare=False)
+    __slots__ = ("_by_id", "_adj", "_vertices", "_edges")
+
+    def __init__(self, by_id: dict[int, Curve], adj: dict[int, dict[int, int]]):
+        _set(self, "_by_id", by_id)
+        _set(self, "_adj", adj)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"CurveConfig is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CurveConfig is read-only: cannot delete {name!r}")
+
+    @property
+    def vertices(self) -> tuple[Curve, ...]:
+        try:
+            return self._vertices
+        except AttributeError:
+            _set(self, "_vertices", tuple(self._by_id.values()))
+            return self._vertices
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        try:
+            return self._edges
+        except AttributeError:
+            _set(self, "_edges", tuple(
+                Edge(a, b, m) for a, row in self._adj.items() for b, m in row.items() if a < b
+            ))
+            return self._edges
+
+    def __eq__(self, other):
+        if other.__class__ is not CurveConfig:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"CurveConfig(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through make, past __setattr__
+        return CurveConfig.make, (self.vertices, self.edges)
 
     @staticmethod
     def make(vertices: Iterable[Curve], edges: Iterable[Edge]) -> "CurveConfig":
         """Canonicalize (sort), validate and index a configuration."""
-        vs = tuple(sorted(vertices, key=lambda v: v.id))
+        vs = sorted(vertices, key=lambda v: v.id)
         by_id = {v.id: v for v in vs}
         if len(by_id) != len(vs):
             raise ValueError(f"duplicate vertex ids: {[v.id for v in vs]}")
@@ -139,14 +183,14 @@ class CurveConfig:
                 raise ValueError(f"edge ({e.a},{e.b}) references missing vertex")
             if e.m < 1:
                 raise ValueError(f"edge ({a},{b}) has multiplicity {e.m} < 1")
-            norm.append(e if a == e.a else Edge(a, b, e.m))
-        es = tuple(sorted(norm, key=lambda e: (e.a, e.b)))
+            norm.append((a, b, e.m))
+        norm.sort()
         adj: dict[int, dict[int, int]] = {vid: {} for vid in by_id}
-        for e in es:
-            if e.b in adj[e.a]:
-                raise ValueError(f"duplicate edges: {[(e.a, e.b) for e in es]}")
-            adj[e.a][e.b] = adj[e.b][e.a] = e.m
-        return CurveConfig(vs, es, by_id, adj)
+        for a, b, m in norm:
+            if b in adj[a]:
+                raise ValueError(f"duplicate edges: {[(a, b) for a, b, _ in norm]}")
+            adj[a][b] = adj[b][a] = m
+        return CurveConfig(by_id, adj)
 
     def ids(self) -> tuple[int, ...]:
         return tuple(self._by_id)
@@ -237,11 +281,6 @@ PointSpec = GenericOn | Intersection | FreePoint
 
 # ----- Blow-up / blow-down -----
 
-# Sort keys of a config's vertex and edge tuples, for bisect.
-_ID = attrgetter("id")
-_ENDS = attrgetter("a", "b")
-_A = attrgetter("a")
-
 
 def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> CurveConfig:
     """Blow up a point, replacing every curve through it by its total transform.
@@ -253,10 +292,11 @@ def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> Curve
     through the point (so the tracked divisor class is replaced by its total
     transform).
 
-    The result is c's index with these local edits, not a rebuild through
+    The result is c's two maps with these local edits, not a rebuild through
     make: c is a validated config and the edits keep it one, so a blow-up
-    costs a few C-level copies of c's sequences and maps.  Rows of the
-    adjacency map that the point does not touch are shared with c.
+    costs two C-level dict copies.  Rows of the adjacency map that the point
+    does not touch are shared with c.  e takes the id after c's largest, the
+    last key of c's id map (1 in an empty config).
     """
     match point:  # the ids of the 0, 1 or 2 curves through the point
         case FreePoint():
@@ -277,35 +317,26 @@ def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> Curve
         if c.pair(*through) < 1:
             raise ValueError(f"curves {through[0]} and {through[1]} do not intersect")
     through = tuple(sorted(through))
-    new_id = (c.vertices[-1].id if c.vertices else 0) + 1
     curves = dict(c._by_id)
     adj = dict(c._adj)
-    vertices = list(c.vertices)
-    edges = list(c.edges)
+    new_id = next(reversed(curves), 0) + 1
     for u in hit:
-        curves[u.id] = vertices[bisect_left(vertices, u.id, key=_ID)] = Curve(
-            u.id, u.self_int - 1, u.k_degree + 1, u.mult, u.label
-        )
+        curves[u.id] = Curve(u.id, u.self_int - 1, u.k_degree + 1, u.mult, u.label)
         adj[u.id] = dict(adj[u.id])
     if len(through) == 2:  # the two curves meet once less
         a, b = through
-        i = bisect_left(edges, through, key=_ENDS)
-        m = edges[i].m - 1
+        m = adj[a][b] - 1
         if m:
-            edges[i] = Edge(a, b, m)
             adj[a][b] = adj[b][a] = m
         else:
-            del edges[i], adj[a][b], adj[b][a]
+            del adj[a][b], adj[b][a]
     curves[new_id] = Curve(new_id, -1, -1, sum(u.mult for u in hit),
                            label if label is not None else f"E{new_id}")
-    vertices.append(curves[new_id])
-    # new_id is the largest id, so (u, new_id) sorts after every edge (a, b)
-    # with a <= u, and new_id goes last in u's row, as make orders them
+    # new_id is the largest id, so it goes last in each row, as make orders them
     for u in through:
-        edges.insert(bisect_right(edges, u, key=_A), Edge(u, new_id, 1))
         adj[u][new_id] = 1
     adj[new_id] = dict.fromkeys(through, 1)
-    return CurveConfig(tuple(vertices), tuple(edges), curves, adj)
+    return CurveConfig(curves, adj)
 
 
 def _blow_down_in_place(
@@ -387,7 +418,7 @@ def _sw_violation(v: Curve) -> SWViolation | None:
 def sw_check(c: CurveConfig, exempt: Iterable[int] = ()) -> tuple[SWViolation, ...]:
     """Flag curves that cannot exist: K.A <= -2, or K.A = -1 with A**2 != -1."""
     skip = set(exempt)
-    found = (_sw_violation(v) for v in c.vertices if v.id not in skip)
+    found = (_sw_violation(v) for vid, v in c._by_id.items() if vid not in skip)
     return tuple(w for w in found if w is not None)
 
 
@@ -505,10 +536,6 @@ def _contract(
     returning, never keep or alter them.
     """
 
-    def contractible(vid: int) -> bool:
-        v = curves[vid]
-        return vid not in hold and v.self_int == -1 and v.k_degree == -1
-
     while candidates:
         vid = pick(candidates)
         candidates.remove(vid)
@@ -517,16 +544,22 @@ def _contract(
         if on_step is not None:
             on_step(curves, adj, vid, view)
         for u in hits:
-            if contractible(u):
+            v = curves[u]
+            if v.self_int == -1 and v.k_degree == -1 and u not in hold:
                 candidates.add(u)
             else:
                 candidates.discard(u)
-        checked = sorted(hits) if steps else sorted(curves)
-        if skip:
-            checked = [u for u in checked if u not in skip]
-        violations = tuple(filter(None, map(_sw_violation, map(curves.__getitem__, checked))))
-        steps.append(ContractionStep(vid, view, violations))
-        if violations:
+        # the first step checks every curve; after a clean step only the ones it hit can change
+        found = []
+        for u in (hits if steps else curves):
+            if u not in skip:
+                w = _sw_violation(curves[u])
+                if w is not None:
+                    found.append(w)
+        if found:
+            found.sort(key=lambda w: w.vertex)
+        steps.append(ContractionStep(vid, view, tuple(found)))
+        if found:
             return SW_VIOLATION
     return CONTRACTED_TO_POINT if hold.issuperset(curves) else STUCK
 
@@ -563,11 +596,8 @@ def divisor_pairing(c: CurveConfig, mults: Mapping[int, int], target: int) -> in
 
 
 def divisor_self(c: CurveConfig, mults: Mapping[int, int]) -> int:
-    """(sum m_i A_i)**2."""
-    total = sum(m * m * c.curve(vid).self_int for vid, m in mults.items() if m)
-    for e in c.edges:
-        total += 2 * mults.get(e.a, 0) * mults.get(e.b, 0) * e.m
-    return total
+    """(sum m_i A_i)**2, as sum m_i (sum m_j A_j) . A_i."""
+    return sum(m * divisor_pairing(c, mults, vid) for vid, m in mults.items() if m)
 
 
 def divisor_k(c: CurveConfig, mults: Mapping[int, int]) -> int:
@@ -752,8 +782,9 @@ def validate_zariski(
     all other vertices are frozen bystanders during the contraction.  A
     negative entry raises ValueError naming its vertex.
     """
+    curves = c._by_id
     if mults is None:
-        mults = {v.id: v.mult for v in c.vertices if v.mult > 0}
+        mults = {vid: v.mult for vid, v in curves.items() if v.mult > 0}
     for vid, m in mults.items():
         if m < 0:
             raise ValueError(f"vertex {vid} has multiplicity {m} < 0")
@@ -761,10 +792,10 @@ def validate_zariski(
     comp = set(mults)
     if not comp:
         raise ValueError("no components: empty multiplicity assignment")
-    frozen = [v.id for v in c.vertices if v.id not in comp]
+    frozen = [vid for vid in curves if vid not in comp]
     # Contractibility is an abstract property of the divisor; the SW rule is a
     # separate ambient obstruction, applied by callers when it is in force.
-    trace = contract_all(c, frozen=frozen, sw_exempt=c.ids())
+    trace = contract_all(c, frozen=frozen, sw_exempt=curves)
 
     failures: list[str] = []
 
@@ -776,7 +807,7 @@ def validate_zariski(
     negative_self_ints = need(
         "negative_self_ints", all(c.curve(v).self_int < 0 for v in comp)
     )
-    faults = shape_faults(c._by_id, c._adj, comp)
+    faults = shape_faults(curves, c._adj, comp)
     simple_edges = need("simple_edges", MULTI_EDGE not in faults)
     connected_tree = need("connected_tree", not {DISCONNECTED_STAGE, CYCLE} & faults)
     has_minus_one = need(
@@ -795,7 +826,10 @@ def validate_zariski(
         )
         pairing_final = need("pairing_final", pairing[last] == -1)
         pairing_total = need("pairing_total", sum(pairing.values()) == -1)
-        self_pairing = need("self_pairing", divisor_self(c, mults) == -1)
+        # E**2 = sum m_v (E.A_v), divisor_self's sum, from the pairings above
+        self_pairing = need(
+            "self_pairing", sum(mults[v] * p for v, p in pairing.items()) == -1
+        )
         k_pairing = need("k_pairing", divisor_k(c, mults) == -1)
         creation_ok = derived_multiplicities(trace) == mults
     else:
@@ -955,13 +989,12 @@ def random_blowup(rng: random.Random, depth: int) -> CurveConfig:
     """
     c = single_curve()
     for _ in range(depth):
-        # one draw over vertices then edges, as rng.choice on that list makes
-        i = rng.randrange(len(c.vertices) + len(c.edges))
-        if i < len(c.vertices):
-            point: PointSpec = GenericOn(c.vertices[i].id)
-        else:
-            e = c.edges[i - len(c.vertices)]
-            point = Intersection(e.a, e.b)
+        # one draw over the ids, then the pairs (a, b) of the edges, both in
+        # the order of the config's tuples, as rng.choice on that list makes
+        ids = c.ids()
+        pairs = [(a, b) for a, row in c._adj.items() for b in row if a < b]
+        i = rng.randrange(len(ids) + len(pairs))
+        point = GenericOn(ids[i]) if i < len(ids) else Intersection(*pairs[i - len(ids)])
         c = blow_up(c, point)
     return c
 

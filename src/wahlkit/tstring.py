@@ -33,12 +33,18 @@ DEFAULT_LENGTH_CAP = 16
 
 @dataclass(frozen=True)
 class WahlParams:
-    """Coprime pair (p, q), 0 < q < p, labelling the singularity 1/p**2(pq-1,1)."""
+    """Coprime pair (p, q), 0 < q < p, labelling the singularity 1/p**2(pq-1,1).
+
+    p and q are read as TString reads its entries: a field that int() would
+    change in value, or that is not a number, raises ValueError naming it.
+    """
 
     p: int
     q: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", _entry(self.p))
+        object.__setattr__(self, "q", _entry(self.q))
         if self.p <= 0 or self.q <= 0:
             raise ValueError(f"p and q must be positive, got ({self.p}, {self.q})")
         if self.q >= self.p:
@@ -167,7 +173,7 @@ def wahl_tstring(p: int | WahlParams, q: int | None = None) -> TString:
     would change in value raises ValueError naming it.  gcd(p**2, pq-1) = 1
     automatically, so the expansion always exists.
     """
-    params = p if isinstance(p, WahlParams) else WahlParams(_entry(p), _entry(q))
+    params = p if isinstance(p, WahlParams) else WahlParams(p, q)
     return TString(hj_expand(params.p**2, params.p * params.q - 1))
 
 

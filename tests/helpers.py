@@ -96,18 +96,47 @@ def rebuild_blow_up(c, point, label=None):
             through = (point.v, point.w)
         case _:
             raise TypeError(f"unknown point kind: {point!r}")
-    hit = [c.curve(u) for u in through]
+    for u in through:
+        c.curve(u)
     if len(through) == 2 and c.pair(*through) < 1:
         raise ValueError(f"curves {through[0]} and {through[1]} do not intersect")
-    new_id = (c.vertices[-1].id if c.vertices else 0) + 1
+    return CurveConfig.make(*blow_up_lists(c.vertices, c.edges, through, label))
+
+
+def blow_up_lists(vertices, edges, through, label=None):
+    """The curves and edges after blowing up the point on the curves through.
+
+    A plain rewrite of explicit lists, in any order, with no config and no
+    check: through names the 0, 1 or 2 curves through the point, and the
+    new curve takes the id after the largest.
+    """
+    new_id = max((u.id for u in vertices), default=0) + 1
+    hit = [u for u in vertices if u.id in through]
     vertices = [Curve(u.id, u.self_int - 1, u.k_degree + 1, u.mult, u.label)
-                if u.id in through else u for u in c.vertices]
+                if u.id in through else u for u in vertices]
     vertices.append(Curve(new_id, -1, -1, sum(u.mult for u in hit),
                           label if label is not None else f"E{new_id}"))
     edges = [Edge(ed.a, ed.b, ed.m - 1) if ed.a in through and ed.b in through else ed
-             for ed in c.edges]
+             for ed in edges]
     edges = [ed for ed in edges if ed.m] + [Edge(u, new_id, 1) for u in through]
-    return CurveConfig.make(vertices, edges)
+    return vertices, edges
+
+
+def explicit_random_blowup(rng, depth):
+    """random_blowup's draws, replayed on explicit curve and edge lists.
+
+    Each step sorts the lists with sorted() and draws one index over the
+    vertices, then the edges, as random_blowup does over a config's tuples.
+    Returns the final (vertices, edges), read from no config.
+    """
+    vertices, edges = [Curve(1, -1, -1, 1, "E1")], []
+    for _ in range(depth):
+        vs = sorted(vertices, key=lambda v: v.id)
+        es = sorted(edges, key=lambda e: (e.a, e.b))
+        i = rng.randrange(len(vs) + len(es))
+        through = (vs[i].id,) if i < len(vs) else (es[i - len(vs)].a, es[i - len(vs)].b)
+        vertices, edges = blow_up_lists(vertices, edges, through)
+    return vertices, edges
 
 
 def choice_random_blowup(rng, depth):

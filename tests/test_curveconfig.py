@@ -1,9 +1,12 @@
 """Blow-up/blow-down bookkeeping, contraction traces, and divisor validation."""
 
+import copy
 import inspect
 import json
+import pickle
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from helpers import (
     choice_random_blowup,
     eager_contract_all,
     eager_jsonl_lines,
+    explicit_random_blowup,
     path_census,
     rebuild_blow_up,
     scan_shape_faults,
@@ -99,14 +103,51 @@ class TestConstruction:
             )
 
 
-def scan_pair(c: CurveConfig, u: int, w: int) -> int:
+class TestRecords:
+    """Curve and Edge are tuple records; a config is read-only and keeps its public face."""
+
+    @pytest.mark.parametrize("record, name", [
+        (Curve(1, -1, -1, 1, "E1"), "self_int"),
+        (Edge(1, 2, 1), "m"),
+        (base_pair(), "vertices"),
+        (base_pair(), "edges"),
+        (base_pair(), "_by_id"),
+        (base_pair(), "_adj"),
+        (base_pair(), "extra"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+    def test_reprs(self):
+        assert repr(Curve(1, -1, -1, 1, "E1")) == (
+            "Curve(id=1, self_int=-1, k_degree=-1, mult=1, label='E1')"
+        )
+        assert repr(Edge(1, 2)) == "Edge(a=1, b=2, m=1)"
+
+    def test_records_equal_plain_tuples_with_the_same_fields(self):
+        assert Curve(1, -1, -1) == (1, -1, -1, 0, "")
+        assert Edge(1, 2) == (1, 2, 1)
+        assert sorted([Edge(2, 3), Edge(1, 4)]) == [Edge(1, 4), Edge(2, 3)]
+
+    def test_a_trace_stays_hashable(self):
+        trace = contract_all(random_blowup(random.Random(5), 8))
+        assert hash(trace) == hash(contract_all(random_blowup(random.Random(5), 8)))
+
+    def test_copy_and_pickle_rebuild_an_equal_config(self):
+        c = blow_up(random_blowup(random.Random(3), 6), FreePoint())
+        for other in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert other == c and index_view(other) == index_view(c)
+
+
+def scan_pair(edges, u: int, w: int) -> int:
     a, b = min(u, w), max(u, w)
-    return next((e.m for e in c.edges if (e.a, e.b) == (a, b)), 0)
+    return next((e.m for e in edges if (e.a, e.b) == (a, b)), 0)
 
 
-def scan_neighbors(c: CurveConfig, vid: int) -> dict[int, int]:
-    out = {e.b: e.m for e in c.edges if e.a == vid}
-    out.update({e.a: e.m for e in c.edges if e.b == vid})
+def scan_neighbors(edges, vid: int) -> dict[int, int]:
+    out = {e.b: e.m for e in edges if e.a == vid}
+    out.update({e.a: e.m for e in edges if e.b == vid})
     return out
 
 
@@ -119,36 +160,60 @@ SMALL_CANDIDATES = [
 
 
 class TestIndex:
-    """The id and adjacency maps agree with a plain scan of the sorted tuples."""
+    """The id and adjacency maps agree with a scan of the curves and edges behind a config."""
 
     @staticmethod
-    def assert_matches_scan(c: CurveConfig):
-        ids = [v.id for v in c.vertices]
+    def assert_matches_scan(c: CurveConfig, vertices: list[Curve], edges: list[Edge]):
+        ids = sorted(v.id for v in vertices)
         probe = ids + [min(ids) - 1, max(ids) + 1]
         for u in probe:
             assert c.has_vertex(u) == (u in ids)
-            assert c.neighbors(u) == scan_neighbors(c, u)
+            assert c.neighbors(u) == scan_neighbors(edges, u)
             if u in ids:
-                assert c.curve(u) == next(v for v in c.vertices if v.id == u)
+                assert c.curve(u) == next(v for v in vertices if v.id == u)
             else:
                 with pytest.raises(KeyError):
                     c.curve(u)
             for w in probe:
                 if w != u:
-                    assert c.pair(u, w) == scan_pair(c, u, w)
+                    assert c.pair(u, w) == scan_pair(edges, u, w)
         assert c.ids() == tuple(ids)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 12))
     def test_random_blowups(self, seed, depth):
-        self.assert_matches_scan(random_blowup(random.Random(seed), depth))
+        vertices, edges = explicit_random_blowup(random.Random(seed), depth)
+        self.assert_matches_scan(random_blowup(random.Random(seed), depth), vertices, edges)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SMALL_CANDIDATES))
     def test_candidate_configs(self, candidate):
         t, _, hits = candidate
-        config, _ = build_candidate_config(t, hits)
-        self.assert_matches_scan(config)
+        config, e_id = build_candidate_config(t, hits)
+        vertices = [Curve(j + 1, -bj, bj - 2, 0, f"C{j + 1}") for j, bj in enumerate(t)]
+        vertices.append(Curve(e_id, -1, -1, 0, "e"))
+        edges = [Edge(j, j + 1) for j in range(1, len(t))]
+        edges += [Edge(h, e_id, m) for h, m in Counter(hits).items()]
+        self.assert_matches_scan(config, vertices, edges)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_derived_tuples_are_the_sorted_curves_and_edges(self, seed):
+        rng = random.Random(seed)
+        depth = rng.randrange(1, 25)
+        vertices, edges = explicit_random_blowup(random.Random(seed), depth)
+        c = random_blowup(random.Random(seed), depth)
+        vid = rng.choice([v.id for v in vertices if (v.self_int, v.k_degree) == (-1, -1)])
+        for cfg in (c, CurveConfig.make(vertices, edges), blow_down(c, vid)):
+            curves = list(cfg._by_id.values())
+            pairs = [Edge(a, b, m) for a, row in cfg._adj.items() for b, m in row.items() if a < b]
+            rng.shuffle(curves)
+            rng.shuffle(pairs)
+            assert cfg.vertices == tuple(sorted(curves, key=lambda v: v.id))
+            assert cfg.edges == tuple(sorted(pairs, key=lambda e: (e.a, e.b)))
+            assert list(cfg._by_id) == sorted(cfg._by_id)
+            assert all(list(row) == sorted(row) for row in cfg._adj.values())
+        assert c.vertices == tuple(sorted(vertices, key=lambda v: v.id))
+        assert c.edges == tuple(sorted(edges, key=lambda e: (e.a, e.b)))
 
     def test_pair_of_a_curve_with_itself_is_refused(self):
         with pytest.raises(ValueError):

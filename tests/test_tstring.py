@@ -179,6 +179,23 @@ class TestWahlStrings:
         with pytest.raises(ValueError, match=re.escape(f"entry {shown} is not an integer")):
             wahl_tstring(p, q)
 
+    @pytest.mark.parametrize("p, q", [(5, 2.0), (5.0, 2), ("5", 2), (5, Fraction(2))])
+    def test_an_exact_parameter_is_read_as_its_integer(self, p, q):
+        params = WahlParams(p, q)
+        assert params == WahlParams(5, 2)
+        assert (type(params.p), type(params.q)) == (int, int)
+
+    @pytest.mark.parametrize("p, q, shown", [
+        (5, 2.5, "2.5"),
+        (5.5, 2, "5.5"),
+        (5, float("nan"), "nan"),
+        ("five", 2, "'five'"),
+        (5, "2.0", "'2.0'"),
+    ])
+    def test_a_lossy_or_non_numeric_field_of_wahl_params_raises_naming_it(self, p, q, shown):
+        with pytest.raises(ValueError, match=re.escape(f"entry {shown} is not an integer")):
+            WahlParams(p, q)
+
     def test_reversal_swaps_q_and_p_minus_q(self):
         for (p, q), b in WAHL_STRINGS.items():
             assert as_entries(wahl_tstring(p, p - q)) == b[::-1]
