@@ -18,10 +18,14 @@ suite: a_j in (-1, 0), a_1 + a_ell = -1, and denominators divide p**2.
 validate_discrepancies checks them and the system itself in exact integer
 arithmetic over the vector's common denominator.
 
-atlas_record builds the canonical JSON record of one T-string from these
-integer numerators alone: the same checks run on them directly, and each
-"num/den" string is printed from a gcd, so no Fraction is built unless a
-check fails and its message needs one.
+atlas_record builds the canonical JSON record of one T-string from two
+integer sweeps, continuants(b) forward and continuants(b[::-1]) backward.
+The backward sweep's K(b) and K(b_2..b_ell) give (p, q); the two sweeps
+give the numerators through the same code as discrepancies; and |det M| is
+the forward sweep's K(b), so |det| = p**2 compares two independent sweeps
+(K(b) is unchanged by reversing b).  The checks of validate_discrepancies
+run on the numerators directly, and each "num/den" string is printed from a
+gcd, so no Fraction is built unless a check fails and its message needs one.
 
 canonical_pairing evaluates sum a_j v_j against a K-degree threshold: a curve
 class F with incidences v_j = F.C_j must satisfy sum a_j v_j < K.F, which is
@@ -35,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .tstring import TString, as_entries, checksum_ok, continuants, tstring_to_params
+from .tstring import TString, _cf_entries, _params_from_continuants, as_entries, continuants
 
 
 def intersection_matrix(t: TString | Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -60,11 +64,24 @@ def _numerators(b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
     The bad-curve oracle pairs all candidates of one string against it before
     it moves to the next string, so a small cache serves nearly every call.
+    Raises ValueError for a singular chain, whose K(b) is 0.
     """
-    prefix = continuants(b)  # prefix[j] = K(b[:j])
-    suffix = continuants(b[::-1])[-2::-1]  # suffix[j] = K(b[j + 1:])
-    p2 = prefix[-1]
-    return tuple(x + y - p2 for x, y in zip(prefix, suffix)), p2
+    nums, p2 = _numerators_of(continuants(b), continuants(b[::-1]))
+    if p2 == 0:
+        raise ValueError(f"singular chain {list(b)}: K(b) = 0, so M a = b - 2 has no unique "
+                         "solution")
+    return nums, p2
+
+
+def _numerators_of(prefix: list[int], back: list[int]) -> tuple[tuple[int, ...], int]:
+    """_numerators from the sweeps prefix = continuants(b) and back = continuants(b[::-1]).
+
+    prefix[j] = K(b_1..b_j) and back[-2 - j] = K(b_{j+2}..b_ell), so the
+    numerator of a_{j+1} is prefix[j] + back[-2 - j] - p**2, with p**2 =
+    back[-1] = K(b) read from the backward sweep.
+    """
+    p2 = back[-1]
+    return tuple(x + y - p2 for x, y in zip(prefix, back[-2::-1])), p2
 
 
 def discrepancies(t: TString | Iterable[int]) -> tuple[Fraction, ...]:
@@ -84,9 +101,11 @@ def validate_discrepancies(t: TString | Iterable[int], a: Sequence[Fraction]) ->
     n_j = a_j * D, they read -D < n_j < 0, n_1 + n_ell = -D, p**2 % D == 0
     (p**2 from the chain determinant, not from a) and
     -b_j n_j + n_{j-1} + n_{j+1} = (b_j - 2) D.  A Fraction is built only to
-    show the value of a check that fails.
+    show the value of a check that fails.  An empty string raises ValueError.
     """
     b = as_entries(t)
+    if not b:
+        raise ValueError("empty string")
     if len(a) != len(b):
         return [f"length mismatch: {len(a)} != {len(b)}"]
     d = math.lcm(*(x.denominator for x in a))
@@ -97,13 +116,13 @@ def validate_discrepancies(t: TString | Iterable[int], a: Sequence[Fraction]) ->
 def _problems(
     b: tuple[int, ...], n: Sequence[int], d: int, p2: int, shown: object = None
 ) -> list[str]:
-    """The checks of validate_discrepancies on a_j = n[j] / d, with p**2 = p2.
+    """The checks of validate_discrepancies on a_j = n[j] / d (n not empty), with p**2 = p2.
 
     ``shown`` is the vector as the caller holds it, printed when an entry
     falls outside (-1, 0); by default it is rebuilt from n and d.
     """
     problems: list[str] = []
-    if not all(-d < x < 0 for x in n):
+    if not -d < min(n) <= max(n) < 0:
         if shown is None:
             shown = tuple(Fraction(x, d) for x in n)
         problems.append(f"some a_j outside (-1, 0): {shown}")
@@ -129,26 +148,31 @@ def atlas_record(t: TString | Iterable[int]) -> dict:
     discrepancy check or |det| = p**2 fails.  The discrepancies are checked
     as the reduced numerators over D = p**2 / gcd(p**2, n_1, ..., n_ell),
     which is the common denominator validate_discrepancies would derive from
-    the Fractions, and each is printed as "num/den" in lowest terms.
+    the Fractions, and each is printed as "num/den" in lowest terms.  Every
+    field comes from one forward and one backward continuant sweep: p and q
+    from the backward one, |det| = K(b) from the forward one.
     """
-    b = as_entries(t)
-    params = tstring_to_params(b)
-    nums, p2 = _numerators(b)
-    det = abs(chain_determinant(b))
+    b = _cf_entries(t)
+    prefix = continuants(b)
+    back = continuants(b[::-1])
+    params = _params_from_continuants(b, back[-1], back[-2])
+    nums, p2 = _numerators_of(prefix, back)
+    det = prefix[-1]
     g = math.gcd(p2, *nums)
     problems = _problems(b, [x // g for x in nums], p2 // g, det)
     if problems:
         raise AssertionError(f"discrepancy invariants failed for {list(b)}: {problems}")
     if det != params.p**2:
         raise AssertionError(f"|det| = {det} != p^2 = {params.p ** 2} for {list(b)}")
+    ell = len(b)
     return {
         "p": params.p,
         "q": params.q,
-        "ell": len(b),
+        "ell": ell,
         "b": list(b),
         "discrepancies": [f"{x // (k := math.gcd(x, p2))}/{p2 // k}" for x in nums],
         "det": det,
-        "checksum_ok": checksum_ok(b),
+        "checksum_ok": sum(b) == 3 * ell + 1,  # sum(b_j - 2) == ell + 1
     }
 
 

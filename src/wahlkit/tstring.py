@@ -100,11 +100,16 @@ def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
     A tuple of exact ints is returned as it is; anything else (a bool, a
     list, a generator) is coerced entry by entry.  An entry that int() would
     change in value, such as 3.5 truncated to 3, raises ValueError naming it.
+    A str or bytes passed as the whole sequence raises ValueError too: read
+    one character at a time, "352" would pass for (3, 5, 2).
     """
     if isinstance(t, TString):
         return t.b
     if type(t) is tuple and set(map(type, t)) <= {int}:
         return t
+    if isinstance(t, (str, bytes, bytearray)):
+        raise ValueError(
+            f"entries must be a sequence of integers, not the {type(t).__name__} {t!r}")
     return tuple(map(_entry, t))
 
 
@@ -157,13 +162,18 @@ def continuants(b: Iterable[int]) -> list[int]:
 
 def eval_cf(b: TString | Iterable[int]) -> Fraction:
     """Value of b_1 - 1/(b_2 - 1/(... - 1/b_k)), i.e. K(b_1..b_k) / K(b_2..b_k)."""
-    entries = as_entries(b)
+    back = continuants(_cf_entries(b)[::-1])
+    return Fraction(back[-1], back[-2])
+
+
+def _cf_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
+    """as_entries(t), refused with eval_cf's errors when empty or an entry is below 2."""
+    entries = as_entries(t)
     if not entries:
         raise ValueError("empty continued fraction")
-    if any(x < 2 for x in entries):
+    if min(entries) < 2:
         raise ValueError(f"entries must be >= 2: {list(entries)}")
-    suffix = continuants(entries[::-1])
-    return Fraction(suffix[-1], suffix[-2])
+    return entries
 
 
 def wahl_tstring(p: int | WahlParams, q: int | None = None) -> TString:
@@ -291,9 +301,19 @@ def tstring_to_params(t: TString | Iterable[int]) -> WahlParams:
     Raises ValueError when the input is not a T-string.  The result is
     revalidated against the expansion, and satisfies p <= 2**ell.
     """
-    b = as_entries(t)
-    value = eval_cf(b)
-    n, m = value.numerator, value.denominator
+    b = _cf_entries(t)
+    back = continuants(b[::-1])
+    return _params_from_continuants(b, back[-1], back[-2])
+
+
+def _params_from_continuants(b: tuple[int, ...], n: int, m: int) -> WahlParams:
+    """tstring_to_params(b) from n = K(b_1..b_ell) and m = K(b_2..b_ell).
+
+    n/m is eval_cf(b), already in lowest terms: K(b_1..b_ell) =
+    b_1 K(b_2..b_ell) - K(b_3..b_ell), so gcd(n, m) = gcd(K(b_2..b_ell),
+    K(b_3..b_ell)) = ... = gcd(K(b_ell), K()) = 1.
+    """
+    assert gcd(n, m) == 1, (b, n, m)
     p = isqrt(n)
     if p * p != n:
         raise ValueError(f"not a T-string: eval_cf={n}/{m} has non-square numerator")

@@ -330,6 +330,8 @@ def eager_pairing(b, v, kF):
 def fraction_validate_discrepancies(t, a):
     """validate_discrepancies in Fraction arithmetic, one entry at a time."""
     b = as_entries(t)
+    if not b:
+        raise ValueError("empty string")
     problems = []
     if len(a) != len(b):
         return [f"length mismatch: {len(a)} != {len(b)}"]

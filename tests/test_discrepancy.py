@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,7 +31,7 @@ from wahlkit import (
     validate_discrepancies,
     wahl_tstring,
 )
-from wahlkit import discrepancy
+from wahlkit import discrepancy, tstring
 from wahlkit.discrepancy import _numerators
 
 F = Fraction
@@ -140,6 +141,20 @@ class TestDiscrepancies:
         assert checksum_ok(b) and not is_tstring(b).accepted
         problems = validate_discrepancies(b, discrepancies(b))
         assert problems == ["a_1 + a_ell = -13/11 != -1"]
+
+    @pytest.mark.parametrize("call, chain", [
+        (discrepancies, (1, 1)),
+        (discrepancies, [2, 1, 2]),
+        (lambda b: canonical_pairing(b, [1, 1], -1), (1, 1)),
+    ])
+    def test_a_singular_chain_raises_naming_it(self, call, chain):
+        with pytest.raises(ValueError, match=re.escape(f"singular chain {list(chain)}: K(b) = 0")):
+            call(chain)
+
+    @pytest.mark.parametrize("validate", [validate_discrepancies, fraction_validate_discrepancies])
+    def test_validation_refuses_the_empty_string(self, validate):
+        with pytest.raises(ValueError, match="^empty string$"):
+            validate((), [])
 
     def test_reversal_reverses_the_vector(self):
         for t in iter_tstrings(7):
@@ -285,9 +300,25 @@ class TestAtlasRecord:
 
     def test_builds_no_fraction_for_a_valid_record(self, monkeypatch):
         strings = list(iter_tstrings(10))
-        monkeypatch.setattr(discrepancy, "Fraction", None)  # calling it would raise
+        for module in (discrepancy, tstring):  # tstring_to_params builds none either
+            monkeypatch.setattr(module, "Fraction", None)  # calling it would raise
         for t in strings:
             assert atlas_record(t)["det"] == tstring_to_params(t).p ** 2
+
+    def test_two_continuant_sweeps_per_record(self, monkeypatch):
+        sweep = tstring.continuants
+        calls = []
+
+        def counted(b):
+            calls.append(b)
+            return sweep(b)
+
+        for module in (discrepancy, tstring):
+            monkeypatch.setattr(module, "continuants", counted)
+        for t in iter_tstrings(8):
+            calls.clear()
+            atlas_record(t)
+            assert calls == [t.b, t.b[::-1]]  # one forward sweep, then one backward
 
     @staticmethod
     def corrupted_numerators(rng, nums, p2):
@@ -319,7 +350,9 @@ class TestAtlasRecord:
             b = rng.choice(strings).b
             bad = self.corrupted_numerators(rng, _numerators(b)[0], _numerators(b)[1])
             with monkeypatch.context() as m:
+                # discrepancies() reads _numerators, the record reads _numerators_of
                 m.setattr(discrepancy, "_numerators", lambda _b: bad)
+                m.setattr(discrepancy, "_numerators_of", lambda _prefix, _back: bad)
                 try:
                     want = fraction_atlas_record(b)
                 except AssertionError as exc:
@@ -333,18 +366,33 @@ class TestAtlasRecord:
         assert outcomes == {"valid", *kinds}  # every check fires on some vector
 
     def test_a_wrong_determinant_fails_with_the_reference_message(self, monkeypatch):
-        det = chain_determinant
-        for wrong in (lambda b: 2 * det(b), lambda b: det(b) + 1):
-            for module in (discrepancy, helpers):
-                monkeypatch.setattr(module, "chain_determinant", wrong)
+        sweep = tstring.continuants
+        for wrong in (lambda det: 2 * det, lambda det: det + 1):
             for t in iter_tstrings(5):
-                with pytest.raises(AssertionError) as want:
-                    fraction_atlas_record(t)
-                with pytest.raises(AssertionError) as got:
-                    atlas_record(t)
+                with monkeypatch.context() as m:
+                    for module in (discrepancy, helpers):
+                        m.setattr(module, "chain_determinant",
+                                  lambda b: wrong(chain_determinant(b)))
+                    with pytest.raises(AssertionError) as want:
+                        fraction_atlas_record(t)
+                calls = []
+
+                def forward_spoiled(b):
+                    """The record's |det| is the last entry of its first, forward sweep."""
+                    out = sweep(b)
+                    if not calls:
+                        out[-1] = abs(wrong((-1) ** len(b) * out[-1]))
+                    calls.append(b)
+                    return out
+
+                with monkeypatch.context() as m:
+                    m.setattr(discrepancy, "continuants", forward_spoiled)
+                    with pytest.raises(AssertionError) as got:
+                        atlas_record(t)
+                assert calls == [t.b, t.b[::-1]]
                 assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("b", [(3, 4), (2, 2), (4, 4), (5,), (2, 5, 3, 2)])
+    @pytest.mark.parametrize("b", [(3, 4), (2, 2), (4, 4), (5,), (2, 5, 3, 2), (), (1, 5), (4, 1)])
     def test_a_non_tstring_raises_the_reference_error(self, b):
         with pytest.raises(ValueError) as want:
             fraction_atlas_record(b)

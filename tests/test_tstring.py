@@ -109,6 +109,19 @@ class TestAsEntries:
             as_entries(raw)
 
     @pytest.mark.parametrize("call, raw", [
+        (as_entries, "352"),
+        (as_entries, b"\x04"),
+        (as_entries, bytearray(b"\x04")),
+        (TString, "352"),
+        (tstring_to_params, "352"),
+        (discrepancies, "352"),
+    ])
+    def test_a_str_or_bytes_sequence_is_refused(self, call, raw):
+        # read one character at a time, "352" would pass for (3, 5, 2)
+        with pytest.raises(ValueError, match=re.escape(f"not the {type(raw).__name__} {raw!r}")):
+            call(raw)
+
+    @pytest.mark.parametrize("call, raw", [
         (discrepancies, [3.9, 5, 2]),
         (is_tstring, [3.5, 5.2, 2]),
         (TString, (3.7, 5, 2)),
