@@ -16,8 +16,8 @@ properties (checked by :func:`validate_zariski`):
   (1) every component has negative self-intersection;
   (2) distinct components meet at most once, transversely;
   (3) the dual graph is a connected tree;
-  (5) component multiplicities obey a linear recursion (two indexing
-      conventions are reported, see validate_zariski);
+  (5) the component multiplicities are those derived_multiplicities reads
+      off the contraction; the pairing checks of (6) test them;
   (6) E.A_i = 0 for every component contracted before the last and
       E.A_last = -1; consequently E**2 = -1 and K.E = -1;
   (7) some component is a (-1)-curve and every (-1)-component has at most
@@ -74,7 +74,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .tstring import as_entries
+from .tstring import _entry, as_entries
 
 # Terminal states of contract_all.
 CONTRACTED_TO_POINT = "CONTRACTED_TO_POINT"
@@ -747,24 +747,14 @@ def _shape_step(
 class ZariskiReport:
     """Property report for a candidate exceptional curve of the first kind.
 
-    ``passed`` covers the unambiguous properties.  The multiplicity-recursion
-    field is informational: it reports whether the creation-order recursion
-    with stage intersections (:func:`derived_multiplicities`) reproduces the
-    given multiplicities.
+    ``failures`` names the checks that did not hold, in this order:
+    negative_self_ints, simple_edges, connected_tree, has_minus_one,
+    minus_one_neighbors_ok and contraction; once the components contract to
+    a point, pairing_zero_nonfinal, pairing_final, pairing_total,
+    self_pairing and k_pairing follow.  ``passed`` is ``not failures``.
     """
 
     contraction_status: str
-    negative_self_ints: bool
-    simple_edges: bool
-    connected_tree: bool
-    pairing_zero_nonfinal: bool
-    pairing_final: bool
-    pairing_total: bool
-    self_pairing: bool
-    k_pairing: bool
-    has_minus_one: bool
-    minus_one_neighbors_ok: bool
-    mult_recursion_creation_order: bool | None
     failures: tuple[str, ...]
 
     @property
@@ -779,79 +769,53 @@ def validate_zariski(
 
     ``mults`` assigns the divisor multiplicities; by default the stored
     per-vertex multiplicities are used.  Components are the keys with m >= 1;
-    all other vertices are frozen bystanders during the contraction.  A
-    negative entry raises ValueError naming its vertex.
+    all other vertices are frozen bystanders during the contraction.  A key
+    that is not a vertex of c, or a value that is not a nonnegative integer,
+    raises ValueError naming its vertex.
     """
     curves = c._by_id
-    if mults is None:
-        mults = {vid: v.mult for vid, v in curves.items() if v.mult > 0}
-    for vid, m in mults.items():
+    given = {vid: v.mult for vid, v in curves.items()} if mults is None else mults
+    mults = {}
+    for vid, m in given.items():
+        if vid not in curves:
+            raise ValueError(f"vertex {vid!r} is not in the configuration")
+        try:
+            m = _entry(m)
+        except ValueError:
+            raise ValueError(f"vertex {vid} has multiplicity {m!r}, not an integer") from None
         if m < 0:
             raise ValueError(f"vertex {vid} has multiplicity {m} < 0")
-    mults = {vid: m for vid, m in mults.items() if m}
+        if m:
+            mults[vid] = m
     comp = set(mults)
     if not comp:
         raise ValueError("no components: empty multiplicity assignment")
-    frozen = [vid for vid in curves if vid not in comp]
     # Contractibility is an abstract property of the divisor; the SW rule is a
     # separate ambient obstruction, applied by callers when it is in force.
-    trace = contract_all(c, frozen=frozen, sw_exempt=curves)
-
-    failures: list[str] = []
-
-    def need(name: str, ok: bool) -> bool:
-        if not ok:
-            failures.append(name)
-        return ok
-
-    negative_self_ints = need(
-        "negative_self_ints", all(c.curve(v).self_int < 0 for v in comp)
-    )
+    trace = contract_all(c, frozen=[vid for vid in curves if vid not in comp], sw_exempt=curves)
+    contracted = trace.status == CONTRACTED_TO_POINT
     faults = shape_faults(curves, c._adj, comp)
-    simple_edges = need("simple_edges", MULTI_EDGE not in faults)
-    connected_tree = need("connected_tree", not {DISCONNECTED_STAGE, CYCLE} & faults)
-    has_minus_one = need(
-        "has_minus_one",
-        any(c.curve(v).self_int == -1 and c.curve(v).k_degree == -1 for v in comp),
-    )
-    minus_one_neighbors_ok = need("minus_one_neighbors_ok", THREE_NEIGHBOR not in faults)
-
-    contracted = need("contraction", trace.status == CONTRACTED_TO_POINT)
+    members = [curves[v] for v in comp]
+    checks = [
+        ("negative_self_ints", all(v.self_int < 0 for v in members)),
+        ("simple_edges", MULTI_EDGE not in faults),
+        ("connected_tree", not {DISCONNECTED_STAGE, CYCLE} & faults),
+        ("has_minus_one", any(v.self_int == -1 and v.k_degree == -1 for v in members)),
+        ("minus_one_neighbors_ok", THREE_NEIGHBOR not in faults),
+        ("contraction", contracted),
+    ]
     if contracted:
-        last = trace.order[-1]
+        last = trace.steps[-1].vertex
         pairing = {v: divisor_pairing(c, mults, v) for v in comp}
-        pairing_zero_nonfinal = need(
-            "pairing_zero_nonfinal",
-            all(p == 0 for v, p in pairing.items() if v != last),
-        )
-        pairing_final = need("pairing_final", pairing[last] == -1)
-        pairing_total = need("pairing_total", sum(pairing.values()) == -1)
-        # E**2 = sum m_v (E.A_v), divisor_self's sum, from the pairings above
-        self_pairing = need(
-            "self_pairing", sum(mults[v] * p for v, p in pairing.items()) == -1
-        )
-        k_pairing = need("k_pairing", divisor_k(c, mults) == -1)
-        creation_ok = derived_multiplicities(trace) == mults
-    else:
-        pairing_zero_nonfinal = pairing_final = pairing_total = False
-        self_pairing = k_pairing = False
-        creation_ok = None
-
-    return ZariskiReport(
-        contraction_status=trace.status,
-        negative_self_ints=negative_self_ints,
-        simple_edges=simple_edges,
-        connected_tree=connected_tree,
-        pairing_zero_nonfinal=pairing_zero_nonfinal,
-        pairing_final=pairing_final,
-        pairing_total=pairing_total,
-        self_pairing=self_pairing,
-        k_pairing=k_pairing,
-        has_minus_one=has_minus_one,
-        minus_one_neighbors_ok=minus_one_neighbors_ok,
-        mult_recursion_creation_order=creation_ok,
-        failures=tuple(failures),
-    )
+        checks += [
+            ("pairing_zero_nonfinal", all(p == 0 for v, p in pairing.items() if v != last)),
+            ("pairing_final", pairing[last] == -1),
+            ("pairing_total", sum(pairing.values()) == -1),
+            # E**2 = sum m_v (E.A_v), divisor_self's sum, from the pairings above
+            ("self_pairing", sum(mults[v] * p for v, p in pairing.items()) == -1),
+            ("k_pairing", divisor_k(c, mults) == -1),
+        ]
+    return ZariskiReport(trace.status, tuple(name for name, ok in checks if not ok))
 
 
 def is_nested(e1: Iterable[int], e2: Iterable[int]) -> bool:
@@ -902,10 +866,6 @@ class IteratedBlowdown:
     def reduction(self) -> int:
         return self.k_start - self.k_final
 
-    @property
-    def bound_holds(self) -> bool:
-        return self.k_final <= self.k_start - 2 * (self.n - 1)
-
 
 def iterated_blowdown_trace(
     n: int, i: int, chain_self_ints: Sequence[int], kS: int
@@ -914,11 +874,14 @@ def iterated_blowdown_trace(
 
     S meets F_i once transversely and nothing else.  The chain must be an
     exceptional curve of the first kind (checked by contracting it alone).
-    Returns the trace with S frozen and the K-degree of the image of S;
-    raises on invalid input, and on violation of the invariants the contraction
-    is guaranteed to satisfy (each step meets S, the contracted set stays an
-    interval, and the final bound K.T <= K.S - 2(n-1)).
+    Returns the trace with S frozen and the K-degree of the image of S.
+    n, i, kS and the chain entries are read as integers first, and a value
+    that is not one raises ValueError; so does other invalid input.  A
+    violation of the invariants the contraction is guaranteed to satisfy
+    (each step meets S, the contracted set stays an interval, and the final
+    bound K.T <= K.S - 2(n-1)) raises AssertionError.
     """
+    n, i, kS = _entry(n), _entry(i), _entry(kS)
     chain = as_entries(chain_self_ints)
     if len(chain) != n:
         raise ValueError(f"chain has {len(chain)} entries, expected n={n}")
@@ -968,15 +931,14 @@ def iterated_blowdown_trace(
         profile.append((step.vertex, s_hit, meets))
 
     k_final = curves[s_id].k_degree  # the last stage, S alone
-    result = IteratedBlowdown(
-        n=n, i=i, chain=chain, k_start=kS, k_final=k_final,
-        trace=trace, profile=tuple(profile),
-    )
-    if not result.bound_holds:
+    if k_final > kS - 2 * (n - 1):
         raise AssertionError(
             f"K.T = {k_final} exceeds K.S - 2(n-1) = {kS - 2 * (n - 1)}"
         )
-    return result
+    return IteratedBlowdown(
+        n=n, i=i, chain=chain, k_start=kS, k_final=k_final,
+        trace=trace, profile=tuple(profile),
+    )
 
 
 def random_blowup(rng: random.Random, depth: int) -> CurveConfig:

@@ -117,7 +117,7 @@ def _entry(x) -> int:
     """int(x), or ValueError naming x when that loses part of its value."""
     try:
         n = int(x)
-    except (OverflowError, ValueError):  # an infinite or NaN float, a non-numeric str
+    except (OverflowError, TypeError, ValueError):  # inf or NaN, None, a non-numeric str
         raise ValueError(f"entry {x!r} is not an integer") from None
     if n != x and not isinstance(x, str):  # int() of a str is exact or raises
         raise ValueError(f"entry {x!r} is not an integer")

@@ -133,7 +133,7 @@ def test_iterated_blowdown_bound_with_equality_in_the_special_shape():
     equality_shapes = 0
     for n, i, chain in rows:
         out = iterated_blowdown_trace(n, i, chain, kS=0)
-        assert out.bound_holds, (n, i, chain)
+        assert out.reduction >= 2 * (n - 1), (n, i, chain)
         if i == 2 and all(x == -2 for x in chain[2:]):
             equality_shapes += 1
             assert out.reduction == 2 * (n - 1)

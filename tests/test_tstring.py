@@ -126,6 +126,7 @@ class TestAsEntries:
         (is_tstring, [3.5, 5.2, 2]),
         (TString, (3.7, 5, 2)),
         (lambda b: iterated_blowdown_trace(3, 2, b, 0), [-2, -1, -2.5]),
+        (as_entries, [None, 5, 2]),
     ])
     def test_callers_refuse_a_lossy_entry(self, call, raw):
         with pytest.raises(ValueError, match="is not an integer"):
