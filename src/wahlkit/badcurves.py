@@ -21,9 +21,7 @@ Shapes of bad curves (by the end-intervals of internal spheres):
            C_y..C_ell, y >= 2, and e's last hit C_{y'} lies inside.
 
 One parser, _shape, decides these shapes and returns their case, accepting
-exactly what enumerate_candidates yields.  Each shape has e meeting every
-internal interval, so internal spheres plus e form a connected set before any
-blow-down.
+exactly what enumerate_candidates yields.
 
 The case oracle rebuilds each syntactically possible configuration as an
 explicit curve configuration and lets the blow-down engine decide its fate,
@@ -52,9 +50,7 @@ before any blow-down e is the only (-1, -1) curve.
       and depends on ell and e_hits alone, and by the lemma the (-1, -1)
       test finds only e, so one scan of chain_config([-2] * ell) with e
       attached answers for every string of length ell.  The candidates are
-      grouped by e_hits, and their mirror images indexed, once per length;
-      reversal closure compares each row with the mirrored row of the
-      reversed string.
+      grouped by e_hits, and their mirror images indexed, once per length.
   per (T-string, e_hits) group (_e_parts): the chain-plus-e configuration,
       e's own checks (PATTERN_SINGLE, PATTERN_ENDPOINTS, MAGIC_E), and the
       first contraction step.  By the lemma every candidate's contraction
@@ -65,6 +61,10 @@ before any blow-down e is the only (-1, -1) curve.
       group's stage after e, and the tree shape is kept up step by step from
       each step's hits (curveconfig._shape_step) instead of scanned at every
       stage.
+  per T-string, once its rows are built: the cross-checks that read one
+      string's rows alone, the A1 and A5 certificates and the counting bounds.
+  after the loop: reversal closure, which compares each row with the
+      mirrored row of the reversed string, and the family check.
 
 examine_candidate computes both parts for its one candidate and runs the same
 _examine.  Every enumerated shape has e meeting every internal interval, so
@@ -75,9 +75,9 @@ staged_structure_checks, the slow reference, replays a finished contraction
 through BlowDownTrace.stages and scans every stage in full.
 
 Survivors are the configurations no combinatorial argument excludes; the
-oracle checks that they obey the counting bounds 2n <= ell + 4 (single type)
-and 2(n1 + n2) <= ell + 5 (coexisting B1 + B2), which feed the final length
-bound.
+counting bounds they obey feed the final length bound.  Each failed
+cross-check is one (check, subject, reason) entry of OracleReport.failures,
+and `wahlkit oracle` prints them.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ from .curveconfig import (
     shape_faults,
 )
 from .discrepancy import canonical_pairing
-from .tstring import TString, as_entries, enumerate_tstrings, is_tstring
+from .tstring import TString, _entry, as_entries, enumerate_tstrings, is_tstring
 
 ORACLE_LENGTH_CAP = 8
 
@@ -158,7 +158,7 @@ def forbidden_patterns(t: TString | Iterable[int], v: Sequence[int]) -> PatternR
     sum a_j v_j < -1 is evaluated alongside (every flagged pattern
     also fails it).
     """
-    b = as_entries(t)
+    b, v = as_entries(t), as_entries(v)
     if len(v) != len(b):
         raise ValueError(f"incidence vector length {len(v)} != ell = {len(b)}")
     if any(x < 0 for x in v):
@@ -191,7 +191,7 @@ def unbroken_checks(t: TString | Iterable[int], v: Sequence[int]) -> UnbrokenRep
     Equivalently v_j <= b_j - 2 unless b_j = 2, where v_j = 1 is allowed.
     Returns the 1-based indices of failing entries.
     """
-    b = as_entries(t)
+    b, v = as_entries(t), as_entries(v)
     if len(v) != len(b):
         raise ValueError(f"incidence vector length {len(v)} != ell = {len(b)}")
     failures = [
@@ -233,6 +233,7 @@ def type_bounds(ell: int, n_a: int = 0, n_b1: int = 0, n_b2: int = 0) -> TypeBou
     2(n1 + n2) <= ell + 5.  The total number of bad curves is at most n (if
     a type-A curve exists) or n1 + n2, and always at most (ell + 5) / 2.
     """
+    ell, n_a, n_b1, n_b2 = map(_entry, (ell, n_a, n_b1, n_b2))
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     if min(n_a, n_b1, n_b2) < 0:
@@ -322,7 +323,7 @@ def _e_parts(b: tuple[int, ...], e_hits: tuple[int, ...]) -> _GroupParts:
     v_e = [0] * len(b)
     for h in e_hits:
         v_e[h - 1] += 1
-    pat = forbidden_patterns(b, v_e)
+    pat = forbidden_patterns(b, tuple(v_e))
     checks = set(pat.patterns)
     if not pat.pairing_ok:
         checks.add(MAGIC_E)
@@ -485,8 +486,8 @@ def examine_candidate(
     and for a t with an entry below 2.
     """
     b = as_entries(t)
-    internal = tuple(sorted(internal))
-    e_hits = tuple(sorted(e_hits))
+    internal = tuple(sorted(as_entries(internal)))
+    e_hits = tuple(sorted(as_entries(e_hits)))
     if kind not in ("A", "B1", "B2"):
         raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
     parts = _candidate_parts(len(b), kind, internal, e_hits)
@@ -602,10 +603,6 @@ def enumerate_candidates(ell: int) -> list[tuple[str, tuple[int, ...], tuple[int
 # ----- Pair compatibility -----
 
 
-def _remap_e(mults: Mapping[int, int], old_e: int, new_e: int) -> dict[int, int]:
-    return {(new_e if vid == old_e else vid): m for vid, m in mults.items()}
-
-
 def pair_product(
     t: TString | Iterable[int], s1: CandidateOutcome, s2: CandidateOutcome
 ) -> int:
@@ -629,45 +626,50 @@ def pair_product(
             (Curve(e2, -1, -1, 0, "e2"), s2.e_hits),
         ],
     )
-    m1 = _remap_e(dict(s1.mults), ell + 1, e1)
-    m2 = _remap_e(dict(s2.mults), ell + 1, e2)
-    return divisor_product(combined, m1, m2)
+    # both were examined with e as vertex ell + 1 = e1; s2's moves to e2
+    m2 = {(e2 if vid == e1 else vid): m for vid, m in s2.mults}
+    return divisor_product(combined, dict(s1.mults), m2)
 
 
 # ----- The oracle -----
 
 
+_CERTIFICATES = {
+    "A1": ("A1_UNKILLED", "A1_CERTIFICATE", frozenset({THREE_NEIGHBOR, NO_MINUS_ONE})),
+    "A5": ("A5_UNKILLED", "A5_CERTIFICATE", frozenset({PATTERN_ENDPOINTS})),
+}
+
+
 @dataclass(frozen=True)
 class FamilyResult:
+    """Bad survivors on [2, .., 2, ell + 3] (corrected) and on its reversal."""
+
     ell: int
-    corrected: tuple[int, ...]
     corrected_bad_survivors: int
     reversed_bad_survivors: int
 
 
 @dataclass(frozen=True)
 class JointRecord:
+    """A B1 and a B2 bad survivor on t with disjoint internal spheres, and E1 . E2."""
+
     t: tuple[int, ...]
     b1_internal: tuple[int, ...]
     b2_internal: tuple[int, ...]
     product: int
-    compatible: bool
-    joint_ok: bool
+
+
+# (check, the row, pair or family result it is about, a one-line reason)
+OracleFailure = tuple[str, "CandidateOutcome | JointRecord | FamilyResult", str]
 
 
 @dataclass(frozen=True)
 class OracleReport:
     ell_max: int
     outcomes: tuple[CandidateOutcome, ...]
-    bound_failures: tuple[CandidateOutcome, ...]
     joint_records: tuple[JointRecord, ...]
-    joint_failures: tuple[JointRecord, ...]
-    a1_unkilled: tuple[CandidateOutcome, ...]
-    a1_off_certificate: tuple[CandidateOutcome, ...]
-    a5_unkilled: tuple[CandidateOutcome, ...]
-    a5_off_certificate: tuple[CandidateOutcome, ...]
-    reversal_failures: tuple[tuple[CandidateOutcome, str], ...]
     family_results: tuple[FamilyResult, ...]
+    failures: tuple[OracleFailure, ...]
 
     @property
     def survivors_bad(self) -> tuple[CandidateOutcome, ...]:
@@ -675,19 +677,7 @@ class OracleReport:
 
     @property
     def passed(self) -> bool:
-        return not (
-            self.bound_failures
-            or self.joint_failures
-            or self.a1_unkilled
-            or self.a1_off_certificate
-            or self.a5_unkilled
-            or self.a5_off_certificate
-            or self.reversal_failures
-            or any(
-                f.corrected_bad_survivors or f.reversed_bad_survivors
-                for f in self.family_results
-            )
-        )
+        return not self.failures
 
 
 def _mirror_index(
@@ -713,12 +703,14 @@ def _mirror_index(
 def case_oracle(ell_max: int) -> OracleReport:
     """Exhaustively examine every candidate bad curve for chains of length <= ell_max.
 
-    Checks, beyond the per-candidate verdicts: the A1 and A5 cases always
-    die with their expected certificates; bad survivors obey 2n <= ell + 4;
-    compatible B1 + B2 survivor pairs obey 2(n1 + n2) <= ell + 5; the
-    surviving set is closed under string reversal (with B1 and B2 swapped);
-    and the string family [2, .., 2, ell + 3] (and its reversal) has no bad
-    survivors at all.
+    Beside the per-candidate verdicts it checks that the A1 and A5 cases die
+    (A1_UNKILLED, A5_UNKILLED) with their certificates (A1_CERTIFICATE,
+    A5_CERTIFICATE), that bad survivors obey 2n <= ell + 4 (SURVIVOR_BOUND),
+    that compatible B1 + B2 survivor pairs obey 2(n1 + n2) <= ell + 5
+    (JOINT_BOUND), that the surviving set is closed under string reversal
+    with B1 and B2 swapped (REVERSAL), and that the family [2, .., 2, ell + 3]
+    and its reversal have no bad survivor (FAMILY).  Each failure is one
+    (check, subject, reason) entry of report.failures.
     """
     if not 1 <= ell_max <= ORACLE_LENGTH_CAP:
         raise ValueError(f"ell_max must be in 1..{ORACLE_LENGTH_CAP}, got {ell_max}")
@@ -726,6 +718,8 @@ def case_oracle(ell_max: int) -> OracleReport:
     outcomes: list[CandidateOutcome] = []
     by_string: dict[tuple[int, ...], list[CandidateOutcome]] = {}
     mirrors: dict[int, list[int | None]] = {}
+    joint_records: list[JointRecord] = []
+    failures: list[OracleFailure] = []
     for ell, strings in sorted(enumerate_tstrings(ell_max).items()):
         # each string's rows in (kind, internal, e_hits) order
         candidates = sorted(enumerate_candidates(ell))
@@ -744,83 +738,58 @@ def case_oracle(ell_max: int) -> OracleReport:
             outcomes.extend(rows)
             by_string[t] = rows
 
-    bound_failures = []
-    joint_records: list[JointRecord] = []
-    joint_failures = []
-    a1_unkilled, a1_off = [], []
-    a5_unkilled, a5_off = [], []
-    for t, rows in by_string.items():
-        ell = len(t)
-        bad = [o for o in rows if o.verdict == SURVIVES_BAD]
-        bound_failures += [o for o in bad if 2 * o.n_internal > ell + 4]
-        for o in rows:
-            if o.case == "A1":
-                if o.verdict != DIES:
-                    a1_unkilled.append(o)
-                elif not {THREE_NEIGHBOR, NO_MINUS_ONE} & set(o.checks):
-                    a1_off.append(o)
-            elif o.case == "A5":
-                if o.verdict != DIES:
-                    a5_unkilled.append(o)
-                elif PATTERN_ENDPOINTS not in o.checks:
-                    a5_off.append(o)
-        b1 = [o for o in bad if o.kind == "B1"]
-        b2 = [o for o in bad if o.kind == "B2"]
-        for s1 in b1:
-            for s2 in b2:
-                if set(s1.internal) & set(s2.internal):
-                    continue  # shared components across types cannot coexist
-                product = pair_product(t, s1, s2)
-                compatible = product == 0
-                n12 = s1.n_internal + s2.n_internal
-                ok = (not compatible) or 2 * n12 <= ell + 5
-                rec = JointRecord(
-                    t, s1.internal, s2.internal, product, compatible, ok
-                )
-                joint_records.append(rec)
-                if not ok:
-                    joint_failures.append(rec)
+            for o in rows:
+                if o.case in _CERTIFICATES:
+                    unkilled, off, certificate = _CERTIFICATES[o.case]
+                    if o.verdict != DIES:
+                        failures.append((unkilled, o, f"verdict {o.verdict}, not {DIES}"))
+                    elif not certificate.intersection(o.checks):
+                        why = " or ".join(sorted(certificate))
+                        failures.append((off, o, f"dies without {why}"))
+            bad = [o for o in rows if o.verdict == SURVIVES_BAD]
+            failures += [
+                ("SURVIVOR_BOUND", o, f"2n = {2 * o.n_internal} > ell + 4 = {ell + 4}")
+                for o in bad if 2 * o.n_internal > ell + 4
+            ]
+            b2 = [o for o in bad if o.kind == "B2"]
+            for s1 in (o for o in bad if o.kind == "B1"):
+                for s2 in b2:
+                    if set(s1.internal) & set(s2.internal):
+                        continue  # shared components across types cannot coexist
+                    rec = JointRecord(t, s1.internal, s2.internal, pair_product(t, s1, s2))
+                    joint_records.append(rec)
+                    n12 = s1.n_internal + s2.n_internal
+                    if rec.product == 0 and 2 * n12 > ell + 5:
+                        failures.append(
+                            ("JOINT_BOUND", rec, f"2(n1 + n2) = {2 * n12} > ell + 5 = {ell + 5}")
+                        )
 
-    reversal_failures = []
     for t, rows in by_string.items():
         mirrored = by_string.get(t[::-1])
         for o, j in zip(rows, mirrors[len(t)]):
             if mirrored is None or j is None:
-                reversal_failures.append((o, "mirror candidate missing"))
+                failures.append(("REVERSAL", o, "mirror candidate missing"))
             elif mirrored[j].verdict != o.verdict:
-                reversal_failures.append(
-                    (o, f"mirror verdict {mirrored[j].verdict} != {o.verdict}")
-                )
+                why = f"mirror verdict {mirrored[j].verdict} != {o.verdict}"
+                failures.append(("REVERSAL", o, why))
 
     def count_bad(s: tuple[int, ...]) -> int:
         return sum(1 for o in by_string.get(s, ()) if o.verdict == SURVIVES_BAD)
 
     family_results = []
     for ell in range(1, ell_max + 1):
-        corrected = tuple([2] * (ell - 1) + [ell + 3])
-        rev = tuple(reversed(corrected))
+        corrected = (2,) * (ell - 1) + (ell + 3,)
         assert is_tstring(corrected).accepted, corrected
-        family_results.append(
-            FamilyResult(
-                ell=ell,
-                corrected=corrected,
-                corrected_bad_survivors=count_bad(corrected),
-                reversed_bad_survivors=count_bad(rev),
-            )
-        )
+        fam = FamilyResult(ell, count_bad(corrected), count_bad(corrected[::-1]))
+        family_results.append(fam)
+        if fam.corrected_bad_survivors or fam.reversed_bad_survivors:
+            failures.append(("FAMILY", fam, (
+                f"bad survivors: {fam.corrected_bad_survivors} on {list(corrected)}, "
+                f"{fam.reversed_bad_survivors} on its reversal"
+            )))
 
     return OracleReport(
-        ell_max=ell_max,
-        outcomes=tuple(outcomes),
-        bound_failures=tuple(bound_failures),
-        joint_records=tuple(joint_records),
-        joint_failures=tuple(joint_failures),
-        a1_unkilled=tuple(a1_unkilled),
-        a1_off_certificate=tuple(a1_off),
-        a5_unkilled=tuple(a5_unkilled),
-        a5_off_certificate=tuple(a5_off),
-        reversal_failures=tuple(reversal_failures),
-        family_results=tuple(family_results),
+        ell_max, tuple(outcomes), tuple(joint_records), tuple(family_results), tuple(failures)
     )
 
 

@@ -20,12 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .tstring import _entry
+
 DEGREE_D_IN_P3 = "DEGREE_D_IN_P3"
 HORIKAWA = "HORIKAWA"
 
 
 def general_bound(ksq: int) -> int:
     """Largest chain length possible on a surface with K^2 = ksq."""
+    ksq = _entry(ksq)
     if ksq < 1:
         raise ValueError(f"need ksq >= 1 (general type), got {ksq}")
     return 4 * ksq + 7
@@ -33,6 +36,7 @@ def general_bound(ksq: int) -> int:
 
 def special_bound(ksq: int) -> int:
     """The sharper length bound when the T-string has q = 1 (no bad curves)."""
+    ksq = _entry(ksq)
     if ksq < 1:
         raise ValueError(f"need ksq >= 1 (general type), got {ksq}")
     return 2 * ksq + 1
@@ -72,8 +76,10 @@ def inequality_chain(ksq: int, ell: int, p_bad: int) -> BoundReport:
     each bad curve; the combination is ell <= 2*ksq + p_bad + 1; and p_bad
     itself may not exceed (ell + 5)/2.  All three verdicts are reported --
     infeasibility of every p_bad <= (ell+5)/2 is exactly how a length is
-    proved impossible.
+    proved impossible.  Each argument is read as an exact int: a value such
+    as 5.5 or None raises ValueError naming it.
     """
+    ksq, ell, p_bad = map(_entry, (ksq, ell, p_bad))
     if min(ksq, ell, p_bad) < 0:
         raise ValueError("ksq, ell, p_bad must be nonnegative")
     k_min = ell - ksq
@@ -99,6 +105,7 @@ def inequality_chain(ksq: int, ell: int, p_bad: int) -> BoundReport:
 
 def length_feasible(ksq: int, ell: int) -> bool:
     """Whether any admissible bad-curve count makes the chain feasible."""
+    ell = _entry(ell)
     return any(
         inequality_chain(ksq, ell, p).feasible for p in range((ell + 5) // 2 + 1)
     )
@@ -126,8 +133,10 @@ def surface_examples(kind: str, n_or_d: int) -> SurfaceExample:
     chain length is attached.  HORIKAWA (n >= 2): the Horikawa surface H(n)
     has K^2 = 4n-6, b+ = 2n-1, and carries a Wahl chain of length
     ell = n-1 = (K^2+2)/4, comfortably inside both bounds (its T-string has
-    q = 1, so the special bound applies too).
+    q = 1, so the special bound applies too).  n_or_d is read as an exact
+    int: a value such as 3.5 raises ValueError naming it.
     """
+    n_or_d = _entry(n_or_d)
     if kind == DEGREE_D_IN_P3:
         d = n_or_d
         if d < 5:

@@ -23,6 +23,9 @@ from typing import Callable
 from . import bounds
 from .badcurves import (
     ORACLE_LENGTH_CAP,
+    CandidateOutcome,
+    JointRecord,
+    OracleFailure,
     case_oracle,
     forbidden_patterns,
     interior_hit_contradiction,
@@ -117,6 +120,23 @@ def cmd_atlas(args: argparse.Namespace) -> int:
     return 0
 
 
+def _row(o: CandidateOutcome) -> str:
+    return f"{list(o.t)} {o.kind} internal={list(o.internal)} e_hits={list(o.e_hits)}"
+
+
+def _failure_line(failure: OracleFailure) -> str:
+    """One failed oracle cross-check: its name, what it is about, and why."""
+    check, subject, reason = failure
+    if isinstance(subject, CandidateOutcome):
+        what = _row(subject)
+    elif isinstance(subject, JointRecord):
+        what = (f"{list(subject.t)} B1 internal={list(subject.b1_internal)} "
+                f"B2 internal={list(subject.b2_internal)} product={subject.product}")
+    else:
+        what = f"ell={subject.ell}"
+    return f"{check} {what}: {reason}"
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     if not _max_len_ok(args.max_len, ORACLE_LENGTH_CAP):
         return 2
@@ -130,13 +150,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for ell, n in sorted(Counter(len(o.t) for o in survivors).items()):
         print(f"  ell={ell}: {n}")
     for o in survivors:
-        print(f"  {list(o.t)} {o.kind} internal={list(o.internal)} "
-              f"e_hits={list(o.e_hits)} case={o.case}")
+        print(f"  {_row(o)} case={o.case}")
     print("\nfamily [2,..,2,ell+3] survivors by length:")
     for fam in report.family_results:
         print(f"  ell={fam.ell}: corrected={fam.corrected_bad_survivors} "
               f"reversed={fam.reversed_bad_survivors}")
-    print(f"\noracle passed: {report.passed}")
+    print()
+    for failure in report.failures:
+        print(_failure_line(failure))
+    print(f"oracle passed: {report.passed}")
     if args.out is not None:
         if not _emit(oracle_jsonl(report), args.out):
             return 1
@@ -324,8 +346,7 @@ def _check_patterns(rng: random.Random) -> list[str]:
 
 
 def _check_oracle(rng: random.Random) -> list[str]:
-    report = case_oracle(4)
-    return [] if report.passed else ["case oracle at ell <= 4 found violations"]
+    return [_failure_line(f) for f in case_oracle(4).failures]
 
 
 def _check_interior_hits(rng: random.Random) -> list[str]:

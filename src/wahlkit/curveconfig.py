@@ -107,6 +107,14 @@ class Edge(NamedTuple):
 _set = object.__setattr__  # CurveConfig's own writes, past its read-only __setattr__
 
 
+def _exact(rec: Curve | Edge) -> Curve | Edge:
+    """rec with each field but a label read through _entry; ValueError naming a lossy one."""
+    try:
+        return rec._replace(**{f: _entry(x) for f, x in zip(rec._fields, rec) if f != "label"})
+    except ValueError as exc:
+        raise ValueError(f"{type(rec).__name__} {tuple(rec)}: {exc}") from None
+
+
 class CurveConfig:
     """A configuration held as two maps, with its sorted tuples derived on demand.
 
@@ -166,8 +174,17 @@ class CurveConfig:
 
     @staticmethod
     def make(vertices: Iterable[Curve], edges: Iterable[Edge]) -> "CurveConfig":
-        """Canonicalize (sort), validate and index a configuration."""
-        vs = sorted(vertices, key=lambda v: v.id)
+        """Canonicalize (sort), validate and index a configuration.
+
+        Every field but a curve's label must be an int; one that is not is
+        read through tstring's _entry, so a lossy value such as 1.5 or 'a'
+        raises ValueError naming it.
+        """
+        # the chained test holds when all four fields are ints
+        vs = sorted((
+            v if type(v.id) is type(v.self_int) is type(v.k_degree) is type(v.mult) is int
+            else _exact(v) for v in vertices
+        ), key=lambda v: v.id)
         by_id = {v.id: v for v in vs}
         if len(by_id) != len(vs):
             raise ValueError(f"duplicate vertex ids: {[v.id for v in vs]}")
@@ -176,6 +193,8 @@ class CurveConfig:
                 raise ValueError(f"vertex {v.id} has multiplicity {v.mult} < 0")
         norm = []
         for e in edges:
+            if not (type(e.a) is type(e.b) is type(e.m) is int):
+                e = _exact(e)
             a, b = (e.a, e.b) if e.a < e.b else (e.b, e.a)
             if a == b:
                 raise ValueError(f"self-edge at vertex {a}")

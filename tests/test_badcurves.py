@@ -46,7 +46,11 @@ from wahlkit.badcurves import (
     PATTERN_SINGLE,
     SURVIVES_BAD,
     SURVIVES_GOOD,
+    SW,
     THREE_NEIGHBOR,
+    FamilyResult,
+    JointRecord,
+    OracleReport,
     _candidate_parts,
     _e_parts,
     _examine,
@@ -146,6 +150,28 @@ class TestTypeBounds:
             type_bounds(0)
         with pytest.raises(ValueError):
             type_bounds(3, n_a=-1)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: type_bounds(5, 1.5), "1.5"),
+    (lambda: type_bounds(5.5), "5.5"),
+    (lambda: type_bounds(5, n_b2=None), "None"),
+    (lambda: unbroken_checks((2, 5, 3), [1, 0.5, 0]), "0.5"),
+    (lambda: forbidden_patterns((2, 5, 3), [1, 0.5, 0]), "0.5"),
+    (lambda: examine_candidate((2, 5, 3), "B1", (1,), (1, 2.5)), "2.5"),
+    (lambda: examine_candidate((2, 5, 3), "B1", (1.5,), (1, 2)), "1.5"),
+])
+def test_a_lossy_input_raises_naming_it(call, named):
+    with pytest.raises(ValueError, match=f"entry {re.escape(named)} is not an integer"):
+        call()
+
+
+def test_an_exact_non_int_input_is_read_as_its_int():
+    assert type_bounds(5, 1.0) == type_bounds(5, 1)
+    assert unbroken_checks((2, 5, 3), [1, 1.0, 0]) == unbroken_checks((2, 5, 3), [1, 1, 0])
+    assert forbidden_patterns((2, 5, 3), [1, 1.0, 0]) == forbidden_patterns((2, 5, 3), [1, 1, 0])
+    assert examine_candidate((2, 5, 3), "B1", (1,), (1, 2.0)) == examine_candidate(
+        (2, 5, 3), "B1", (1,), (1, 2))
 
 
 class TestEnumerateCandidates:
@@ -657,9 +683,57 @@ class TestStrictString:
             examine_candidate((0, 0, 1), "B1", (2,), (2,))
 
 
+def failed(report, check):
+    """{subject key: reason} for each failure of check in report, each subject named once."""
+    def key(s):
+        if isinstance(s, CandidateOutcome):
+            return (s.t, s.kind, s.internal, s.e_hits)
+        return dataclasses.astuple(s)
+
+    named = [(key(s), why) for c, s, why in report.failures if c == check]
+    assert len(dict(named)) == len(named), named
+    return dict(named)
+
+
+def forged_oracle(monkeypatch, strings, forged):
+    """case_oracle over strings alone, with the fields of each row keyed in forged replaced.
+
+    forged maps (t, kind, internal, e_hits) to dataclasses.replace keywords.
+    """
+    examine = badcurves._examine
+
+    def forge(*args):
+        o = examine(*args)
+        fields = forged.get((o.t, o.kind, o.internal, o.e_hits))
+        return o if fields is None else dataclasses.replace(o, **fields)
+
+    levels = {}
+    for t in strings:
+        levels.setdefault(len(t), []).append(t)
+    monkeypatch.setattr(badcurves, "_examine", forge)
+    monkeypatch.setattr(badcurves, "enumerate_tstrings", lambda ell_max: levels)
+    return case_oracle(max(levels))
+
+
+# the q = 1 family strings, the only strings of length 6 or 7 with no bad
+# survivor on them or on their reversal
+FAMILY_6 = ((2, 2, 2, 2, 2, 9), (9, 2, 2, 2, 2, 2))
+FAMILY_7 = ((2, 2, 2, 2, 2, 2, 10), (10, 2, 2, 2, 2, 2, 2))
+FORGED_BAD = {"verdict": SURVIVES_BAD, "checks": ()}
+
+
 class TestCaseOracle:
     def test_passes(self):
         assert ORACLE4.passed
+        assert ORACLE4.failures == ()
+
+    def test_report_fields(self):
+        assert [f.name for f in dataclasses.fields(OracleReport)] == [
+            "ell_max", "outcomes", "joint_records", "family_results", "failures"]
+        assert [f.name for f in dataclasses.fields(JointRecord)] == [
+            "t", "b1_internal", "b2_internal", "product"]
+        assert [f.name for f in dataclasses.fields(FamilyResult)] == [
+            "ell", "corrected_bad_survivors", "reversed_bad_survivors"]
 
     def test_candidate_count(self):
         assert len(ORACLE4.outcomes) == 560
@@ -679,7 +753,7 @@ class TestCaseOracle:
         assert ((2, 3, 5, 3), "B1", (1,), (1, 3)) in keys
 
     def test_survivors_close_under_reversal(self):
-        assert ORACLE4.reversal_failures == ()
+        assert failed(ORACLE4, "REVERSAL") == {}
         survivors = {(o.t, o.kind, o.internal, o.e_hits) for o in ORACLE4.survivors_bad}
         for t, kind, internal, hits in survivors:
             ell = len(t)
@@ -703,8 +777,8 @@ class TestCaseOracle:
         monkeypatch.setattr(badcurves, "_examine", flip_one)
         report = case_oracle(4)
         assert not report.passed
-        assert {(o.t, o.kind, o.internal, o.e_hits): why
-                for o, why in report.reversal_failures} == {
+        assert {c for c, _, _ in report.failures} == {"REVERSAL"}
+        assert failed(report, "REVERSAL") == {
             flipped: f"mirror verdict {SURVIVES_BAD} != {DIES}",
             mirror: f"mirror verdict {DIES} != {SURVIVES_BAD}",
         }
@@ -721,12 +795,13 @@ class TestCaseOracle:
         monkeypatch.setattr(badcurves, "enumerate_tstrings", without_one)
         report = case_oracle(3)
         assert not report.passed
-        assert [(o.t, why) for o, why in report.reversal_failures] == [
-            ((2, 5, 3), "mirror candidate missing")
-        ] * len(enumerate_candidates(3))
+        assert {c for c, _, _ in report.failures} == {"REVERSAL"}
+        assert failed(report, "REVERSAL") == {
+            ((2, 5, 3), *c): "mirror candidate missing" for c in enumerate_candidates(3)
+        }
 
     def test_survivor_budget(self):
-        assert ORACLE4.bound_failures == ()
+        assert failed(ORACLE4, "SURVIVOR_BOUND") == {}
         for o in ORACLE4.survivors_bad:
             assert 2 * o.n_internal <= len(o.t) + 4
 
@@ -744,15 +819,71 @@ class TestCaseOracle:
         assert all(kinds in ({"B1"}, {"B2"}) for kinds in by_string.values())
 
     def test_interior_certificates(self):
-        assert ORACLE4.a1_unkilled == () and ORACLE4.a1_off_certificate == ()
-        assert ORACLE4.a5_unkilled == () and ORACLE4.a5_off_certificate == ()
+        for check in ("A1_UNKILLED", "A1_CERTIFICATE", "A5_UNKILLED", "A5_CERTIFICATE"):
+            assert failed(ORACLE4, check) == {}
 
     def test_family_results(self):
         assert [f.ell for f in ORACLE4.family_results] == [1, 2, 3, 4]
         for f in ORACLE4.family_results:
-            assert f.corrected == tuple([2] * (f.ell - 1) + [f.ell + 3])
             assert f.corrected_bad_survivors == 0
             assert f.reversed_bad_survivors == 0
+        assert failed(ORACLE4, "FAMILY") == {}
+
+    def test_a_survivor_over_its_bound_is_named(self, monkeypatch):
+        t, r = FAMILY_7
+        b1 = (t, "B1", (1, 2, 3, 4, 5, 6), (1,))
+        b2 = (r, "B2", (2, 3, 4, 5, 6, 7), (7,))  # b1's mirror
+        report = forged_oracle(monkeypatch, FAMILY_7, {b1: FORGED_BAD, b2: FORGED_BAD})
+        assert {c for c, _, _ in report.failures} == {"SURVIVOR_BOUND", "FAMILY"}
+        assert failed(report, "SURVIVOR_BOUND") == {
+            b1: "2n = 12 > ell + 4 = 11", b2: "2n = 12 > ell + 4 = 11"}
+        assert failed(report, "FAMILY") == {
+            (7, 1, 1): "bad survivors: 1 on [2, 2, 2, 2, 2, 2, 10], 1 on its reversal"}
+
+    def test_a_compatible_b1_b2_pair_over_the_joint_bound_is_named(self, monkeypatch):
+        # e alone, of multiplicity 1: the forged divisors E1 = e1 and E2 = e2 meet nowhere
+        bad = {**FORGED_BAD, "mults": ((7, 1),)}
+        forged = {(t, kind, internal, hits): bad
+                  for t in FAMILY_6
+                  for kind, internal, hits in (("B1", (1, 2, 3), (1,)), ("B2", (4, 5, 6), (6,)))}
+        report = forged_oracle(monkeypatch, FAMILY_6, forged)
+        assert {c for c, _, _ in report.failures} == {"JOINT_BOUND", "FAMILY"}
+        assert failed(report, "JOINT_BOUND") == {
+            (t, (1, 2, 3), (4, 5, 6), 0): "2(n1 + n2) = 12 > ell + 5 = 11" for t in FAMILY_6}
+        assert report.joint_records == tuple(
+            JointRecord(t, (1, 2, 3), (4, 5, 6), 0) for t in sorted(FAMILY_6))
+        assert failed(report, "FAMILY") == {
+            (6, 2, 2): "bad survivors: 2 on [2, 2, 2, 2, 2, 9], 2 on its reversal"}
+
+    @pytest.mark.parametrize("strings, row, fields, check, why", [
+        (FAMILY_7, ("A", (1, 2, 3, 5, 6, 7), (2, 6)), {"verdict": SURVIVES_GOOD},
+         "A1_UNKILLED", f"verdict {SURVIVES_GOOD}, not {DIES}"),
+        (FAMILY_7, ("A", (1, 2, 3, 5, 6, 7), (2, 6)), {"checks": (SW,)},
+         "A1_CERTIFICATE", f"dies without {NO_MINUS_ONE} or {THREE_NEIGHBOR}"),
+        (((2, 5, 3), (3, 5, 2)), ("A", (1, 3), (1, 3)), {"verdict": SURVIVES_GOOD},
+         "A5_UNKILLED", f"verdict {SURVIVES_GOOD}, not {DIES}"),
+        (((2, 5, 3), (3, 5, 2)), ("A", (1, 3), (1, 3)), {"checks": (SW,)},
+         "A5_CERTIFICATE", f"dies without {PATTERN_ENDPOINTS}"),
+    ])
+    def test_an_a1_or_a5_row_off_its_certificate_is_named(
+        self, monkeypatch, strings, row, fields, check, why
+    ):
+        # row is its own mirror image, so forging it on both strings keeps reversal closed
+        report = forged_oracle(monkeypatch, strings, {(t, *row): fields for t in strings})
+        assert {c for c, _, _ in report.failures} == {check}
+        assert failed(report, check) == {(t, *row): why for t in strings}
+
+    def test_a_bad_survivor_on_the_family_is_named(self, monkeypatch):
+        strings = ((2, 2, 6), (6, 2, 2))
+        row = ((2, 2, 6), "B1", (1,), (1,))
+        report = forged_oracle(monkeypatch, strings, {row: FORGED_BAD})
+        assert {c for c, _, _ in report.failures} == {"FAMILY", "REVERSAL"}
+        assert failed(report, "FAMILY") == {
+            (3, 1, 0): "bad survivors: 1 on [2, 2, 6], 0 on its reversal"}
+        assert failed(report, "REVERSAL") == {
+            row: f"mirror verdict {DIES} != {SURVIVES_BAD}",
+            ((6, 2, 2), "B2", (3,), (3,)): f"mirror verdict {SURVIVES_BAD} != {DIES}",
+        }
 
     def test_family_short_case_dies_by_pairing(self):
         out = examine_candidate((2, 5), "B1", (1,), (1, 2))

@@ -1,5 +1,6 @@
 """The inequality chain bounding chain length by K^2, and surface families."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,30 @@ class TestHeadlineBounds:
         for fn in (general_bound, special_bound, max_p_B_p1):
             with pytest.raises(ValueError):
                 fn(0)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: general_bound(5.5), "5.5"),
+    (lambda: special_bound(2.5), "2.5"),
+    (lambda: max_p_B_p1(2.5), "2.5"),
+    (lambda: inequality_chain(5, 10, None), "None"),
+    (lambda: inequality_chain(5, 10.5, 3), "10.5"),
+    (lambda: inequality_chain(4.5, 10, 3), "4.5"),
+    (lambda: length_feasible(5, 5.5), "5.5"),
+    (lambda: length_feasible(5.5, 5), "5.5"),
+    (lambda: surface_examples(HORIKAWA, 3.5), "3.5"),
+    (lambda: surface_examples(DEGREE_D_IN_P3, 5.5), "5.5"),
+])
+def test_a_lossy_input_raises_naming_it(call, named):
+    with pytest.raises(ValueError, match=f"entry {re.escape(named)} is not an integer"):
+        call()
+
+
+def test_an_exact_non_int_input_is_read_as_its_int():
+    assert general_bound(5.0) == 27 and type(general_bound(5.0)) is int
+    assert surface_examples(HORIKAWA, 3.0) == surface_examples(HORIKAWA, 3)
+    assert inequality_chain(5.0, 10, True) == inequality_chain(5, 10, 1)
+    assert length_feasible(5, 27.0) and not length_feasible(5, 28.0)
 
 
 class TestInequalityChain:

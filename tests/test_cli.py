@@ -112,6 +112,26 @@ class TestAtlas:
 
 
 # stdout of `wahlkit oracle --max-len 4`
+def kill_one_survivor(monkeypatch):
+    """Make the bad survivor [2, 3, 5, 3] B1 internal=[1] e_hits=[1, 3] die, and no other row."""
+    examine = badcurves._examine
+
+    def flip_one(*args):
+        o = examine(*args)
+        if (o.t, o.kind, o.internal, o.e_hits) == ((2, 3, 5, 3), "B1", (1,), (1, 3)):
+            return dataclasses.replace(o, verdict=badcurves.DIES)
+        return o
+
+    monkeypatch.setattr(badcurves, "_examine", flip_one)
+
+
+# what the oracle through length 4 reports after kill_one_survivor
+KILLED_SURVIVOR_FAILURES = (
+    "REVERSAL [2, 3, 5, 3] B1 internal=[1] e_hits=[1, 3]: mirror verdict SURVIVES_BAD != DIES",
+    "REVERSAL [3, 5, 3, 2] B2 internal=[4] e_hits=[2, 4]: mirror verdict DIES != SURVIVES_BAD",
+)
+
+
 SURVEY_4 = """\
 examined 560 candidates
 verdicts: {'DIES': 550, 'SURVIVES_BAD': 10}
@@ -170,18 +190,13 @@ class TestOracle:
         assert err == f"error: --max-len must be in 1..8, got {max_len}\n"
 
     def test_a_failed_oracle_exits_1(self, capsys, monkeypatch):
-        examine = badcurves._examine
-
-        def flip_one(*args):
-            o = examine(*args)
-            if (o.t, o.kind, o.internal, o.e_hits) == ((2, 3, 5, 3), "B1", (1,), (1, 3)):
-                return dataclasses.replace(o, verdict=badcurves.DIES)
-            return o
-
-        monkeypatch.setattr(badcurves, "_examine", flip_one)
+        kill_one_survivor(monkeypatch)
         code, out, err = run(capsys, "oracle", "--max-len", "4")
         assert (code, err) == (1, "")
-        assert out.endswith("\noracle passed: False\n")
+        assert out.endswith(
+            "\n  ell=4: corrected=0 reversed=0\n\n"
+            + "".join(f"{line}\n" for line in KILLED_SURVIVOR_FAILURES)
+            + "oracle passed: False\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -443,6 +458,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 0
         assert "14/14 checks passed" in out
+
+    def test_a_failed_oracle_names_its_failures(self, capsys, monkeypatch):
+        kill_one_survivor(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--filter", "oracle")
+        assert code == 1
+        assert out == "".join([
+            "badcurves.oracle  FAIL\n",
+            *(f"  - {line}\n" for line in KILLED_SURVIVOR_FAILURES),
+            "0/1 checks passed\n",
+        ])
 
     def test_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "--filter", "bounds")

@@ -5,6 +5,7 @@ import inspect
 import json
 import pickle
 import random
+import re
 import sys
 from collections import Counter
 
@@ -101,6 +102,25 @@ class TestConstruction:
             CurveConfig.make(
                 [Curve(1, -1, -1), Curve(2, -2, 0)], [Edge(1, 2, 0)]
             )
+
+    @pytest.mark.parametrize("vertices, edges, named", [
+        ([Curve(1, -1.5, -1, 1), Curve(2, -1, -1, 0.5)], [Edge(1, 2, 1.5)],
+         "Curve (1, -1.5, -1, 1, ''): entry -1.5"),
+        ([Curve(1, -1, -1, 1), Curve(2, -1, -1, 0.5)], [], "Curve (2, -1, -1, 0.5, ''): entry 0.5"),
+        ([Curve(1, -1, -1, 1), Curve(2, -1, -1)], [Edge(1, 2, 1.5)], "Edge (1, 2, 1.5): entry 1.5"),
+        ([Curve("a", -1, -1, 1)], [], "Curve ('a', -1, -1, 1, ''): entry 'a'"),
+        ([Curve(1, -1, None)], [], "Curve (1, -1, None, 0, ''): entry None"),
+        ([Curve(1, -1, -1), Curve(2, -2, 0)], [Edge(1, 2.5, 1)], "Edge (1, 2.5, 1): entry 2.5"),
+    ])
+    def test_rejects_a_field_that_is_not_an_integer(self, vertices, edges, named):
+        with pytest.raises(ValueError, match=re.escape(f"{named} is not an integer")):
+            CurveConfig.make(vertices, edges)
+
+    def test_reads_an_exact_non_int_field_as_its_int(self):
+        c = CurveConfig.make([Curve(1.0, -1, -1, True), Curve(2, -2.0, 0)], [Edge(2.0, 1, 1)])
+        assert c == CurveConfig.make([Curve(1, -1, -1, 1), Curve(2, -2, 0)], [Edge(1, 2, 1)])
+        assert all(type(x) is int for v in c.vertices for x in v[:4])
+        assert all(type(x) is int for e in c.edges for x in e)
 
 
 class TestRecords:
