@@ -140,36 +140,45 @@ SURVIVES_GOOD = "SURVIVES_GOOD"
 class PatternReport:
     """Forbidden-pattern scan for a (-1)-curve, of K-degree -1, meeting the chain."""
 
-    patterns: tuple[str, ...]
+    failures: tuple[str, ...]
     pairing: Fraction
-    pairing_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.pairing_ok and not self.patterns
+        return not self.failures
 
 
-def forbidden_patterns(t: TString | Iterable[int], v: Sequence[int]) -> PatternReport:
-    """Scan an incidence vector for the two forbidden patterns.
-
-    Pattern SINGLE: the curve meets exactly one chain sphere, once.  Pattern
-    ENDPOINTS: it meets C_1 and C_ell once each and nothing in between.
-    Both kill the curve outright; the general necessary condition
-    sum a_j v_j < -1 is evaluated alongside (every flagged pattern
-    also fails it).
-    """
+def _incidence(
+    t: TString | Iterable[int], v: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(as_entries(t), as_entries(v)); ValueError when v has the wrong length or an entry < 0."""
     b, v = as_entries(t), as_entries(v)
     if len(v) != len(b):
         raise ValueError(f"incidence vector length {len(v)} != ell = {len(b)}")
     if any(x < 0 for x in v):
         raise ValueError(f"incidence vector must be nonnegative, got {list(v)}")
-    patterns = []
+    return b, v
+
+
+def forbidden_patterns(t: TString | Iterable[int], v: Sequence[int]) -> PatternReport:
+    """Scan an incidence vector for e's forbidden patterns and its pairing.
+
+    Pattern SINGLE: the curve meets exactly one chain sphere, once.  Pattern
+    ENDPOINTS: it meets C_1 and C_ell once each and nothing in between.
+    Both kill the curve outright.  MAGIC_E: the general necessary condition
+    sum a_j v_j < -1 fails (every flagged pattern fails it too).  failures
+    lists these in that order; pairing is sum a_j v_j.
+    """
+    b, v = _incidence(t, v)
+    failures = []
     if sum(v) == 1:
-        patterns.append(PATTERN_SINGLE)
+        failures.append(PATTERN_SINGLE)
     if len(b) >= 2 and v[0] == 1 and v[-1] == 1 and not any(v[1:-1]):
-        patterns.append(PATTERN_ENDPOINTS)
+        failures.append(PATTERN_ENDPOINTS)
     value, ok = canonical_pairing(b, v, -1)
-    return PatternReport(tuple(patterns), value, ok)
+    if not ok:
+        failures.append(MAGIC_E)
+    return PatternReport(tuple(failures), value)
 
 
 @dataclass(frozen=True)
@@ -177,29 +186,23 @@ class UnbrokenReport:
     """Budget constraints on a curve none of whose pieces broke off into the chain."""
 
     total: int
-    total_ok: bool
     entry_failures: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
-        return self.total_ok and not self.entry_failures
+        return self.total >= 2 and not self.entry_failures
 
 
 def unbroken_checks(t: TString | Iterable[int], v: Sequence[int]) -> UnbrokenReport:
     """Check sum v_j >= 2 and v_j <= b_j - 1, equality only for b_j = 2.
 
     Equivalently v_j <= b_j - 2 unless b_j = 2, where v_j = 1 is allowed.
-    Returns the 1-based indices of failing entries.
+    Returns the total and the 1-based indices of failing entries.
     """
-    b, v = as_entries(t), as_entries(v)
-    if len(v) != len(b):
-        raise ValueError(f"incidence vector length {len(v)} != ell = {len(b)}")
-    failures = [
-        j + 1
-        for j, (bj, vj) in enumerate(zip(b, v))
-        if not (vj <= bj - 2 or (bj == 2 and vj == 1))
-    ]
-    return UnbrokenReport(sum(v), sum(v) >= 2, tuple(failures))
+    b, v = _incidence(t, v)
+    failures = tuple(j for j, (bj, vj) in enumerate(zip(b, v), 1)
+                     if not (vj <= bj - 2 or (bj == 2 and vj == 1)))
+    return UnbrokenReport(sum(v), failures)
 
 
 # ----- Counting bounds -----
@@ -213,38 +216,31 @@ class TypeBoundReport:
     n_a: int
     n_b1: int
     n_b2: int
-    a_ok: bool
-    b1_ok: bool
-    b2_ok: bool
-    joint_ok: bool
     p_max: int
-    p_ok: bool
+    failures: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
-        return self.a_ok and self.b1_ok and self.b2_ok and self.joint_ok and self.p_ok
+        return not self.failures
 
 
 def type_bounds(ell: int, n_a: int = 0, n_b1: int = 0, n_b2: int = 0) -> TypeBoundReport:
     """Check the internal-sphere counts of maximal bad curves against ell.
 
-    A maximal type-A curve with n internal spheres needs 2n <= ell + 4, the
-    same for each of B1 and B2 alone, and coexisting B1 + B2 curves need
-    2(n1 + n2) <= ell + 5.  The total number of bad curves is at most n (if
-    a type-A curve exists) or n1 + n2, and always at most (ell + 5) / 2.
+    A maximal type-A curve with n internal spheres needs 2n <= ell + 4 ("a"),
+    the same for each of B1 and B2 alone ("b1", "b2"), and coexisting B1 + B2
+    curves need 2(n1 + n2) <= ell + 5 ("joint"); failures lists those that
+    fail.  The number of bad curves is at most p_max: n if a type-A curve
+    exists, else n1 + n2.  2 p_max <= ell + 5 follows from "a" or is "joint".
     """
     ell, n_a, n_b1, n_b2 = map(_entry, (ell, n_a, n_b1, n_b2))
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     if min(n_a, n_b1, n_b2) < 0:
         raise ValueError("internal counts must be nonnegative")
-    a_ok = 2 * n_a <= ell + 4
-    b1_ok = 2 * n_b1 <= ell + 4
-    b2_ok = 2 * n_b2 <= ell + 4
-    joint_ok = 2 * (n_b1 + n_b2) <= ell + 5
-    p_max = n_a if n_a else n_b1 + n_b2
-    p_ok = 2 * p_max <= ell + 5
-    return TypeBoundReport(ell, n_a, n_b1, n_b2, a_ok, b1_ok, b2_ok, joint_ok, p_max, p_ok)
+    counts = (("a", n_a, 4), ("b1", n_b1, 4), ("b2", n_b2, 4), ("joint", n_b1 + n_b2, 5))
+    failures = tuple(name for name, n, slack in counts if 2 * n > ell + slack)
+    return TypeBoundReport(ell, n_a, n_b1, n_b2, n_a if n_a else n_b1 + n_b2, failures)
 
 
 # ----- The contradiction machine on one candidate -----
@@ -319,21 +315,16 @@ def _e_parts(b: tuple[int, ...], e_hits: tuple[int, ...]) -> _GroupParts:
     if any(bj < 2 for bj in b):
         raise ValueError(f"t entries must all be >= 2, got {list(b)}")
     config, e_id = build_candidate_config(b, e_hits)
-    # incidence patterns of the bare (-1)-sphere
-    v_e = [0] * len(b)
-    for h in e_hits:
-        v_e[h - 1] += 1
-    pat = forbidden_patterns(b, tuple(v_e))
-    checks = set(pat.patterns)
-    if not pat.pairing_ok:
-        checks.add(MAGIC_E)
+    # incidence patterns and pairing of the bare (-1)-sphere
+    v_e = tuple(e_hits.count(j) for j in range(1, e_id))
+    checks = frozenset(forbidden_patterns(b, v_e).failures)
     # with the whole chain frozen the loop blows down e alone and leaves its
     # working maps at the stage after e
     curves, adj = _maps(config)
     chain = frozenset(range(1, e_id))
     steps: list[ContractionStep] = []
     _contract(curves, adj, steps, _minus_ones(curves) - chain, chain, frozenset(), min, None)
-    return config, frozenset(checks), steps[0], frozenset(_minus_ones(curves)), curves, adj
+    return config, checks, steps[0], frozenset(_minus_ones(curves)), curves, adj
 
 
 def _candidate_parts(

@@ -10,6 +10,9 @@ K^2 = ksq, the pieces proved elsewhere in the package assemble into:
     p <= (ell + 5) / 2            (bad-curve counting bounds)
         =>  ell <= 4*ksq + 7.
 
+At k = k_min the spending condition 2(k - p) + p <= ell + 1 is ell <= 2*ksq + p + 1
+rearranged, so inequality_chain checks the two as one, "budget", beside "p".
+
 When the T-string is [ell+3, 2, .., 2] (the q = 1 family) there are no bad
 curves at all, giving ell <= 2*ksq + 1 and hence p <= 2*ksq + 2 for the
 singularity parameter p = ell + 1.
@@ -59,13 +62,11 @@ class BoundReport:
     p_max: Fraction
     bound_general: int
     bound_special: int
-    budget_ok: bool
-    length_ok: bool
-    p_ok: bool
+    failures: tuple[str, ...]
 
     @property
     def feasible(self) -> bool:
-        return self.budget_ok and self.length_ok and self.p_ok
+        return not self.failures
 
 
 def inequality_chain(ksq: int, ell: int, p_bad: int) -> BoundReport:
@@ -73,11 +74,11 @@ def inequality_chain(ksq: int, ell: int, p_bad: int) -> BoundReport:
 
     k_min = ell - ksq blow-ups are forced; the incidence budget ell + 1 must
     cover two units for each of the >= k_min - p_bad good curves and one for
-    each bad curve; the combination is ell <= 2*ksq + p_bad + 1; and p_bad
-    itself may not exceed (ell + 5)/2.  All three verdicts are reported --
-    infeasibility of every p_bad <= (ell+5)/2 is exactly how a length is
-    proved impossible.  Each argument is read as an exact int: a value such
-    as 5.5 or None raises ValueError naming it.
+    each bad curve ("budget", which is ell <= 2*ksq + p_bad + 1); and p_bad may
+    not exceed (ell + 5)/2 ("p").  failures lists those that fail; infeasibility
+    of every p_bad <= (ell+5)/2 is exactly how a length is proved impossible.
+    Each argument is read as an exact int: a value such as 5.5 or None raises
+    ValueError naming it.
     """
     ksq, ell, p_bad = map(_entry, (ksq, ell, p_bad))
     if min(ksq, ell, p_bad) < 0:
@@ -85,9 +86,11 @@ def inequality_chain(ksq: int, ell: int, p_bad: int) -> BoundReport:
     k_min = ell - ksq
     rana_budget = ell + 1
     p_max = Fraction(ell + 5, 2)
-    budget_ok = 2 * (k_min - p_bad) + p_bad <= rana_budget
-    length_ok = ell <= 2 * ksq + p_bad + 1
-    p_ok = p_bad <= p_max
+    failures = []
+    if 2 * (k_min - p_bad) + p_bad > rana_budget:
+        failures.append("budget")
+    if p_bad > p_max:
+        failures.append("p")
     return BoundReport(
         ksq=ksq,
         ell=ell,
@@ -97,9 +100,7 @@ def inequality_chain(ksq: int, ell: int, p_bad: int) -> BoundReport:
         p_max=p_max,
         bound_general=4 * ksq + 7,
         bound_special=2 * ksq + 1,
-        budget_ok=budget_ok,
-        length_ok=length_ok,
-        p_ok=p_ok,
+        failures=tuple(failures),
     )
 
 

@@ -328,16 +328,16 @@ def _check_random_divisors(rng: random.Random) -> list[str]:
 
 def _check_patterns(rng: random.Random) -> list[str]:
     fails = []
-    if "PATTERN_SINGLE" not in forbidden_patterns((4,), [1]).patterns:
+    if "PATTERN_SINGLE" not in forbidden_patterns((4,), [1]).failures:
         fails.append("single hit on [4] not flagged")
-    if "PATTERN_ENDPOINTS" not in forbidden_patterns((3, 5, 2), [1, 0, 1]).patterns:
+    if "PATTERN_ENDPOINTS" not in forbidden_patterns((3, 5, 2), [1, 0, 1]).failures:
         fails.append("endpoints on [3,5,2] not flagged")
     rep = forbidden_patterns((5, 2), [1, 1])
-    if "PATTERN_ENDPOINTS" not in rep.patterns or rep.pairing_ok:
-        fails.append(f"[5,2] v=(1,1): patterns={rep.patterns} ok={rep.pairing_ok}")
+    if rep.failures != ("PATTERN_ENDPOINTS", "MAGIC_E"):
+        fails.append(f"[5,2] v=(1,1): failures={rep.failures}")
     clean = forbidden_patterns((3, 5, 2), [1, 1, 0])
-    if clean.patterns or not clean.pairing_ok:
-        fails.append(f"[3,5,2] v=(1,1,0): patterns={clean.patterns} ok={clean.pairing_ok}")
+    if clean.failures:
+        fails.append(f"[3,5,2] v=(1,1,0): failures={clean.failures}")
     if not unbroken_checks((5, 2), [1, 1]).passed:
         fails.append("[5,2] v=(1,1) should pass the budget checks")
     if unbroken_checks((4,), [3]).passed:

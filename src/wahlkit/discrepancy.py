@@ -39,7 +39,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .tstring import TString, _cf_entries, _params_from_continuants, as_entries, continuants
+from .tstring import (
+    TString, _cf_entries, _entry, _params_from_continuants, as_entries, continuants,
+)
 
 
 def intersection_matrix(t: TString | Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -183,9 +185,10 @@ def canonical_pairing(
 
     The boolean is the necessary condition for a curve with K-degree kF and
     chain incidences v to exist; False means the incidence pattern is
-    impossible.
+    impossible.  v and kF are read as exact ints (1.5 raises ValueError); v may
+    be negative: E.C_j = -1 on a divisor's last-contracted internal sphere.
     """
-    b = as_entries(t)
+    b, v, kF = as_entries(t), as_entries(v), _entry(kF)
     if len(v) != len(b):
         raise ValueError(f"incidence vector length {len(v)} != ell = {len(b)}")
     nums, p2 = _numerators(b)

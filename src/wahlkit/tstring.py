@@ -99,7 +99,8 @@ def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
 
     A tuple of exact ints is returned as it is; anything else (a bool, a
     list, a generator) is coerced entry by entry.  An entry that int() would
-    change in value, such as 3.5 truncated to 3, raises ValueError naming it.
+    change in value, such as 3.5 truncated to 3, or a str such as "4",
+    raises ValueError naming it.
     A str or bytes passed as the whole sequence raises ValueError too: read
     one character at a time, "352" would pass for (3, 5, 2).
     """
@@ -114,12 +115,12 @@ def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
 
 
 def _entry(x) -> int:
-    """int(x), or ValueError naming x when that loses part of its value."""
+    """int(x), or ValueError naming x when that loses part of its value or x is text."""
     try:
         n = int(x)
     except (OverflowError, TypeError, ValueError):  # inf or NaN, None, a non-numeric str
         raise ValueError(f"entry {x!r} is not an integer") from None
-    if n != x and not isinstance(x, str):  # int() of a str is exact or raises
+    if n != x:  # also refuses text that int() reads, such as "4" or b"4"
         raise ValueError(f"entry {x!r} is not an integer")
     return n
 
@@ -247,12 +248,15 @@ class Recognition:
 
     ``word`` lists the letters peeled outermost-first; applying them to [4]
     innermost-last rebuilds the input (e.g. word "RL" means the input is
-    R(L([4]))).
+    R(L([4]))).  ``reason`` says why the input was rejected; None means accepted.
     """
 
-    accepted: bool
     word: str = ""
     reason: str | None = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason is None
 
 
 def is_tstring(seq: TString | Iterable[int]) -> Recognition:
@@ -266,12 +270,11 @@ def is_tstring(seq: TString | Iterable[int]) -> Recognition:
     """
     entries = list(as_entries(seq))
     if not entries:
-        return Recognition(False, reason="empty sequence")
+        return Recognition(reason="empty sequence")
     if any(x < 2 for x in entries):
-        return Recognition(False, reason=f"entry < 2 in {entries}")
+        return Recognition(reason=f"entry < 2 in {entries}")
     if sum(x - 2 for x in entries) != len(entries) + 1:
         return Recognition(
-            False,
             reason=f"checksum sum(b_j - 2) = {sum(x - 2 for x in entries)} != ell + 1 = {len(entries) + 1}",
         )
     word: list[str] = []
@@ -279,7 +282,7 @@ def is_tstring(seq: TString | Iterable[int]) -> Recognition:
         starts2 = entries[0] == 2
         ends2 = entries[-1] == 2
         if starts2 and ends2:
-            return Recognition(False, reason=f"stuck at {entries}: starts and ends with 2")
+            return Recognition(reason=f"stuck at {entries}: starts and ends with 2")
         if starts2:
             word.append("L")
             entries = entries[1:]
@@ -289,10 +292,10 @@ def is_tstring(seq: TString | Iterable[int]) -> Recognition:
             entries = entries[:-1]
             entries[0] -= 1
         else:
-            return Recognition(False, reason=f"stuck at {entries}: no leading or trailing 2")
+            return Recognition(reason=f"stuck at {entries}: no leading or trailing 2")
         if any(x < 2 for x in entries):
-            return Recognition(False, reason=f"reduction produced entry < 2: {entries}")
-    return Recognition(True, word="".join(word))
+            return Recognition(reason=f"reduction produced entry < 2: {entries}")
+    return Recognition("".join(word))
 
 
 def tstring_to_params(t: TString | Iterable[int]) -> WahlParams:

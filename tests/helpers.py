@@ -431,9 +431,7 @@ def eager_examine_candidate(t, kind, internal, e_hits):
     for h in e_hits:
         v_e[h - 1] += 1
     pat = bc.forbidden_patterns(b, v_e)
-    checks.update(pat.patterns)
-    if not pat.pairing_ok:
-        checks.add(bc.MAGIC_E)
+    checks.update(pat.failures)
 
     trace = contract_all(config, frozen=externals)
     checks |= bc.staged_structure_checks(comps, trace)

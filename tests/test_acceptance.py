@@ -147,14 +147,14 @@ def test_forbidden_patterns_are_flagged_for_every_string_through_length_ten():
             v = [0] * ell
             v[j] = 1
             rep = forbidden_patterns(t, v)
-            assert "PATTERN_SINGLE" in rep.patterns
-            assert not rep.pairing_ok  # one hit never reaches -1
+            assert "PATTERN_SINGLE" in rep.failures
+            assert "MAGIC_E" in rep.failures  # one hit never reaches -1
         if ell >= 2:
             v = [1] + [0] * (ell - 2) + [1]
             rep = forbidden_patterns(t, v)
-            assert "PATTERN_ENDPOINTS" in rep.patterns
+            assert "PATTERN_ENDPOINTS" in rep.failures
             assert rep.pairing == Fraction(-1)
-            assert not rep.pairing_ok
+            assert "MAGIC_E" in rep.failures
 
 
 def test_case_oracle_passes_at_length_six_with_no_family_survivors():

@@ -72,32 +72,32 @@ from wahlkit.curveconfig import (
 class TestForbiddenPatterns:
     def test_single_hit(self):
         rep = forbidden_patterns((4,), [1])
-        assert rep.patterns == (PATTERN_SINGLE,)
-        assert not rep.pairing_ok and not rep.ok
+        assert rep.failures == (PATTERN_SINGLE, MAGIC_E)
+        assert not rep.ok
 
     def test_endpoint_hits(self):
         rep = forbidden_patterns((3, 5, 2), [1, 0, 1])
-        assert rep.patterns == (PATTERN_ENDPOINTS,)
+        assert rep.failures == (PATTERN_ENDPOINTS, MAGIC_E)
         assert rep.pairing == Fraction(-1)
-        assert not rep.pairing_ok
+        assert not rep.ok
 
     def test_both_patterns_at_length_two(self):
         # at ell = 2 a single endpoint hit is just a single hit; two endpoint
         # hits are the endpoint pattern
-        assert forbidden_patterns((2, 5), [1, 0]).patterns == (PATTERN_SINGLE,)
-        assert forbidden_patterns((2, 5), [1, 1]).patterns == (PATTERN_ENDPOINTS,)
+        assert forbidden_patterns((2, 5), [1, 0]).failures == (PATTERN_SINGLE, MAGIC_E)
+        assert forbidden_patterns((2, 5), [1, 1]).failures == (PATTERN_ENDPOINTS, MAGIC_E)
 
     def test_clean_incidence(self):
         rep = forbidden_patterns((3, 5, 2), [1, 1, 0])
-        assert rep.patterns == ()
+        assert rep.failures == ()
         assert rep.pairing == Fraction(-7, 5)
-        assert rep.pairing_ok and rep.ok
+        assert rep.ok
 
     def test_double_hit_on_one_sphere_is_not_the_single_pattern(self):
         rep = forbidden_patterns((3, 5, 2), [2, 0, 0])
-        assert rep.patterns == ()
+        assert rep.failures == ()
         assert rep.pairing == Fraction(-6, 5)
-        assert rep.pairing_ok
+        assert rep.ok
 
     def test_rejects_malformed_vectors(self):
         with pytest.raises(ValueError):
@@ -105,12 +105,21 @@ class TestForbiddenPatterns:
         with pytest.raises(ValueError):
             forbidden_patterns((3, 5, 2), [1, -1, 1])
 
+    def test_magic_e_is_the_pairing_check_and_failures_keep_their_order(self):
+        order = (PATTERN_SINGLE, PATTERN_ENDPOINTS, MAGIC_E)
+        for t in enumerate_tstrings(5)[5]:
+            for v in itertools.product(range(3), repeat=5):
+                rep = forbidden_patterns(t, v)
+                assert (MAGIC_E in rep.failures) == (rep.pairing >= -1)
+                assert list(rep.failures) == [c for c in order if c in rep.failures]
+                assert rep.ok == (rep.failures == ())
+
 
 class TestUnbrokenChecks:
     def test_passing_vector(self):
         rep = unbroken_checks((5, 2), [1, 1])
         assert rep.passed
-        assert rep.total == 2 and rep.total_ok
+        assert rep.total == 2
         assert rep.entry_failures == ()
 
     def test_budget_per_entry(self):
@@ -126,19 +135,35 @@ class TestUnbrokenChecks:
     def test_total_must_be_at_least_two(self):
         rep = unbroken_checks((4,), [1])
         assert not rep.passed
-        assert not rep.total_ok
+        assert rep.total == 1 and rep.entry_failures == ()
+
+    @pytest.mark.parametrize("check", [unbroken_checks, forbidden_patterns])
+    def test_a_negative_or_misfit_incidence_is_refused(self, check):
+        with pytest.raises(ValueError, match=re.escape("must be nonnegative, got [3, -1]")):
+            check((5, 2), [3, -1])
+        with pytest.raises(ValueError, match=re.escape("length 1 != ell = 2")):
+            check((5, 2), [3])
 
 
 class TestTypeBounds:
     def test_single_type_budget(self):
-        assert type_bounds(4, n_a=4).a_ok
-        assert not type_bounds(4, n_a=5).a_ok
-        assert type_bounds(4, n_b1=4).b1_ok
-        assert not type_bounds(4, n_b2=5).b2_ok
+        assert type_bounds(4, n_a=4).failures == ()
+        assert type_bounds(4, n_a=5).failures == ("a",)
+        assert type_bounds(4, n_b1=4).failures == ()
+        assert type_bounds(4, n_b2=5).failures == ("b2", "joint")
 
     def test_joint_budget(self):
-        assert type_bounds(5, n_b1=3, n_b2=2).joint_ok
-        assert not type_bounds(5, n_b1=3, n_b2=3).joint_ok
+        assert "joint" not in type_bounds(5, n_b1=3, n_b2=2).failures
+        assert type_bounds(5, n_b1=3, n_b2=3).failures == ("joint",)
+
+    @given(st.integers(1, 39), st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))
+    def test_the_total_bound_never_fails_alone(self, ell, n_a, n_b1, n_b2):
+        # 2 p_max <= ell + 5 follows from "a" when n_a > 0 and is "joint"
+        # when n_a = 0, so it is no check of its own
+        rep = type_bounds(ell, n_a, n_b1, n_b2)
+        if 2 * rep.p_max > ell + 5:
+            assert {"a", "joint"} & set(rep.failures)
+        assert rep.passed == (rep.failures == ())
 
     def test_p_max_prefers_type_a(self):
         rep = type_bounds(9, n_a=3, n_b1=2, n_b2=1)

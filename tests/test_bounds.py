@@ -49,6 +49,8 @@ class TestHeadlineBounds:
     (lambda: length_feasible(5.5, 5), "5.5"),
     (lambda: surface_examples(HORIKAWA, 3.5), "3.5"),
     (lambda: surface_examples(DEGREE_D_IN_P3, 5.5), "5.5"),
+    (lambda: general_bound("5"), "'5'"),
+    (lambda: inequality_chain(5, b"10", 3), "b'10'"),
 ])
 def test_a_lossy_input_raises_naming_it(call, named):
     with pytest.raises(ValueError, match=f"entry {re.escape(named)} is not an integer"):
@@ -68,13 +70,15 @@ class TestInequalityChain:
         assert rep.k_min == 22
         assert rep.rana_budget == 28  # == ell + 1, exactly saturated
         assert rep.p_max == Fraction(32, 2)
-        assert rep.budget_ok and rep.length_ok and rep.p_ok
+        assert rep.failures == ()
         assert rep.feasible
 
     def test_infeasible_past_the_bound(self):
         assert not length_feasible(5, 28)
-        for p in range(0, 18):
-            assert not inequality_chain(5, 28, p).feasible
+        for p in range(0, 17):
+            assert inequality_chain(5, 28, p).failures == ("budget",)
+        # p = 17 pays the budget but breaks p <= (ell + 5) / 2 = 33/2
+        assert inequality_chain(5, 28, 17).failures == ("p",)
 
     def test_feasible_at_the_bound(self):
         assert length_feasible(5, 27)
@@ -86,8 +90,8 @@ class TestInequalityChain:
         assert rep.k_min == 10 - 2
         assert rep.rana_budget == 10 + 1
         # spend: two budget units per good curve, one per bad curve
-        assert rep.budget_ok == (2 * (rep.k_min - 3) + 3 <= rep.rana_budget)
-        assert not rep.budget_ok
+        assert ("budget" not in rep.failures) == (2 * (rep.k_min - 3) + 3 <= rep.rana_budget)
+        assert "budget" in rep.failures
 
     @given(st.integers(1, 20))
     def test_bound_is_exactly_the_feasibility_frontier(self, ksq):
@@ -104,9 +108,17 @@ class TestInequalityChain:
     @given(st.integers(1, 15), st.integers(0, 80), st.integers(0, 45))
     def test_report_internal_consistency(self, ksq, ell, p):
         rep = inequality_chain(ksq, ell, p)
-        assert rep.feasible == (rep.budget_ok and rep.length_ok and rep.p_ok)
+        assert rep.feasible == (rep.failures == ())
+        assert set(rep.failures) <= {"budget", "p"}
         assert rep.bound_general == 4 * ksq + 7
-        assert rep.p_ok == (p <= Fraction(ell + 5, 2))
+        assert ("p" not in rep.failures) == (p <= Fraction(ell + 5, 2))
+
+    @given(st.integers(0, 14), st.integers(0, 79), st.integers(0, 59))
+    def test_the_budget_is_the_combined_length_inequality(self, ksq, ell, p):
+        # 2(k_min - p) + p <= ell + 1 with k_min = ell - ksq rearranges to
+        # ell <= 2 ksq + p + 1, so one check stands for both
+        rep = inequality_chain(ksq, ell, p)
+        assert ("budget" not in rep.failures) == (ell <= 2 * ksq + p + 1)
 
 
 class TestSurfaceExamples:

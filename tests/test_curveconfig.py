@@ -109,6 +109,7 @@ class TestConstruction:
         ([Curve(1, -1, -1, 1), Curve(2, -1, -1, 0.5)], [], "Curve (2, -1, -1, 0.5, ''): entry 0.5"),
         ([Curve(1, -1, -1, 1), Curve(2, -1, -1)], [Edge(1, 2, 1.5)], "Edge (1, 2, 1.5): entry 1.5"),
         ([Curve("a", -1, -1, 1)], [], "Curve ('a', -1, -1, 1, ''): entry 'a'"),
+        ([Curve("1", -1, -1, 1)], [], "Curve ('1', -1, -1, 1, ''): entry '1'"),
         ([Curve(1, -1, None)], [], "Curve (1, -1, None, 0, ''): entry None"),
         ([Curve(1, -1, -1), Curve(2, -2, 0)], [Edge(1, 2.5, 1)], "Edge (1, 2.5, 1): entry 2.5"),
     ])

@@ -200,8 +200,34 @@ class TestPairing:
         t = tuple(data.draw(st.sampled_from(STRINGS_TO_7)))
         v = data.draw(st.lists(st.integers(0, 6), min_size=len(t), max_size=len(t)))
         value = sum((a * vj for a, vj in zip(_discrepancies_cramer(t), v)), F(0))
-        kF = data.draw(st.sampled_from([value, math.floor(value)]) | st.integers(-12, 2))
+        # a K-degree is an integer: at ceil(value) the inequality is strict
+        # exactly when value is not an integer itself
+        kF = data.draw(st.sampled_from([math.ceil(value), math.floor(value)])
+                       | st.integers(-12, 2))
         assert canonical_pairing(t, v, kF) == (value, value < kF)
+        if value.denominator > 1:
+            with pytest.raises(ValueError, match=re.escape(f"entry {value!r} is not an integer")):
+                canonical_pairing(t, v, value)
+
+    @pytest.mark.parametrize("v, kF, named", [
+        ([1.5, 0], -1, "entry 1.5 is not an integer"),
+        ([1, None], -1, "entry None is not an integer"),
+        ([1, "1"], -1, "entry '1' is not an integer"),
+        ("ab", -1, "not the str 'ab'"),
+        ([1, 1], -1.5, "entry -1.5 is not an integer"),
+        ([1, 1], "-1", "entry '-1' is not an integer"),
+    ])
+    def test_a_lossy_incidence_or_degree_raises_naming_it(self, v, kF, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            canonical_pairing((5, 2), v, kF)
+
+    def test_exact_and_negative_incidences_are_read_as_ints(self):
+        assert canonical_pairing((5, 2), [1.0, True], F(-1)) == canonical_pairing((5, 2), (1, 1), -1)
+        # a contracted divisor can meet its last-contracted internal sphere with E.C_j = -1
+        value, ok = canonical_pairing((3, 5, 2), (1, -1, 0), 0)
+        a = discrepancies((3, 5, 2))
+        assert value == a[0] - a[1]
+        assert ok == (value < 0)
 
 
 class TestCachedNumerators:

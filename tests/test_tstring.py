@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wahlkit import (
+    Recognition,
     TString,
     WahlParams,
     apply_L,
@@ -85,7 +86,6 @@ class TestAsEntries:
             ((x for x in (3, 5, 2)), (3, 5, 2)),
             ((2.0, 5), (2, 5)),
             ((3, 5, 2.0), (3, 5, 2)),
-            (("4",), (4,)),
         ]:
             out = as_entries(raw)
             assert out == expected and type(out) is tuple
@@ -103,6 +103,9 @@ class TestAsEntries:
         ((float("inf"), 5, 2), "inf"),
         ((3, float("-inf")), "-inf"),
         ((float("nan"),), "nan"),
+        (("4",), "'4'"),
+        ((3, b"5", 2), "b'5'"),
+        ((bytearray(b"4"),), "bytearray(b'4')"),
     ])
     def test_a_lossy_entry_raises_naming_it(self, raw, shown):
         with pytest.raises(ValueError, match=re.escape(f"entry {shown} is not an integer")):
@@ -125,6 +128,7 @@ class TestAsEntries:
         (discrepancies, [3.9, 5, 2]),
         (is_tstring, [3.5, 5.2, 2]),
         (TString, (3.7, 5, 2)),
+        (TString, ("4",)),
         (lambda b: iterated_blowdown_trace(3, 2, b, 0), [-2, -1, -2.5]),
         (as_entries, [None, 5, 2]),
     ])
@@ -193,7 +197,7 @@ class TestWahlStrings:
         with pytest.raises(ValueError, match=re.escape(f"entry {shown} is not an integer")):
             wahl_tstring(p, q)
 
-    @pytest.mark.parametrize("p, q", [(5, 2.0), (5.0, 2), ("5", 2), (5, Fraction(2))])
+    @pytest.mark.parametrize("p, q", [(5, 2.0), (5.0, 2), (5, Fraction(2))])
     def test_an_exact_parameter_is_read_as_its_integer(self, p, q):
         params = WahlParams(p, q)
         assert params == WahlParams(5, 2)
@@ -205,6 +209,8 @@ class TestWahlStrings:
         (5, float("nan"), "nan"),
         ("five", 2, "'five'"),
         (5, "2.0", "'2.0'"),
+        ("5", 2, "'5'"),
+        ("3", "1", "'3'"),
     ])
     def test_a_lossy_or_non_numeric_field_of_wahl_params_raises_naming_it(self, p, q, shown):
         with pytest.raises(ValueError, match=re.escape(f"entry {shown} is not an integer")):
@@ -325,6 +331,15 @@ class TestRecognition:
         assert not is_tstring((3, 1)).accepted
         assert "checksum" in is_tstring((2, 2)).reason
         assert "checksum" not in is_tstring((3, 4)).reason
+
+    def test_a_verdict_is_accepted_exactly_when_it_has_no_reason(self):
+        assert is_tstring((3, 4)) == Recognition(reason="stuck at [3, 4]: no leading or trailing 2")
+        assert is_tstring((3, 5, 2)) == Recognition("RL")
+        assert Recognition().accepted and not Recognition(reason="").accepted
+        for seq in [(), (1,), (2, 2), (3, 4), (2, 5, 2), (4,), (2, 5), (3, 5, 2)]:
+            rec = is_tstring(seq)
+            assert rec.accepted == (rec.reason is None)
+            assert rec.accepted or rec.word == ""
 
     def test_accepts_every_generated_string(self):
         for t in iter_tstrings(7):
