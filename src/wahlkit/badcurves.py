@@ -44,35 +44,44 @@ depends on.  It rests on one lemma: every chain sphere has
 C**2 = -b_j <= -2 (examine_candidate refuses a t with an entry below 2), so
 before any blow-down e is the only (-1, -1) curve.
 
-  per length ell (_candidate_parts): the case, the external set, and the
+  per length ell (_candidate_parts, _e_incidence): the case and the
       tree-shape faults before any blow-down with the number of component
-      pairs that meet.  Before any blow-down the graph is the chain plus e
-      and depends on ell and e_hits alone, and by the lemma the (-1, -1)
-      test finds only e, so one scan of chain_config([-2] * ell) with e
-      attached answers for every string of length ell.  The candidates are
-      grouped by e_hits, and their mirror images indexed, once per length.
+      pairs that meet, and e's incidence vector with its patterns
+      (PATTERN_SINGLE, PATTERN_ENDPOINTS).  Before any blow-down the graph
+      is the chain plus e and depends on ell and e_hits alone, and by the
+      lemma the (-1, -1) test finds only e, so one scan of
+      chain_config([-2] * ell) with e attached answers for every string of
+      length ell.  The candidates are grouped by e_hits, and their mirror
+      images indexed, once per length.
   per (T-string, e_hits) group (_e_parts): the chain-plus-e configuration,
-      e's own checks (PATTERN_SINGLE, PATTERN_ENDPOINTS, MAGIC_E), and the
-      first contraction step.  By the lemma every candidate's contraction
-      blows e down first, whatever it freezes, and that step checks the SW
-      rule on every curve; a group whose first step breaks it gives SW at
-      once.
-  per candidate (_examine): the contraction resumes from a copy of the
-      group's stage after e, and the tree shape is kept up step by step from
-      each step's hits (curveconfig._shape_step) instead of scanned at every
-      stage.
+      MAGIC_E on the string's integer discrepancy numerators, and the root
+      of the group's stage tree.  A stage depends only on the string, e_hits
+      and the vertices blown down so far; which spheres a candidate freezes
+      decides only which vertex it blows down next.  So each group keeps
+      one tree of stages (_Stage), built lazily: the root is chain plus e,
+      its one child the stage after e, and a stage is built from its parent
+      the first time a candidate reaches it, with the step's SW check.  By
+      the lemma every candidate's contraction blows e down first, whatever
+      it freezes, and that step checks the SW rule on every curve.  At
+      ell <= 6 the 7 368 blow-downs after e come from 1 620 distinct stages.
+  per candidate (_examine): the candidate walks down its group's tree from
+      the stage after e, taking at each stage the smallest (-1, -1) curve
+      among its remaining internal spheres, and keeps the tree shape up
+      step by step from each step's hits (curveconfig._shape_step), since
+      that depends on its own component set.
   per T-string, once its rows are built: the cross-checks that read one
       string's rows alone, the A1 and A5 certificates and the counting bounds.
   after the loop: reversal closure, which compares each row with the
       mirrored row of the reversed string, and the family check.
 
 examine_candidate computes both parts for its one candidate and runs the same
-_examine.  Every enumerated shape has e meeting every internal interval, so
-the components are connected before any blow-down (_candidate_parts asserts
-it), and blowing a component down keeps the rest connected (see
-curveconfig._shape_step).  So DISCONNECTED_STAGE cannot fire in the oracle.
-staged_structure_checks, the slow reference, replays a finished contraction
-through BlowDownTrace.stages and scans every stage in full.
+_examine, down a tree that only it walks.  Every enumerated shape has e
+meeting every internal interval, so the components are connected before any
+blow-down (_candidate_parts asserts it), and blowing a component down keeps
+the rest connected (see curveconfig._shape_step).  So DISCONNECTED_STAGE
+cannot fire in the oracle.  staged_structure_checks, the slow reference,
+replays a finished contraction through BlowDownTrace.stages and scans every
+stage in full.
 
 Survivors are the configurations no combinatorial argument excludes; the
 counting bounds they obey feed the final length bound.  Each failed
@@ -85,7 +94,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .curveconfig import (
     CONTRACTED_TO_POINT,
@@ -96,11 +105,10 @@ from .curveconfig import (
     SW_VIOLATION,
     THREE_NEIGHBOR,
     BlowDownTrace,
-    ContractionStep,
     Curve,
     CurveConfig,
-    StepCallback,
-    _contract,
+    _chain_parts,
+    _contraction_step,
     _maps,
     _minus_ones,
     _shape_scan,
@@ -113,7 +121,7 @@ from .curveconfig import (
     divisor_product,
     shape_faults,
 )
-from .discrepancy import canonical_pairing
+from .discrepancy import _numerators, canonical_pairing
 from .tstring import TString, _entry, as_entries, enumerate_tstrings, is_tstring
 
 ORACLE_LENGTH_CAP = 8
@@ -170,15 +178,25 @@ def forbidden_patterns(t: TString | Iterable[int], v: Sequence[int]) -> PatternR
     lists these in that order; pairing is sum a_j v_j.
     """
     b, v = _incidence(t, v)
-    failures = []
-    if sum(v) == 1:
-        failures.append(PATTERN_SINGLE)
-    if len(b) >= 2 and v[0] == 1 and v[-1] == 1 and not any(v[1:-1]):
-        failures.append(PATTERN_ENDPOINTS)
     value, ok = canonical_pairing(b, v, -1)
-    if not ok:
-        failures.append(MAGIC_E)
-    return PatternReport(tuple(failures), value)
+    return PatternReport(_patterns(v) + (() if ok else (MAGIC_E,)), value)
+
+
+def _patterns(v: Sequence[int]) -> tuple[str, ...]:
+    """PATTERN_SINGLE and PATTERN_ENDPOINTS, those that e's incidence vector v fires, in order."""
+    single = (PATTERN_SINGLE,) if sum(v) == 1 else ()
+    if len(v) >= 2 and v[0] == 1 and v[-1] == 1 and not any(v[1:-1]):
+        return (*single, PATTERN_ENDPOINTS)
+    return single
+
+
+def _pairs_below(b: tuple[int, ...], v: Sequence[int], k: int) -> bool:
+    """canonical_pairing(b, v, k)[1], sum a_j v_j < k, decided on b's integer numerators.
+
+    b's entries are all >= 2, so its p**2 = K(b) is positive.
+    """
+    nums, p2 = _numerators(b)
+    return sum(x * vj for x, vj in zip(nums, v)) < k * p2
 
 
 @dataclass(frozen=True)
@@ -246,8 +264,7 @@ def type_bounds(ell: int, n_a: int = 0, n_b1: int = 0, n_b2: int = 0) -> TypeBou
 # ----- The contradiction machine on one candidate -----
 
 
-@dataclass(frozen=True)
-class CandidateOutcome:
+class CandidateOutcome(NamedTuple):
     """One examined configuration: what it was and every reason it died."""
 
     t: tuple[int, ...]
@@ -285,46 +302,107 @@ def build_candidate_config(
 ) -> tuple[CurveConfig, int]:
     """Chain plus the (-1)-sphere e wired to its hit points; returns (config, e id).
 
-    The config does not depend on which chain spheres are internal to E.
+    The config does not depend on which chain spheres are internal to E.  Its
+    two maps are built straight from the cached chain curves, as make would
+    order them: e, the largest id, goes last, and a repeated hit is a double
+    point.  A hit off 1..ell raises ValueError naming it.
     """
     b = as_entries(t)
-    e_id = len(b) + 1
-    e = Curve(e_id, -1, -1, 0, "e")
-    return chain_config([-bj for bj in b], attached=[(e, e_hits)]), e_id
+    ell = len(b)
+    e_id = ell + 1
+    row_e: dict[int, int] = {}
+    for h in sorted(as_entries(e_hits)):
+        if not 1 <= h <= ell:
+            raise ValueError(f"e_hits entry {h} lies off the chain 1..{ell}")
+        row_e[h] = row_e.get(h, 0) + 1
+    by_id = dict(zip(range(1, e_id), _chain_parts(tuple(-bj for bj in b))[0]))
+    by_id[e_id] = Curve(e_id, -1, -1, 0, "e")
+    adj: dict[int, dict[int, int]] = {j: {} for j in by_id}
+    for j in range(1, ell):  # row j gets j - 1 before j + 1
+        adj[j][j + 1] = adj[j + 1][j] = 1
+    for h, m in row_e.items():
+        adj[h][e_id] = m
+    adj[e_id] = row_e
+    return CurveConfig(by_id, adj), e_id
+
+
+class _Stage:
+    """One stage of a group's contraction, built the first time a candidate reaches it.
+
+    curves and adj are the stage's id map and adjacency map, step the
+    blow-down that made it from its parent, minus_ones its (-1, -1) curves
+    and children the stages built from it so far, by the vertex blown down.
+    The root of a group's tree is its chain-plus-e config, whose one child
+    is the stage after e.  A stage depends only on the group's string and
+    e_hits and the vertices blown down to reach it, never on which spheres
+    a candidate freezes, so every candidate of the group shares it.
+    """
+
+    __slots__ = ("curves", "adj", "step", "minus_ones", "children")
+
+    def __init__(
+        self, parent_curves: Mapping[int, Curve], parent_adj: Mapping[int, Mapping[int, int]],
+        vid: int, first: bool,
+    ):
+        """The stage after blowing vid down from the parent's maps, which stay as they are.
+
+        The child copies the id map and the rows the blow-down changes, and
+        shares the other rows, so no stage's maps change once it is built.
+        first marks the blow-down of e, whose SW check reads every curve.
+        """
+        self.curves = curves = dict(parent_curves)
+        self.adj = adj = dict(parent_adj)
+        for u in adj[vid]:
+            adj[u] = dict(adj[u])
+        self.step = _contraction_step(curves, adj, vid, frozenset(), first)
+        self.minus_ones = frozenset(_minus_ones(curves))
+        self.children: dict[int, _Stage] = {}
+
+    def child(self, vid: int) -> _Stage:
+        """The stage after blowing vid down, built on the first call."""
+        node = self.children.get(vid)
+        if node is None:
+            node = self.children[vid] = _Stage(self.curves, self.adj, vid, False)
+        return node
 
 
 # what _e_parts and _candidate_parts return, in that order
-_GroupParts = tuple[
-    CurveConfig, frozenset[str], ContractionStep, frozenset[int],
-    dict[int, Curve], dict[int, dict[int, int]],
-]
-_CandidateParts = tuple[str | None, frozenset[int], tuple[str, ...], int]
+_GroupParts = tuple[CurveConfig, tuple[str, ...], _Stage]
+_CandidateParts = tuple[str | None, tuple[str, ...], int]
 
 
-def _e_parts(b: tuple[int, ...], e_hits: tuple[int, ...]) -> _GroupParts:
+def _e_incidence(ell: int, e_hits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """e's incidence vector on a chain of length ell and the patterns it fires (_patterns).
+
+    Both depend on ell and e_hits alone; case_oracle computes them once per
+    length for each e_hits.
+    """
+    v_e = tuple(e_hits.count(j) for j in range(1, ell + 1))
+    return v_e, _patterns(v_e)
+
+
+def _e_parts(
+    b: tuple[int, ...], e_hits: tuple[int, ...],
+    incidence: tuple[tuple[int, ...], tuple[str, ...]],
+) -> _GroupParts:
     """What every candidate of one (b, e_hits) group shares.
 
-    Returns the candidate config, e's own checks, the step that blows e
-    down, and the (-1, -1) curves, the id map and the adjacency map of the
-    stage after it.  By the lemma of the module docstring that step is the
-    first of every candidate's contraction, whatever it freezes.  A t with
-    an entry below 2, where the lemma fails, raises ValueError naming it.
-    case_oracle computes it once per group and hands it to each member;
-    _examine copies the maps before contracting them further.
+    incidence is _e_incidence(len(b), e_hits).  Returns the candidate
+    config, e's own checks (its patterns, then MAGIC_E when its pairing
+    fails) and the stage after blowing e down, the one child of the root of
+    the group's stage tree.  By the lemma of the module docstring that step
+    is the first of every candidate's contraction, whatever it freezes.  A
+    t with an entry below 2, where the lemma fails, raises ValueError naming
+    it.  case_oracle computes it once per group and walks each member down
+    the same tree.
     """
     if any(bj < 2 for bj in b):
         raise ValueError(f"t entries must all be >= 2, got {list(b)}")
+    v_e, checks = incidence
+    if not _pairs_below(b, v_e, -1):
+        checks += (MAGIC_E,)
     config, e_id = build_candidate_config(b, e_hits)
-    # incidence patterns and pairing of the bare (-1)-sphere
-    v_e = tuple(e_hits.count(j) for j in range(1, e_id))
-    checks = frozenset(forbidden_patterns(b, v_e).failures)
-    # with the whole chain frozen the loop blows down e alone and leaves its
-    # working maps at the stage after e
-    curves, adj = _maps(config)
-    chain = frozenset(range(1, e_id))
-    steps: list[ContractionStep] = []
-    _contract(curves, adj, steps, _minus_ones(curves) - chain, chain, frozenset(), min, None)
-    return config, checks, steps[0], frozenset(_minus_ones(curves)), curves, adj
+    return config, checks, _Stage(config._by_id, config._adj, e_id, True)
 
 
 def _candidate_parts(
@@ -332,13 +410,13 @@ def _candidate_parts(
 ) -> _CandidateParts:
     """What a candidate's examination needs beyond its string.
 
-    Returns the case, the external chain spheres, and the tree-shape faults
-    of the components (internal spheres and e, id ell + 1) before any
-    blow-down with the number of pairs of them that meet, from one scan of
-    the -2-chain with e attached (see the module docstring).  Raises
-    _shape's ValueError for a shape enumerate_candidates does not yield, and
-    AssertionError naming the candidate if its components are disconnected,
-    which no such shape is.  case_oracle computes it once per length.
+    Returns the case, and the tree-shape faults of the components (internal
+    spheres and e, id ell + 1) before any blow-down with the number of pairs
+    of them that meet, from one scan of the -2-chain with e attached (see
+    the module docstring).  Raises _shape's ValueError for a shape
+    enumerate_candidates does not yield, and AssertionError naming the
+    candidate if its components are disconnected, which no such shape is.
+    case_oracle computes it once per length.
     """
     case = _shape(internal, e_hits, ell, kind)
     config, e_id = build_candidate_config((2,) * ell, e_hits)
@@ -347,7 +425,7 @@ def _candidate_parts(
         raise AssertionError(
             f"candidate {kind} {internal} {e_hits} is disconnected before any blow-down"
         )
-    return case, frozenset(range(1, ell + 1)).difference(internal), tuple(sorted(faults)), edges
+    return case, tuple(sorted(faults)), edges
 
 
 def staged_structure_checks(components: Iterable[int], trace: BlowDownTrace) -> set[str]:
@@ -366,26 +444,6 @@ def staged_structure_checks(components: Iterable[int], trace: BlowDownTrace) -> 
         if len(remaining) > 1:
             fired |= shape_faults(curves, adj, remaining)
     return fired
-
-
-def _tracked_shape_checks(remaining: set[int], edges: int, fired: set[str]) -> StepCallback:
-    """The oracle's step callback that adds the divisor's tree-shape faults to fired.
-
-    remaining is the connected component set at the stage before the first
-    step the callback sees, and edges the number of its pairs that meet
-    there.  _shape_step keeps both up, step by step, from the step's hits.
-    Across a contraction it fires what staged_structure_checks, the full
-    scan of a replay, fires from the same stage on.
-    """
-
-    def check(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]],
-              contracted: int, hits: Mapping[int, int]) -> None:
-        nonlocal edges
-        faults, edges = _shape_step(curves, adj, remaining, contracted, hits, edges)
-        remaining.discard(contracted)
-        fired.update(faults)
-
-    return check
 
 
 def _a_case(x_prime: int, x: int, y: int, y_prime: int, ell: int) -> str:
@@ -470,11 +528,11 @@ def examine_candidate(
 
     Computes the candidate's parts (_candidate_parts) and its group's parts
     (_e_parts) for this one candidate, then examines it as case_oracle
-    does: the contraction resumes after the blow-down of e and keeps its
-    tree-shape state up step by step.  Raises ValueError, checked in this
-    order, for a kind other than A, B1 or B2, for a (kind, internal, e_hits)
-    of a shape enumerate_candidates does not yield (naming the argument),
-    and for a t with an entry below 2.
+    does: it walks its own path down a stage tree that no other candidate
+    shares, keeping its tree-shape state up step by step.  Raises
+    ValueError, checked in this order, for a kind other than A, B1 or B2,
+    for a (kind, internal, e_hits) of a shape enumerate_candidates does not
+    yield (naming the argument), and for a t with an entry below 2.
     """
     b = as_entries(t)
     internal = tuple(sorted(as_entries(internal)))
@@ -482,7 +540,8 @@ def examine_candidate(
     if kind not in ("A", "B1", "B2"):
         raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
     parts = _candidate_parts(len(b), kind, internal, e_hits)
-    return _examine(b, kind, internal, e_hits, parts, _e_parts(b, e_hits))
+    group = _e_parts(b, e_hits, _e_incidence(len(b), e_hits))
+    return _examine(b, kind, internal, e_hits, parts, group)
 
 
 def _examine(
@@ -495,26 +554,36 @@ def _examine(
 ) -> CandidateOutcome:
     """The outcome of one candidate from its _candidate_parts and its group's _e_parts.
 
-    internal and e_hits are sorted tuples; group's maps are left unchanged.
+    internal and e_hits are sorted tuples.  The candidate walks down its
+    group's stage tree from the stage after e, building a stage only where
+    no candidate has been before: at each stage it blows down the smallest
+    (-1, -1) curve among its remaining internal spheres, the external chain
+    frozen, and the rational-curve rule applies to every image, external or
+    not.  Its tree-shape state (_shape_step) depends on its own components,
+    so it keeps that up itself.
     """
     ell = len(b)
-    case, externals, faults, edges = parts
-    config, e_checks, first, minus_ones, curves, adj = group
+    case, faults, edges = parts
+    config, e_checks, node = group
 
-    # a fresh set: the step callback adds to it
     checks = {*e_checks, *faults}
-    track = _tracked_shape_checks({*internal, ell + 1}, edges, checks)
-    track(curves, adj, first.vertex, first.hits)
-    steps = [first]
-    if first.violations:
-        status = SW_VIOLATION
-    else:
-        # contract E on from the stage after e, with the external chain
-        # frozen; the rational-curve rule applies to every image, external or not
-        status = _contract(
-            dict(curves), {u: dict(row) for u, row in adj.items()},
-            steps, set(minus_ones) - externals, externals, frozenset(), min, track,
-        )
+    remaining = {*internal, ell + 1}  # the components not yet blown down
+    steps = []
+    while True:
+        step = node.step
+        steps.append(step)
+        fired, edges = _shape_step(node.curves, node.adj, remaining, step.vertex, step.hits, edges)
+        checks |= fired
+        remaining.discard(step.vertex)
+        if step.violations:
+            status = SW_VIOLATION
+            break
+        ones = node.minus_ones.intersection(remaining)
+        if not ones:
+            # every curve left is a frozen external one exactly when no component is
+            status = STUCK if remaining else CONTRACTED_TO_POINT
+            break
+        node = node.child(min(ones))
     if status == SW_VIOLATION:
         checks.add(SW)
     elif status == STUCK:
@@ -538,7 +607,7 @@ def _examine(
                 raise AssertionError(f"contracted divisor has K-degree {k_e}, not -1")
             if badness <= 0:
                 checks.add(ZERO_INCIDENCE)
-            if not canonical_pairing(b, v_full, k_e)[1]:
+            if not _pairs_below(b, v_full, k_e):
                 checks.add(MAGIC_FULL)
 
     if checks:
@@ -547,16 +616,8 @@ def _examine(
         verdict = SURVIVES_BAD if badness == 1 else SURVIVES_GOOD
 
     return CandidateOutcome(
-        t=b,
-        kind=kind,
-        internal=internal,
-        e_hits=e_hits,
-        case=case,
-        checks=tuple(sorted(checks)),
-        verdict=verdict,
-        badness=badness,
-        v=v_full,
-        mults=mult_items,
+        b, kind, internal, e_hits, case, tuple(sorted(checks)), verdict, badness, v_full,
+        mult_items,
     )
 
 
@@ -719,10 +780,11 @@ def case_oracle(ell_max: int) -> OracleReport:
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, (_, _, hits) in enumerate(candidates):
             groups.setdefault(hits, []).append(i)
+        incidence = {hits: _e_incidence(ell, hits) for hits in groups}
         for t in sorted(as_entries(s) for s in strings):
             rows = [None] * len(candidates)  # filled group by group, in row order
             for hits, members in groups.items():
-                group = _e_parts(t, hits)
+                group = _e_parts(t, hits, incidence[hits])
                 for i in members:
                     kind, internal, _ = candidates[i]
                     rows[i] = _examine(t, kind, internal, hits, parts[i], group)

@@ -78,11 +78,13 @@ def inequality_chain(ksq: int, ell: int, p_bad: int) -> BoundReport:
     not exceed (ell + 5)/2 ("p").  failures lists those that fail; infeasibility
     of every p_bad <= (ell+5)/2 is exactly how a length is proved impossible.
     Each argument is read as an exact int: a value such as 5.5 or None raises
-    ValueError naming it.
+    ValueError naming it.  ksq below 1 raises ValueError, as in general_bound.
     """
     ksq, ell, p_bad = map(_entry, (ksq, ell, p_bad))
-    if min(ksq, ell, p_bad) < 0:
-        raise ValueError("ksq, ell, p_bad must be nonnegative")
+    if ksq < 1:
+        raise ValueError(f"need ksq >= 1 (general type), got {ksq}")
+    if min(ell, p_bad) < 0:
+        raise ValueError("ell and p_bad must be nonnegative")
     k_min = ell - ksq
     rana_budget = ell + 1
     p_max = Fraction(ell + 5, 2)
@@ -105,8 +107,10 @@ def inequality_chain(ksq: int, ell: int, p_bad: int) -> BoundReport:
 
 
 def length_feasible(ksq: int, ell: int) -> bool:
-    """Whether any admissible bad-curve count makes the chain feasible."""
-    ell = _entry(ell)
+    """Whether any admissible bad-curve count makes the chain feasible; ksq >= 1."""
+    ksq, ell = _entry(ksq), _entry(ell)
+    if ksq < 1:
+        raise ValueError(f"need ksq >= 1 (general type), got {ksq}")
     return any(
         inequality_chain(ksq, ell, p).feasible for p in range((ell + 5) // 2 + 1)
     )

@@ -42,21 +42,20 @@ adjunction K-degrees plus any curves attached to it, the shape the bad-curve
 analysis works with.
 
 One private helper holds the blow-down formula and applies it in place to an
-id map and an adjacency map.  blow_down runs it on a copy of a config's maps;
-contract_all runs it on one working copy for the whole contraction, so a step
-costs O(degree**2) instead of a rebuild.  A ContractionStep is plain data:
-the contracted vertex, its neighbourhood ``hits`` (read-only) and its SW
-violations.  derived_multiplicities reads the ``hits``.  Readers of the
-stages walk them with BlowDownTrace.stages, which replays the trace on one
-copy of the maps.
+id map and an adjacency map.  blow_down runs it on a copy of a config's maps.
+A second one, _contraction_step, is the body of every contraction step: it
+blows a curve down in place, checks the SW rule on the curves the step hits
+(on every curve for a first step) and returns the ContractionStep.  A
+ContractionStep is plain data: the contracted vertex, its neighbourhood
+``hits`` (read-only) and its SW violations.  derived_multiplicities reads the
+``hits``.  Readers of the stages walk them with BlowDownTrace.stages, which
+replays the trace on one copy of the maps.
 
 contract_all handles its arguments, then runs the one contraction loop,
-_contract, on its working copy.  The loop can resume: it runs on any working
-maps after the steps already taken, so the bad-curve oracle blows e down once
-per group of candidates and starts each candidate on a copy of the stage
-after it.  The loop's private step callback sees each stage as it is made,
-with the step's read-only ``hits``; the oracle keeps the tree shape up
-through it.
+_contract, on one working copy of the maps for the whole contraction, so a
+step costs O(degree**2) instead of a rebuild.  The bad-curve oracle calls
+_contraction_step on its own: it keeps a tree of stages per group of
+candidates, each stage built once from its parent (see badcurves).
 
 shape_faults is the one tree-shape rule of an exceptional curve, applied
 once by validate_zariski and, on a replay of every stage, by
@@ -511,20 +510,11 @@ def contract_all(
     """
     if tie_break not in ("lowest", "highest"):
         raise ValueError(f"tie_break must be 'lowest' or 'highest', got {tie_break!r}")
-    curves, adj = _maps(c)
-    steps: list[ContractionStep] = []
-    hold = frozenset(frozen)
-    status = _contract(
-        curves, adj, steps, _minus_ones(curves) - hold, hold, frozenset(sw_exempt),
-        min if tie_break == "lowest" else max, None,
+    status, steps = _contract(
+        *_maps(c), frozenset(frozen), frozenset(sw_exempt),
+        min if tie_break == "lowest" else max,
     )
     return BlowDownTrace(c, tuple(steps), status)
-
-
-# A step's stage maps, its contracted vertex and the step's read-only hits.
-StepCallback = Callable[
-    [Mapping[int, Curve], Mapping[int, Mapping[int, int]], int, Mapping[int, int]], None
-]
 
 
 def _minus_ones(curves: Mapping[int, Curve]) -> set[int]:
@@ -532,55 +522,56 @@ def _minus_ones(curves: Mapping[int, Curve]) -> set[int]:
     return {vid for vid, v in curves.items() if v.self_int == -1 and v.k_degree == -1}
 
 
+def _contraction_step(
+    curves: dict[int, Curve],
+    adj: dict[int, dict[int, int]],
+    vid: int,
+    skip: frozenset[int],
+    first: bool,
+) -> ContractionStep:
+    """Blow vid down on working maps in place and check the SW rule; return the step.
+
+    The first step of a contraction checks every curve but those in skip;
+    after a clean step only the curves a step hits can change, so a later
+    step checks those alone.  The step's hits are the row of vid that the
+    blow-down took out of adj.
+    """
+    hits = _blow_down_in_place(curves, adj, vid)
+    found = []
+    for u in (curves if first else hits):
+        if u not in skip:
+            w = _sw_violation(curves[u])
+            if w is not None:
+                found.append(w)
+    if found:
+        found.sort(key=lambda w: w.vertex)
+    return ContractionStep(vid, MappingProxyType(hits), tuple(found))
+
+
 def _contract(
     curves: dict[int, Curve],
     adj: dict[int, dict[int, int]],
-    steps: list[ContractionStep],
-    candidates: set[int],
     hold: frozenset[int],
     skip: frozenset[int],
     pick: Callable[[Iterable[int]], int],
-    on_step: StepCallback | None,
-) -> str:
-    """contract_all's loop, run on working maps after the given steps; returns the status.
-
-    curves and adj are the stage the steps reach; the loop blows them down
-    in place and appends its steps to steps.  contract_all starts it on a
-    copy of a config's maps with no steps; a caller that already took the
-    first steps, as the bad-curve oracle does for the step every candidate
-    of a group shares, starts it on a copy of the stage those steps reach.
-    ``on_step(curves, adj, vertex, hits)``, when given, sees the working maps
-    of the stage after each blow-down, the step that ends in SW_VIOLATION
-    included, with the step's read-only hits; it must read them before
-    returning, never keep or alter them.
-    """
-
+) -> tuple[str, list[ContractionStep]]:
+    """contract_all's loop on working maps, blown down in place; returns the status and steps."""
+    candidates = _minus_ones(curves) - hold
+    steps: list[ContractionStep] = []
     while candidates:
         vid = pick(candidates)
         candidates.remove(vid)
-        hits = _blow_down_in_place(curves, adj, vid)
-        view = MappingProxyType(hits)
-        if on_step is not None:
-            on_step(curves, adj, vid, view)
-        for u in hits:
+        step = _contraction_step(curves, adj, vid, skip, not steps)
+        steps.append(step)
+        if step.violations:
+            return SW_VIOLATION, steps
+        for u in step.hits:
             v = curves[u]
             if v.self_int == -1 and v.k_degree == -1 and u not in hold:
                 candidates.add(u)
             else:
                 candidates.discard(u)
-        # the first step checks every curve; after a clean step only the ones it hit can change
-        found = []
-        for u in (hits if steps else curves):
-            if u not in skip:
-                w = _sw_violation(curves[u])
-                if w is not None:
-                    found.append(w)
-        if found:
-            found.sort(key=lambda w: w.vertex)
-        steps.append(ContractionStep(vid, view, tuple(found)))
-        if found:
-            return SW_VIOLATION
-    return CONTRACTED_TO_POINT if hold.issuperset(curves) else STUCK
+    return (CONTRACTED_TO_POINT if hold.issuperset(curves) else STUCK), steps
 
 
 def derived_multiplicities(trace: BlowDownTrace) -> dict[int, int]:

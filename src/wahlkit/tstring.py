@@ -97,10 +97,10 @@ class TString:
 def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
     """Normalize a TString or raw sequence to a tuple of ints.
 
-    A tuple of exact ints is returned as it is; anything else (a bool, a
-    list, a generator) is coerced entry by entry.  An entry that int() would
-    change in value, such as 3.5 truncated to 3, or a str such as "4",
-    raises ValueError naming it.
+    A tuple of exact ints is returned as it is; anything else (a list, a
+    generator, an int subclass or an exact float entry) is coerced entry by
+    entry.  An entry that int() would change in value, such as 3.5 truncated
+    to 3, a str such as "4", or a bool, raises ValueError naming it.
     A str or bytes passed as the whole sequence raises ValueError too: read
     one character at a time, "352" would pass for (3, 5, 2).
     """
@@ -115,7 +115,15 @@ def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
 
 
 def _entry(x) -> int:
-    """int(x), or ValueError naming x when that loses part of its value or x is text."""
+    """int(x), or ValueError naming x when that loses part of its value, or x is text or a bool.
+
+    A bool is refused as config_from_json refuses it: True is a flag, not
+    the number 1.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, bool):
+        raise ValueError(f"entry {x!r} is a bool, not an integer")
     try:
         n = int(x)
     except (OverflowError, TypeError, ValueError):  # inf or NaN, None, a non-numeric str

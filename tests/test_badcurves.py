@@ -34,7 +34,7 @@ from wahlkit import (
     type_bounds,
     unbroken_checks,
 )
-from wahlkit import badcurves
+from wahlkit import badcurves, curveconfig
 from wahlkit.badcurves import (
     DIES,
     DISCONNECTED_STAGE,
@@ -52,16 +52,17 @@ from wahlkit.badcurves import (
     JointRecord,
     OracleReport,
     _candidate_parts,
+    _e_incidence,
     _e_parts,
     _examine,
     _shape,
-    _tracked_shape_checks,
     build_candidate_config,
     staged_structure_checks,
 )
 from wahlkit.curveconfig import (
     SW_VIOLATION,
     _shape_scan,
+    _shape_step,
     connects,
     contract_all,
     random_blowup,
@@ -393,15 +394,39 @@ class TestShape:
                     _shape(whole, (1,), ell, kind)
 
 
+def group_parts(t, hits):
+    """_e_parts of one (t, e_hits) group, with e's incidence computed for it."""
+    return _e_parts(t, hits, _e_incidence(len(t), hits))
+
+
+def stage_tree(node, path=()):
+    """Each stage of the tree below node (node included) with the steps that reach it."""
+    path = (*path, node.step)
+    yield node, path
+    for child in node.children.values():
+        yield from stage_tree(child, path)
+
+
 class TestSharedParts:
     """The parts a group of candidates shares against the single and eager examinations."""
 
     def test_hands_out_immutable_checks(self):
-        config, checks, first, minus_ones, curves, adj = _e_parts((2, 5, 3), (1, 3))
+        config, checks, after_e = group_parts((2, 5, 3), (1, 3))
         assert (config, 4) == build_candidate_config((2, 5, 3), (1, 3))
-        assert type(checks) is frozenset  # a group member cannot add to the shared entry
-        assert type(minus_ones) is frozenset
-        assert _e_parts((2, 5, 3), (1, 3)) == _e_parts((2, 5, 3), (1, 3))
+        assert type(checks) is tuple  # a group member cannot add to the shared entry
+        assert type(after_e.minus_ones) is frozenset
+        assert after_e.step.vertex == 4 and after_e.children == {}
+
+    def test_e_checks_are_those_of_forbidden_patterns(self):
+        groups = 0
+        for ell, strings in sorted(enumerate_tstrings(7).items()):
+            for hits in {h for _, _, h in enumerate_candidates(ell)}:
+                v_e = [hits.count(j) for j in range(1, ell + 1)]
+                for t in strings:
+                    _, checks, _ = group_parts(t.b, hits)
+                    assert checks == forbidden_patterns(t, v_e).failures, (t, hits)
+                    groups += 1
+        assert groups == 3582
 
     def test_the_shared_first_step_is_every_candidates_first_step(self):
         # e is the only (-1, -1) curve before any blow-down, so the group's step
@@ -409,15 +434,15 @@ class TestSharedParts:
         for t in [(2, 5, 3), (3, 5, 2), (2, 2, 6, 2, 4)]:
             ell = len(t)
             for kind, internal, hits in enumerate_candidates(ell):
-                config, _, first, minus_ones, curves, adj = _e_parts(t, hits)
+                config, _, after_e = group_parts(t, hits)
                 externals = [j for j in range(1, ell + 1) if j not in internal]
                 trace = contract_all(config, frozen=externals)
-                assert trace.steps[0] == first
+                assert trace.steps[0] == after_e.step
                 _, steps = eager_contract_all(config, externals)
                 stage = steps[0][2]
-                assert curves == {v.id: v for v in stage.vertices}
-                assert adj == {v.id: stage.neighbors(v.id) for v in stage.vertices}
-                assert minus_ones == {
+                assert after_e.curves == {v.id: v for v in stage.vertices}
+                assert after_e.adj == {v.id: stage.neighbors(v.id) for v in stage.vertices}
+                assert after_e.minus_ones == {
                     v.id for v in stage.vertices if (v.self_int, v.k_degree) == (-1, -1)
                 }
 
@@ -468,20 +493,85 @@ class TestSharedParts:
         assert calls == +expected
         assert sum(calls.values()) == 1748
 
-    def test_examining_a_group_leaves_its_shared_maps_unchanged(self):
-        for t in [(2, 5, 3), (3, 5, 2), (2, 2, 6, 2, 4)]:
+    def test_every_stage_of_a_group_still_holds_the_stage_its_path_reaches(self):
+        # children copy the rows a blow-down changes and share the rest, so
+        # building one stage must leave its parent and siblings as they were;
+        # the tree holds exactly the stages of its members' own contractions
+        nodes = 0
+        for t in [(2, 5, 3), (3, 5, 2), (2, 2, 6, 2, 4), (2, 2, 2, 2, 2, 9)]:
             ell = len(t)
             candidates = enumerate_candidates(ell)
             for hits in sorted({h for _, _, h in candidates}):
-                group = _e_parts(t, hits)
-                curves, adj = dict(group[4]), {u: dict(row) for u, row in group[5].items()}
+                group = group_parts(t, hits)
+                config = group[0]
+                prefixes = set()
                 for kind, internal, h in candidates:
-                    if h != hits:
-                        continue
-                    parts = _candidate_parts(ell, kind, internal, hits)
-                    got = _examine(t, kind, internal, hits, parts, group)
-                    assert got == examine_candidate(t, kind, internal, hits)
-                    assert group[4] == curves and group[5] == adj, (t, kind, internal, hits)
+                    if h == hits:
+                        parts = _candidate_parts(ell, kind, internal, hits)
+                        got = _examine(t, kind, internal, hits, parts, group)
+                        assert got == eager_examine_candidate(t, kind, internal, hits)
+                        externals = [j for j in range(1, ell + 1) if j not in internal]
+                        order = contract_all(config, frozen=externals).order
+                        prefixes.update(order[:k] for k in range(1, len(order) + 1))
+                assert config == build_candidate_config(t, hits)[0]
+                tree = list(stage_tree(group[2]))
+                assert {tuple(s.vertex for s in path) for _, path in tree} == prefixes
+                for node, path in tree:
+                    *_, (curves, adj) = BlowDownTrace(config, path, "").stages()
+                    assert (node.curves, node.adj) == (curves, adj), (t, hits, path)
+                    assert node.minus_ones == {
+                        u for u, v in curves.items() if (v.self_int, v.k_degree) == (-1, -1)}
+                nodes += len(tree)
+        assert nodes == 155
+
+    def test_the_oracle_blows_each_stage_of_a_group_down_once(self, monkeypatch):
+        # every candidate must reach each stage on its own path, so the
+        # blow-downs can match the distinct paths of every group, as
+        # contract_all takes them one candidate at a time, only when no
+        # stage is built twice
+        paths = Counter()
+        for ell, strings in enumerate_tstrings(6).items():
+            candidates = enumerate_candidates(ell)
+            for t in strings:
+                for hits in {h for _, _, h in candidates}:
+                    config, _ = build_candidate_config(t, hits)
+                    prefixes = set()
+                    for _, internal, h in candidates:
+                        if h == hits:
+                            externals = [j for j in range(1, ell + 1) if j not in internal]
+                            order = contract_all(config, frozen=externals).order
+                            prefixes.update(order[:k] for k in range(1, len(order) + 1))
+                    for prefix in prefixes:
+                        paths["e" if len(prefix) == 1 else "later"] += 1
+        assert paths == {"e": 1342, "later": 1620}
+
+        blow_downs = 0
+        blow_down = curveconfig._blow_down_in_place
+
+        def counted(*args):
+            nonlocal blow_downs
+            blow_downs += 1
+            return blow_down(*args)
+
+        monkeypatch.setattr(curveconfig, "_blow_down_in_place", counted)
+        case_oracle(6)
+        assert blow_downs == 1342 + 1620 == 2962
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(2, 7), min_size=1, max_size=7))
+    def test_any_string_through_one_shared_tree_per_group(self, b):
+        # the lemma behind the shared stages needs entries >= 2, not a T-string
+        b = tuple(b)
+        ell = len(b)
+        groups = {}
+        for kind, internal, hits in sorted(enumerate_candidates(ell)):
+            groups.setdefault(hits, []).append((kind, internal))
+        for hits, members in groups.items():
+            group = group_parts(b, hits)
+            for kind, internal in members:
+                parts = _candidate_parts(ell, kind, internal, hits)
+                got = _examine(b, kind, internal, hits, parts, group)
+                assert got == eager_examine_candidate(b, kind, internal, hits), (kind, internal)
 
     def test_the_oracle_refuses_a_disconnected_start_naming_the_candidate(self, monkeypatch):
         # the per-length parts assert what examine_candidate asserts
@@ -567,10 +657,10 @@ def scanned_stages(config, comps, **kw):
 
 
 def tracked_stages(trace, comps):
-    """The faults the oracle's step callback holds after each stage of trace.
+    """The faults _shape_step has found after each stage of trace, as the oracle keeps them.
 
     Stage 0 is scanned as _candidate_parts scans it, and must be connected;
-    the callback takes every later stage from the step's hits.
+    every later stage is taken from the step's hits.
     """
     stages = trace.stages()
     curves, adj = next(stages)
@@ -578,9 +668,11 @@ def tracked_stages(trace, comps):
     assert DISCONNECTED_STAGE not in faults, comps
     fired = set(faults)
     seen = [frozenset(fired)]
-    track = _tracked_shape_checks(set(comps), edges, fired)
+    remaining = set(comps)
     for step, (curves, adj) in zip(trace.steps, stages):
-        track(curves, adj, step.vertex, step.hits)
+        faults, edges = _shape_step(curves, adj, remaining, step.vertex, step.hits, edges)
+        remaining.discard(step.vertex)
+        fired |= faults
         seen.append(frozenset(fired))
     return seen
 
@@ -595,14 +687,13 @@ class TestIncrementalTreeShape:
             # these is connected and never fires DISCONNECTED_STAGE
             parts = [_candidate_parts(ell, *c) for c in candidates]
             for t in strings:
-                for (_, internal, hits), (_, externals, faults, edges) in zip(candidates, parts):
+                for (_, internal, hits), (_, faults, edges) in zip(candidates, parts):
                     config, e_id = build_candidate_config(t, hits)
                     comps = {*internal, e_id}
                     curves = {v.id: v for v in config.vertices}
                     adj = {v.id: config.neighbors(v.id) for v in config.vertices}
                     assert set(faults) == shape_faults(curves, adj, comps), (t, internal, hits)
                     assert edges == sum(1 for e in config.edges if {e.a, e.b} <= comps)
-                    assert externals == set(range(1, ell + 1)) - set(internal)
 
     def test_the_full_scan_still_flags_a_disconnected_stage(self):
         # components 1..4 and 6: a triangle 1-2-3, 3-4, and 6 alone; blowing
@@ -723,14 +814,14 @@ def failed(report, check):
 def forged_oracle(monkeypatch, strings, forged):
     """case_oracle over strings alone, with the fields of each row keyed in forged replaced.
 
-    forged maps (t, kind, internal, e_hits) to dataclasses.replace keywords.
+    forged maps (t, kind, internal, e_hits) to CandidateOutcome._replace keywords.
     """
     examine = badcurves._examine
 
     def forge(*args):
         o = examine(*args)
         fields = forged.get((o.t, o.kind, o.internal, o.e_hits))
-        return o if fields is None else dataclasses.replace(o, **fields)
+        return o if fields is None else o._replace(**fields)
 
     levels = {}
     for t in strings:
@@ -796,7 +887,7 @@ class TestCaseOracle:
             o = examine(*args)
             if (o.t, o.kind, o.internal, o.e_hits) == flipped:
                 assert o.verdict == SURVIVES_BAD
-                return dataclasses.replace(o, verdict=DIES)
+                return o._replace(verdict=DIES)
             return o
 
         monkeypatch.setattr(badcurves, "_examine", flip_one)

@@ -37,6 +37,14 @@ class TestHeadlineBounds:
             with pytest.raises(ValueError):
                 fn(0)
 
+    @pytest.mark.parametrize("ksq", [0, -1])
+    def test_the_chain_refuses_a_ksq_general_bound_refuses(self, ksq):
+        message = re.escape(f"need ksq >= 1 (general type), got {ksq}")
+        for call in (general_bound, lambda k: inequality_chain(k, 3, 0),
+                     lambda k: length_feasible(k, 1)):
+            with pytest.raises(ValueError, match=message):
+                call(ksq)
+
 
 @pytest.mark.parametrize("call, named", [
     (lambda: general_bound(5.5), "5.5"),
@@ -57,10 +65,20 @@ def test_a_lossy_input_raises_naming_it(call, named):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: general_bound(True),
+    lambda: inequality_chain(5, 10, True),
+    lambda: length_feasible(True, 5),
+])
+def test_a_bool_input_is_refused(call):
+    with pytest.raises(ValueError, match="entry True is a bool, not an integer"):
+        call()
+
+
 def test_an_exact_non_int_input_is_read_as_its_int():
     assert general_bound(5.0) == 27 and type(general_bound(5.0)) is int
     assert surface_examples(HORIKAWA, 3.0) == surface_examples(HORIKAWA, 3)
-    assert inequality_chain(5.0, 10, True) == inequality_chain(5, 10, 1)
+    assert inequality_chain(5.0, 10, 1.0) == inequality_chain(5, 10, 1)
     assert length_feasible(5, 27.0) and not length_feasible(5, 28.0)
 
 
@@ -113,7 +131,7 @@ class TestInequalityChain:
         assert rep.bound_general == 4 * ksq + 7
         assert ("p" not in rep.failures) == (p <= Fraction(ell + 5, 2))
 
-    @given(st.integers(0, 14), st.integers(0, 79), st.integers(0, 59))
+    @given(st.integers(1, 14), st.integers(0, 79), st.integers(0, 59))
     def test_the_budget_is_the_combined_length_inequality(self, ksq, ell, p):
         # 2(k_min - p) + p <= ell + 1 with k_min = ell - ksq rearranges to
         # ell <= 2 ksq + p + 1, so one check stands for both

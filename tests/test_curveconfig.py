@@ -117,8 +117,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(f"{named} is not an integer")):
             CurveConfig.make(vertices, edges)
 
+    @pytest.mark.parametrize("vertices, edges, named", [
+        ([Curve(True, -1, -1, 1)], [], "Curve (True, -1, -1, 1, ''): entry True"),
+        ([Curve(1, -1, -1, True)], [], "Curve (1, -1, -1, True, ''): entry True"),
+        ([Curve(1, -1, -1), Curve(2, -2, 0)], [Edge(1, 2, True)], "Edge (1, 2, True): entry True"),
+    ])
+    def test_refuses_a_bool_field_as_config_from_json_does(self, vertices, edges, named):
+        with pytest.raises(ValueError, match=re.escape(f"{named} is a bool, not an integer")):
+            CurveConfig.make(vertices, edges)
+
     def test_reads_an_exact_non_int_field_as_its_int(self):
-        c = CurveConfig.make([Curve(1.0, -1, -1, True), Curve(2, -2.0, 0)], [Edge(2.0, 1, 1)])
+        c = CurveConfig.make([Curve(1.0, -1, -1, 1.0), Curve(2, -2.0, 0)], [Edge(2.0, 1, 1)])
         assert c == CurveConfig.make([Curve(1, -1, -1, 1), Curve(2, -2, 0)], [Edge(1, 2, 1)])
         assert all(type(x) is int for v in c.vertices for x in v[:4])
         assert all(type(x) is int for e in c.edges for x in e)

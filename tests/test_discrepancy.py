@@ -216,13 +216,15 @@ class TestPairing:
         ("ab", -1, "not the str 'ab'"),
         ([1, 1], -1.5, "entry -1.5 is not an integer"),
         ([1, 1], "-1", "entry '-1' is not an integer"),
+        ([1.0, True], -1, "entry True is a bool, not an integer"),
+        ([1, 1], False, "entry False is a bool, not an integer"),
     ])
     def test_a_lossy_incidence_or_degree_raises_naming_it(self, v, kF, named):
         with pytest.raises(ValueError, match=re.escape(named)):
             canonical_pairing((5, 2), v, kF)
 
     def test_exact_and_negative_incidences_are_read_as_ints(self):
-        assert canonical_pairing((5, 2), [1.0, True], F(-1)) == canonical_pairing((5, 2), (1, 1), -1)
+        assert canonical_pairing((5, 2), [1.0, F(1)], F(-1)) == canonical_pairing((5, 2), (1, 1), -1)
         # a contracted divisor can meet its last-contracted internal sphere with E.C_j = -1
         value, ok = canonical_pairing((3, 5, 2), (1, -1, 0), 0)
         a = discrepancies((3, 5, 2))

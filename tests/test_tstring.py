@@ -20,6 +20,7 @@ from wahlkit import (
     discrepancies,
     enumerate_tstrings,
     eval_cf,
+    general_bound,
     hj_expand,
     is_tstring,
     iter_tstrings,
@@ -78,8 +79,6 @@ class TestAsEntries:
 
     def test_every_other_input_is_coerced_entry_by_entry(self):
         for raw, expected in [
-            ((True, 3), (1, 3)),
-            ((2, False), (2, 0)),
             ((IntEntry(3), 5, 2), (3, 5, 2)),
             ((2, 5, IntEntry(2)), (2, 5, 2)),
             ([2, 5], (2, 5)),
@@ -110,6 +109,18 @@ class TestAsEntries:
     def test_a_lossy_entry_raises_naming_it(self, raw, shown):
         with pytest.raises(ValueError, match=re.escape(f"entry {shown} is not an integer")):
             as_entries(raw)
+
+    @pytest.mark.parametrize("call, raw, shown", [
+        (as_entries, (True, 3), "True"),
+        (as_entries, (2, False), "False"),
+        (TString, (True, 3), "True"),
+        (general_bound, True, "True"),
+        (lambda x: WahlParams(x, 1), True, "True"),
+    ])
+    def test_a_bool_is_refused_naming_it(self, call, raw, shown):
+        # config_from_json refuses a bool for an integer field; so does every reader here
+        with pytest.raises(ValueError, match=re.escape(f"entry {shown} is a bool, not an integer")):
+            call(raw)
 
     @pytest.mark.parametrize("call, raw", [
         (as_entries, "352"),
