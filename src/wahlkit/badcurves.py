@@ -44,17 +44,17 @@ depends on.  It rests on one lemma: every chain sphere has
 C**2 = -b_j <= -2 (examine_candidate refuses a t with an entry below 2), so
 before any blow-down e is the only (-1, -1) curve.
 
-  per length ell (_candidate_parts, _e_incidence): the case and the
-      tree-shape faults before any blow-down with the number of component
-      pairs that meet, and e's incidence vector with its patterns
-      (PATTERN_SINGLE, PATTERN_ENDPOINTS).  Before any blow-down the graph
-      is the chain plus e and depends on ell and e_hits alone, and by the
-      lemma the (-1, -1) test finds only e, so one scan of
-      chain_config([-2] * ell) with e attached answers for every string of
-      length ell.  The candidates are grouped by e_hits, and their mirror
-      images indexed, once per length.
+  per length ell (_candidate_parts): the case and the tree-shape faults
+      before any blow-down with the number of component pairs that meet.
+      Before any blow-down the graph is the chain plus e and depends on ell
+      and e_hits alone, and by the lemma the (-1, -1) test finds only e, so
+      one scan of chain_config([-2] * ell) with e attached answers for every
+      string of length ell.  The candidates are grouped by e_hits, and their
+      mirror images indexed, once per length.
   per (T-string, e_hits) group (_e_parts): the chain-plus-e configuration,
-      MAGIC_E on the string's integer discrepancy numerators, and the root
+      e's checks (PATTERN_SINGLE, PATTERN_ENDPOINTS, and MAGIC_E decided on
+      the string's integer discrepancy numerators by
+      discrepancy._pairing, as canonical_pairing decides it), and the root
       of the group's stage tree.  A stage depends only on the string, e_hits
       and the vertices blown down so far; which spheres a candidate freezes
       decides only which vertex it blows down next.  So each group keeps
@@ -94,7 +94,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .curveconfig import (
     CONTRACTED_TO_POINT,
@@ -121,7 +121,7 @@ from .curveconfig import (
     divisor_product,
     shape_faults,
 )
-from .discrepancy import _numerators, canonical_pairing
+from .discrepancy import _pairing, canonical_pairing
 from .tstring import TString, _entry, as_entries, enumerate_tstrings, is_tstring
 
 ORACLE_LENGTH_CAP = 8
@@ -190,15 +190,6 @@ def _patterns(v: Sequence[int]) -> tuple[str, ...]:
     return single
 
 
-def _pairs_below(b: tuple[int, ...], v: Sequence[int], k: int) -> bool:
-    """canonical_pairing(b, v, k)[1], sum a_j v_j < k, decided on b's integer numerators.
-
-    b's entries are all >= 2, so its p**2 = K(b) is positive.
-    """
-    nums, p2 = _numerators(b)
-    return sum(x * vj for x, vj in zip(nums, v)) < k * p2
-
-
 @dataclass(frozen=True)
 class UnbrokenReport:
     """Budget constraints on a curve none of whose pieces broke off into the chain."""
@@ -264,7 +255,8 @@ def type_bounds(ell: int, n_a: int = 0, n_b1: int = 0, n_b2: int = 0) -> TypeBou
 # ----- The contradiction machine on one candidate -----
 
 
-class CandidateOutcome(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class CandidateOutcome:
     """One examined configuration: what it was and every reason it died."""
 
     t: tuple[int, ...]
@@ -371,35 +363,22 @@ _GroupParts = tuple[CurveConfig, tuple[str, ...], _Stage]
 _CandidateParts = tuple[str | None, tuple[str, ...], int]
 
 
-def _e_incidence(ell: int, e_hits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """e's incidence vector on a chain of length ell and the patterns it fires (_patterns).
-
-    Both depend on ell and e_hits alone; case_oracle computes them once per
-    length for each e_hits.
-    """
-    v_e = tuple(e_hits.count(j) for j in range(1, ell + 1))
-    return v_e, _patterns(v_e)
-
-
-def _e_parts(
-    b: tuple[int, ...], e_hits: tuple[int, ...],
-    incidence: tuple[tuple[int, ...], tuple[str, ...]],
-) -> _GroupParts:
+def _e_parts(b: tuple[int, ...], e_hits: tuple[int, ...]) -> _GroupParts:
     """What every candidate of one (b, e_hits) group shares.
 
-    incidence is _e_incidence(len(b), e_hits).  Returns the candidate
-    config, e's own checks (its patterns, then MAGIC_E when its pairing
-    fails) and the stage after blowing e down, the one child of the root of
-    the group's stage tree.  By the lemma of the module docstring that step
-    is the first of every candidate's contraction, whatever it freezes.  A
-    t with an entry below 2, where the lemma fails, raises ValueError naming
-    it.  case_oracle computes it once per group and walks each member down
-    the same tree.
+    Returns the candidate config, e's own checks (its patterns, then
+    MAGIC_E when its pairing fails) and the stage after blowing e down, the
+    one child of the root of the group's stage tree.  By the lemma of the
+    module docstring that step is the first of every candidate's
+    contraction, whatever it freezes.  A t with an entry below 2, where the
+    lemma fails, raises ValueError naming it.  case_oracle computes it once
+    per group and walks each member down the same tree.
     """
     if any(bj < 2 for bj in b):
         raise ValueError(f"t entries must all be >= 2, got {list(b)}")
-    v_e, checks = incidence
-    if not _pairs_below(b, v_e, -1):
+    v_e = tuple(e_hits.count(j) for j in range(1, len(b) + 1))
+    checks = _patterns(v_e)
+    if not _pairing(b, v_e, -1)[2]:
         checks += (MAGIC_E,)
     config, e_id = build_candidate_config(b, e_hits)
     return config, checks, _Stage(config._by_id, config._adj, e_id, True)
@@ -540,7 +519,7 @@ def examine_candidate(
     if kind not in ("A", "B1", "B2"):
         raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
     parts = _candidate_parts(len(b), kind, internal, e_hits)
-    group = _e_parts(b, e_hits, _e_incidence(len(b), e_hits))
+    group = _e_parts(b, e_hits)
     return _examine(b, kind, internal, e_hits, parts, group)
 
 
@@ -607,7 +586,7 @@ def _examine(
                 raise AssertionError(f"contracted divisor has K-degree {k_e}, not -1")
             if badness <= 0:
                 checks.add(ZERO_INCIDENCE)
-            if not _pairs_below(b, v_full, k_e):
+            if not _pairing(b, v_full, k_e)[2]:
                 checks.add(MAGIC_FULL)
 
     if checks:
@@ -780,11 +759,10 @@ def case_oracle(ell_max: int) -> OracleReport:
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, (_, _, hits) in enumerate(candidates):
             groups.setdefault(hits, []).append(i)
-        incidence = {hits: _e_incidence(ell, hits) for hits in groups}
         for t in sorted(as_entries(s) for s in strings):
             rows = [None] * len(candidates)  # filled group by group, in row order
             for hits, members in groups.items():
-                group = _e_parts(t, hits, incidence[hits])
+                group = _e_parts(t, hits)
                 for i in members:
                     kind, internal, _ = candidates[i]
                     rows[i] = _examine(t, kind, internal, hits, parts[i], group)

@@ -191,6 +191,19 @@ def canonical_pairing(
     b, v, kF = as_entries(t), as_entries(v), _entry(kF)
     if len(v) != len(b):
         raise ValueError(f"incidence vector length {len(v)} != ell = {len(b)}")
-    nums, p2 = _numerators(b)
-    value = Fraction(sum(x * vj for x, vj in zip(nums, v)), p2)
-    return value, value < kF
+    s, d, ok = _pairing(b, v, kF)
+    return Fraction(s, d), ok
+
+
+def _pairing(b: tuple[int, ...], v: Sequence[int], kF: int) -> tuple[int, int, bool]:
+    """(s, d, s < kF * d) with sum a_j v_j = s / d and d > 0, on b's integer numerators.
+
+    The one place the pairing inequality of canonical_pairing is decided.  b,
+    v and kF are exact ints with len(v) == len(b), unchecked; the bad-curve
+    oracle calls it directly, so no Fraction is built there.
+    """
+    nums, d = _numerators(b)
+    s = sum(x * vj for x, vj in zip(nums, v))
+    if d < 0:  # K(b) is negative on some strings with an entry below 2
+        s, d = -s, -d
+    return s, d, s < kF * d

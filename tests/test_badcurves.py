@@ -52,7 +52,6 @@ from wahlkit.badcurves import (
     JointRecord,
     OracleReport,
     _candidate_parts,
-    _e_incidence,
     _e_parts,
     _examine,
     _shape,
@@ -394,11 +393,6 @@ class TestShape:
                     _shape(whole, (1,), ell, kind)
 
 
-def group_parts(t, hits):
-    """_e_parts of one (t, e_hits) group, with e's incidence computed for it."""
-    return _e_parts(t, hits, _e_incidence(len(t), hits))
-
-
 def stage_tree(node, path=()):
     """Each stage of the tree below node (node included) with the steps that reach it."""
     path = (*path, node.step)
@@ -411,11 +405,16 @@ class TestSharedParts:
     """The parts a group of candidates shares against the single and eager examinations."""
 
     def test_hands_out_immutable_checks(self):
-        config, checks, after_e = group_parts((2, 5, 3), (1, 3))
+        config, checks, after_e = _e_parts((2, 5, 3), (1, 3))
         assert (config, 4) == build_candidate_config((2, 5, 3), (1, 3))
         assert type(checks) is tuple  # a group member cannot add to the shared entry
         assert type(after_e.minus_ones) is frozenset
         assert after_e.step.vertex == 4 and after_e.children == {}
+
+    @pytest.mark.parametrize("hits, off", [((0,), 0), ((4,), 4), ((-1,), -1), ((1, 4), 4)])
+    def test_a_hit_off_the_chain_is_refused_naming_it(self, hits, off):
+        with pytest.raises(ValueError, match=rf"e_hits entry {off} lies off the chain 1\.\.3"):
+            build_candidate_config((3, 5, 2), hits)
 
     def test_e_checks_are_those_of_forbidden_patterns(self):
         groups = 0
@@ -423,7 +422,7 @@ class TestSharedParts:
             for hits in {h for _, _, h in enumerate_candidates(ell)}:
                 v_e = [hits.count(j) for j in range(1, ell + 1)]
                 for t in strings:
-                    _, checks, _ = group_parts(t.b, hits)
+                    _, checks, _ = _e_parts(t.b, hits)
                     assert checks == forbidden_patterns(t, v_e).failures, (t, hits)
                     groups += 1
         assert groups == 3582
@@ -434,7 +433,7 @@ class TestSharedParts:
         for t in [(2, 5, 3), (3, 5, 2), (2, 2, 6, 2, 4)]:
             ell = len(t)
             for kind, internal, hits in enumerate_candidates(ell):
-                config, _, after_e = group_parts(t, hits)
+                config, _, after_e = _e_parts(t, hits)
                 externals = [j for j in range(1, ell + 1) if j not in internal]
                 trace = contract_all(config, frozen=externals)
                 assert trace.steps[0] == after_e.step
@@ -502,7 +501,7 @@ class TestSharedParts:
             ell = len(t)
             candidates = enumerate_candidates(ell)
             for hits in sorted({h for _, _, h in candidates}):
-                group = group_parts(t, hits)
+                group = _e_parts(t, hits)
                 config = group[0]
                 prefixes = set()
                 for kind, internal, h in candidates:
@@ -567,7 +566,7 @@ class TestSharedParts:
         for kind, internal, hits in sorted(enumerate_candidates(ell)):
             groups.setdefault(hits, []).append((kind, internal))
         for hits, members in groups.items():
-            group = group_parts(b, hits)
+            group = _e_parts(b, hits)
             for kind, internal in members:
                 parts = _candidate_parts(ell, kind, internal, hits)
                 got = _examine(b, kind, internal, hits, parts, group)
@@ -814,14 +813,14 @@ def failed(report, check):
 def forged_oracle(monkeypatch, strings, forged):
     """case_oracle over strings alone, with the fields of each row keyed in forged replaced.
 
-    forged maps (t, kind, internal, e_hits) to CandidateOutcome._replace keywords.
+    forged maps (t, kind, internal, e_hits) to dataclasses.replace keywords.
     """
     examine = badcurves._examine
 
     def forge(*args):
         o = examine(*args)
         fields = forged.get((o.t, o.kind, o.internal, o.e_hits))
-        return o if fields is None else o._replace(**fields)
+        return o if fields is None else dataclasses.replace(o, **fields)
 
     levels = {}
     for t in strings:
@@ -887,7 +886,7 @@ class TestCaseOracle:
             o = examine(*args)
             if (o.t, o.kind, o.internal, o.e_hits) == flipped:
                 assert o.verdict == SURVIVES_BAD
-                return o._replace(verdict=DIES)
+                return dataclasses.replace(o, verdict=DIES)
             return o
 
         monkeypatch.setattr(badcurves, "_examine", flip_one)

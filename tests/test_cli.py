@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, byte stability."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -118,7 +119,7 @@ def kill_one_survivor(monkeypatch):
     def flip_one(*args):
         o = examine(*args)
         if (o.t, o.kind, o.internal, o.e_hits) == ((2, 3, 5, 3), "B1", (1,), (1, 3)):
-            return o._replace(verdict=badcurves.DIES)
+            return dataclasses.replace(o, verdict=badcurves.DIES)
         return o
 
     monkeypatch.setattr(badcurves, "_examine", flip_one)

@@ -231,6 +231,13 @@ class TestPairing:
         assert value == a[0] - a[1]
         assert ok == (value < 0)
 
+    def test_a_negative_determinant_does_not_flip_the_inequality(self):
+        # K(1, 1, 1) = -1, so the integer test must not multiply by it as it is
+        a = discrepancies((1, 1, 1))
+        for v, kF in [((1, 0, 2), -6), ((1, 0, 2), -5), ((0, 1, 0), 0), ((0, 1, 0), 1)]:
+            value = sum(x * vj for x, vj in zip(a, v))
+            assert canonical_pairing((1, 1, 1), v, kF) == (value, value < kF), (v, kF)
+
 
 class TestCachedNumerators:
     """The cached continuant numerators against Fraction elimination, in every input form."""
