@@ -42,40 +42,47 @@ recording every independent reason the candidate dies:
 case_oracle does each piece of work once, in the loop over the inputs it
 depends on.  It rests on one lemma: every chain sphere has
 C**2 = -b_j <= -2 (examine_candidate refuses a t with an entry below 2), so
-before any blow-down e is the only (-1, -1) curve.
+before any blow-down e is the only (-1, -1) curve, and every candidate's
+contraction blows e down first, whatever it freezes.
 
-  per length ell (_candidate_parts): the case and the tree-shape faults
-      before any blow-down with the number of component pairs that meet.
-      Before any blow-down the graph is the chain plus e and depends on ell
-      and e_hits alone, and by the lemma the (-1, -1) test finds only e, so
-      one scan of chain_config([-2] * ell) with e attached answers for every
-      string of length ell.  The candidates are grouped by e_hits, and their
-      mirror images indexed, once per length.
-  per (T-string, e_hits) group (_e_parts): the chain-plus-e configuration,
-      e's checks (PATTERN_SINGLE, PATTERN_ENDPOINTS, and MAGIC_E decided on
-      the string's integer discrepancy numerators by
-      discrepancy._pairing, as canonical_pairing decides it), and the root
-      of the group's stage tree.  A stage depends only on the string, e_hits
-      and the vertices blown down so far; which spheres a candidate freezes
-      decides only which vertex it blows down next.  So each group keeps
-      one tree of stages (_Stage), built lazily: the root is chain plus e,
-      its one child the stage after e, and a stage is built from its parent
-      the first time a candidate reaches it, with the step's SW check.  By
-      the lemma every candidate's contraction blows e down first, whatever
-      it freezes, and that step checks the SW rule on every curve.  At
-      ell <= 6 the 7 368 blow-downs after e come from 1 620 distinct stages.
-  per candidate (_examine): the candidate walks down its group's tree from
-      the stage after e, taking at each stage the smallest (-1, -1) curve
-      among its remaining internal spheres, and keeps the tree shape up
-      step by step from each step's hits (curveconfig._shape_step), since
-      that depends on its own component set.
+  per length ell: one trie of contraction stages (_Node), keyed by e_hits
+      and then by the vertices blown down so far.  A blow-down never reads
+      b: the adjacency of chain plus e and of every stage after it depends
+      on (ell, e_hits, path) alone, and b enters only through each chain
+      curve's C**2 = -b_u + S_u and K.C = b_u - 2 - K_u, whose offsets S_u
+      and K_u the stage holds as its curves on the -2-chain.  A stage is
+      built from its parent the first time a walk reaches it, and the trie
+      is dropped when the length is done; through ell <= 6 the oracle
+      blows down 536 times, once per stage.  Also per length
+      (_candidate_parts): each candidate's case, and its tree-shape faults
+      and pair count before any blow-down, from one scan of its root,
+      which by the lemma answers for every string; and the mirror index.
+  per (T-string, stage), the stage's facts: at a root, e's own checks
+      (_e_checks: PATTERN_SINGLE, PATTERN_ENDPOINTS, and MAGIC_E decided on the
+      string's integer discrepancy numerators by discrepancy._pairing, as
+      canonical_pairing decides it); below it (_facts), whether the step
+      breaks the SW rule (on every chain curve at the stage after e, on
+      the step's hits later) and the stage's (-1, -1) curves.  Every
+      candidate that reaches the stage on that string shares them.
+  per (candidate, stage), the candidate's shape state: the tree shape kept
+      up step by step from each step's hits (curveconfig._shape_step),
+      since it depends on the candidate's own component set.  It holds the
+      faults so far, the pair count, the remaining components, and the
+      components that fire THREE_NEIGHBOR if they are (-1, -1) curves at
+      the stage, the one part of the rule that reads b.  The state is the
+      same on every string.  A contraction to a point reads its
+      multiplicities and its pairings on the -2-chain once per final stage
+      (_tail); on b, v_j = w_j - (b_j - 2) m_j.
+  per (T-string, candidate) (_examine): the walk down the trie from the
+      stage after e, taking at each stage the smallest (-1, -1) curve among
+      the candidate's remaining internal spheres, and the row.
   per T-string, once its rows are built: the cross-checks that read one
       string's rows alone, the A1 and A5 certificates and the counting bounds.
   after the loop: reversal closure, which compares each row with the
       mirrored row of the reversed string, and the family check.
 
-examine_candidate computes both parts for its one candidate and runs the same
-_examine, down a tree that only it walks.  Every enumerated shape has e
+examine_candidate computes the parts for its one candidate and runs the same
+_examine, down a trie that only it walks.  Every enumerated shape has e
 meeting every internal interval, so the components are connected before any
 blow-down (_candidate_parts asserts it), and blowing a component down keeps
 the rest connected (see curveconfig._shape_step).  So DISCONNECTED_STAGE
@@ -108,14 +115,13 @@ from .curveconfig import (
     Curve,
     CurveConfig,
     _chain_parts,
-    _contraction_step,
-    _maps,
-    _minus_ones,
+    _multiplicities,
     _shape_scan,
     _shape_step,
+    _sw_rule,
+    _total_transform,
     chain_config,
     contract_all,
-    derived_multiplicities,
     divisor_k,
     divisor_pairing,
     divisor_product,
@@ -318,93 +324,154 @@ def build_candidate_config(
     return CurveConfig(by_id, adj), e_id
 
 
-class _Stage:
-    """One stage of a group's contraction, built the first time a candidate reaches it.
+class _Node:
+    """One stage of a length's contraction trie, built the first time a walk reaches it.
 
-    curves and adj are the stage's id map and adjacency map, step the
-    blow-down that made it from its parent, minus_ones its (-1, -1) curves
-    and children the stages built from it so far, by the vertex blown down.
-    The root of a group's tree is its chain-plus-e config, whose one child
-    is the stage after e.  A stage depends only on the group's string and
-    e_hits and the vertices blown down to reach it, never on which spheres
-    a candidate freezes, so every candidate of the group shares it.
+    A trie's root is chain plus e for one e_hits, and a child is the stage
+    after blowing one more vertex down: vertex and hits are that step (None
+    and {} at the root), path the (vertex, hits) steps from the root, adj
+    the adjacency map after it and children the stages built from it so
+    far, by the vertex blown down.  A blow-down never reads b, so the
+    adjacency of every stage depends on (ell, e_hits, path) alone; b enters
+    only through C**2 and K.C, and the blow-down adds the same amount to
+    those on any chain.  So curves are the stage's curves on the -2-chain,
+    and on a chain b curve u is shifted by d = b_u - 2:
+    C**2 = c.self_int - d and K.C = c.k_degree + d.  tail caches _tail of a
+    contraction that ends here.  No stage's maps change once it is built: a
+    child copies the id map and the rows its blow-down changes, and shares
+    the other rows.  No stage refers to its parent, so refcounting frees a
+    trie as soon as its length is done.
     """
 
-    __slots__ = ("curves", "adj", "step", "minus_ones", "children")
+    __slots__ = ("vertex", "hits", "path", "curves", "adj", "children", "tail")
 
     def __init__(
-        self, parent_curves: Mapping[int, Curve], parent_adj: Mapping[int, Mapping[int, int]],
-        vid: int, first: bool,
+        self, vertex: int | None, hits: Mapping[int, int],
+        path: tuple[tuple[int, Mapping[int, int]], ...],
+        curves: dict[int, Curve], adj: dict[int, dict[int, int]],
     ):
-        """The stage after blowing vid down from the parent's maps, which stay as they are.
+        self.vertex, self.hits, self.path = vertex, hits, path
+        self.curves, self.adj = curves, adj
+        self.children: dict[int, _Node] = {}
+        self.tail: _Tail | None = None
 
-        The child copies the id map and the rows the blow-down changes, and
-        shares the other rows, so no stage's maps change once it is built.
-        first marks the blow-down of e, whose SW check reads every curve.
-        """
-        self.curves = curves = dict(parent_curves)
-        self.adj = adj = dict(parent_adj)
-        for u in adj[vid]:
-            adj[u] = dict(adj[u])
-        self.step = _contraction_step(curves, adj, vid, frozenset(), first)
-        self.minus_ones = frozenset(_minus_ones(curves))
-        self.children: dict[int, _Stage] = {}
-
-    def child(self, vid: int) -> _Stage:
+    def child(self, vid: int) -> _Node:
         """The stage after blowing vid down, built on the first call."""
         node = self.children.get(vid)
         if node is None:
-            node = self.children[vid] = _Stage(self.curves, self.adj, vid, False)
+            curves = dict(self.curves)
+            adj = dict(self.adj)
+            for u in adj[vid]:
+                adj[u] = dict(adj[u])
+            hits = _total_transform(curves, adj, vid)
+            node = self.children[vid] = _Node(vid, hits, (*self.path, (vid, hits)), curves, adj)
         return node
 
 
-# what _e_parts and _candidate_parts return, in that order
-_GroupParts = tuple[CurveConfig, tuple[str, ...], _Stage]
-_CandidateParts = tuple[str | None, tuple[str, ...], int]
-
-
-def _e_parts(b: tuple[int, ...], e_hits: tuple[int, ...]) -> _GroupParts:
-    """What every candidate of one (b, e_hits) group shares.
-
-    Returns the candidate config, e's own checks (its patterns, then
-    MAGIC_E when its pairing fails) and the stage after blowing e down, the
-    one child of the root of the group's stage tree.  By the lemma of the
-    module docstring that step is the first of every candidate's
-    contraction, whatever it freezes.  A t with an entry below 2, where the
-    lemma fails, raises ValueError naming it.  case_oracle computes it once
-    per group and walks each member down the same tree.
-    """
-    if any(bj < 2 for bj in b):
-        raise ValueError(f"t entries must all be >= 2, got {list(b)}")
-    v_e = tuple(e_hits.count(j) for j in range(1, len(b) + 1))
-    checks = _patterns(v_e)
-    if not _pairing(b, v_e, -1)[2]:
-        checks += (MAGIC_E,)
-    config, e_id = build_candidate_config(b, e_hits)
-    return config, checks, _Stage(config._by_id, config._adj, e_id, True)
+# what a candidate's tree-shape state holds at a stage: the faults found so
+# far but THREE_NEIGHBOR, the vertices that fire THREE_NEIGHBOR there if they
+# are (-1, -1) curves, the pair count and the components not yet blown down
+_Shape = tuple[frozenset[str], tuple[int, ...], int, frozenset[int]]
+# what _candidate_parts returns: the case, the shape state before any
+# blow-down and the candidate's shape states by stage, filled as it walks
+_CandidateParts = tuple[str | None, _Shape, dict[_Node, _Shape]]
+# a stage's facts on one string: at a root, e's own checks (_e_checks);
+# below it, whether its step breaks the SW rule, and its (-1, -1) curves
+_Facts = tuple[str, ...] | tuple[bool, frozenset[int]]
+# what _tail returns: the multiplicities by id, and on the -2-chain the
+# multiplicity of and the divisor's pairing with each chain curve, and its K-degree
+_Tail = tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...], int]
 
 
 def _candidate_parts(
-    ell: int, kind: str, internal: tuple[int, ...], e_hits: tuple[int, ...]
+    ell: int, kind: str, internal: tuple[int, ...], e_hits: tuple[int, ...],
+    trie: dict[tuple[int, ...], _Node],
 ) -> _CandidateParts:
-    """What a candidate's examination needs beyond its string.
+    """What a candidate's examination needs beyond its string, on the length's trie.
 
-    Returns the case, and the tree-shape faults of the components (internal
-    spheres and e, id ell + 1) before any blow-down with the number of pairs
-    of them that meet, from one scan of the -2-chain with e attached (see
-    the module docstring).  Raises _shape's ValueError for a shape
-    enumerate_candidates does not yield, and AssertionError naming the
+    trie maps e_hits to its root, and gains the root on first use.  Returns
+    the case, the shape state before any blow-down from one scan of the
+    root (the -2-chain with e attached, where by the lemma of the module
+    docstring only e is a (-1, -1) curve, as on every string) and an empty
+    cache of the candidate's shape states.  Raises _shape's ValueError for a
+    shape enumerate_candidates does not yield, and AssertionError naming the
     candidate if its components are disconnected, which no such shape is.
     case_oracle computes it once per length.
     """
     case = _shape(internal, e_hits, ell, kind)
-    config, e_id = build_candidate_config((2,) * ell, e_hits)
-    faults, edges = _shape_scan(*_maps(config), {*internal, e_id})
+    root = trie.get(e_hits)
+    if root is None:
+        config, _ = build_candidate_config((2,) * ell, e_hits)
+        root = trie[e_hits] = _Node(None, {}, (), config._by_id, config._adj)
+    comp = frozenset({*internal, ell + 1})
+    faults, edges = _shape_scan(root.curves, root.adj, comp)
     if DISCONNECTED_STAGE in faults:
         raise AssertionError(
             f"candidate {kind} {internal} {e_hits} is disconnected before any blow-down"
         )
-    return case, tuple(sorted(faults)), edges
+    return case, (frozenset(faults), (), edges, comp), {}
+
+
+def _e_checks(b: tuple[int, ...], e_hits: tuple[int, ...]) -> tuple[str, ...]:
+    """e's own checks on b: its patterns, then MAGIC_E when its pairing fails.
+
+    A t with an entry below 2, where the lemma of the module docstring
+    fails, raises ValueError naming it.  _examine computes them once per
+    (T-string, e_hits), as the facts of the root.
+    """
+    if min(b) < 2:
+        raise ValueError(f"t entries must all be >= 2, got {list(b)}")
+    v_e = tuple(map(e_hits.count, range(1, len(b) + 1)))
+    checks = _patterns(v_e)
+    if not _pairing(b, v_e, -1)[2]:
+        checks += (MAGIC_E,)
+    return checks
+
+
+def _facts(b: tuple[int, ...], node: _Node, before: _Facts | None) -> _Facts:
+    """node's facts on the chain b, from before, its parent's facts on b.
+
+    before is None at the stage after e, whose step checks the SW rule on
+    every curve, as the first step of contract_all does; a later step
+    changes only the curves it hits, so it checks those and updates its
+    parent's (-1, -1) set with them.
+    """
+    curves = node.curves
+    if before is None:
+        look, ones = curves, set()
+    else:
+        look, ones = node.hits, set(before[1])
+        ones.discard(node.vertex)
+    sw = False
+    for u in look:
+        c = curves[u]
+        d = b[u - 1] - 2
+        self_int, k_degree = c.self_int - d, c.k_degree + d
+        if self_int == -1 and k_degree == -1:
+            ones.add(u)
+        else:
+            ones.discard(u)
+            sw = sw or _sw_rule(self_int, k_degree) is not None
+    return sw, frozenset(ones)
+
+
+def _tail(root: _Node, node: _Node, ell: int) -> _Tail:
+    """The string-free part of a contraction to a point that ends at node, below root.
+
+    The multiplicities are read off the path's hits, which no string
+    changes.  On a chain b the divisor's pairing with C_j is
+    w_j - (b_j - 2) m_j and its K-degree k + sum (b_j - 2) m_j, where w, m
+    and k are those on the -2-chain that this returns.
+    """
+    mults = _multiplicities(node.path)
+    config = CurveConfig(root.curves, root.adj)
+    chain = range(1, ell + 1)
+    return (
+        tuple(sorted(mults.items())),
+        tuple(mults.get(j, 0) for j in chain),
+        tuple(divisor_pairing(config, mults, j) for j in chain),
+        divisor_k(config, mults),
+    )
 
 
 def staged_structure_checks(components: Iterable[int], trace: BlowDownTrace) -> set[str]:
@@ -505,22 +572,21 @@ def examine_candidate(
 ) -> CandidateOutcome:
     """Run every combinatorial obstruction against one candidate bad curve.
 
-    Computes the candidate's parts (_candidate_parts) and its group's parts
-    (_e_parts) for this one candidate, then examines it as case_oracle
-    does: it walks its own path down a stage tree that no other candidate
-    shares, keeping its tree-shape state up step by step.  Raises
-    ValueError, checked in this order, for a kind other than A, B1 or B2,
-    for a (kind, internal, e_hits) of a shape enumerate_candidates does not
-    yield (naming the argument), and for a t with an entry below 2.
+    Computes the candidate's parts (_candidate_parts) and e's checks
+    (_e_checks) for this one candidate, then examines it as case_oracle
+    does, down a trie that no other candidate walks.  Raises ValueError,
+    checked in this order, for a kind other than A, B1 or B2, for a
+    (kind, internal, e_hits) of a shape enumerate_candidates does not yield
+    (naming the argument), and for a t with an entry below 2.
     """
     b = as_entries(t)
     internal = tuple(sorted(as_entries(internal)))
     e_hits = tuple(sorted(as_entries(e_hits)))
     if kind not in ("A", "B1", "B2"):
         raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
-    parts = _candidate_parts(len(b), kind, internal, e_hits)
-    group = _e_parts(b, e_hits)
-    return _examine(b, kind, internal, e_hits, parts, group)
+    trie: dict[tuple[int, ...], _Node] = {}
+    parts = _candidate_parts(len(b), kind, internal, e_hits, trie)
+    return _examine(b, kind, internal, e_hits, parts, trie[e_hits], {})
 
 
 def _examine(
@@ -529,40 +595,60 @@ def _examine(
     internal: tuple[int, ...],
     e_hits: tuple[int, ...],
     parts: _CandidateParts,
-    group: _GroupParts,
+    root: _Node,
+    facts: dict[_Node, _Facts],
 ) -> CandidateOutcome:
-    """The outcome of one candidate from its _candidate_parts and its group's _e_parts.
+    """One candidate's outcome on b, walking down from root, its e_hits' root.
 
-    internal and e_hits are sorted tuples.  The candidate walks down its
-    group's stage tree from the stage after e, building a stage only where
-    no candidate has been before: at each stage it blows down the smallest
-    (-1, -1) curve among its remaining internal spheres, the external chain
-    frozen, and the rational-curve rule applies to every image, external or
-    not.  Its tree-shape state (_shape_step) depends on its own components,
-    so it keeps that up itself.
+    internal and e_hits are sorted tuples, and facts holds b's facts of the
+    stages walked so far on b.  By the lemma of the module docstring the
+    walk blows e down first; then at each stage it blows down the smallest
+    (-1, -1) curve among the candidate's remaining internal spheres, the
+    external chain frozen, and the SW rule applies to every image, external
+    or not.  It builds a stage only where no walk has been before, computes
+    a stage's facts once per string (_e_checks at the root, _facts below
+    it), a shape state once per candidate and stage (_shape_step), and a
+    contraction's multiplicities once per final stage (_tail).
     """
     ell = len(b)
-    case, faults, edges = parts
-    config, e_checks, node = group
-
-    checks = {*e_checks, *faults}
-    remaining = {*internal, ell + 1}  # the components not yet blown down
-    steps = []
+    case, shape, shapes = parts
+    e_checks = facts.get(root)
+    if e_checks is None:
+        e_checks = facts[root] = _e_checks(b, e_hits)
+    node, state = root, None
+    vid = ell + 1  # e
+    three = False
     while True:
-        step = node.step
-        steps.append(step)
-        fired, edges = _shape_step(node.curves, node.adj, remaining, step.vertex, step.hits, edges)
-        checks |= fired
-        remaining.discard(step.vertex)
-        if step.violations:
+        node = node.child(vid)
+        known = facts.get(node)
+        if known is None:
+            known = facts[node] = _facts(b, node, state)
+        state = known
+        known = shapes.get(node)
+        if known is None:
+            faults, _, edges, comp = shape
+            fired, edges, heavy = _shape_step(node.adj, comp, node.vertex, node.hits, edges)
+            if fired:
+                faults |= fired
+            known = shapes[node] = (faults, heavy, edges, comp - {node.vertex})
+        shape = known
+        sw, ones = state
+        _, heavy, _, remaining = shape
+        if heavy and not ones.isdisjoint(heavy):
+            three = True
+        if sw:
             status = SW_VIOLATION
             break
-        ones = node.minus_ones.intersection(remaining)
+        ones = ones.intersection(remaining)
         if not ones:
             # every curve left is a frozen external one exactly when no component is
             status = STUCK if remaining else CONTRACTED_TO_POINT
             break
-        node = node.child(min(ones))
+        vid = min(ones)
+
+    checks = {*e_checks, *shape[0]}
+    if three:
+        checks.add(THREE_NEIGHBOR)
     if status == SW_VIOLATION:
         checks.add(SW)
     elif status == STUCK:
@@ -572,16 +658,15 @@ def _examine(
     v_full: tuple[int, ...] | None = None
     mult_items: tuple[tuple[int, int], ...] | None = None
     if status == CONTRACTED_TO_POINT:
-        mults = derived_multiplicities(BlowDownTrace(config, tuple(steps), status))
-        mult_items = tuple(sorted(mults.items()))
-        if any(m <= 0 for m in mults.values()):
+        if node.tail is None:
+            node.tail = _tail(root, node, ell)
+        mult_items, m, w, k_e = node.tail
+        if any(x <= 0 for _, x in mult_items):
             checks.add(MULT_NONPOSITIVE)
         else:
-            v_full = tuple(
-                divisor_pairing(config, mults, j) for j in range(1, ell + 1)
-            )
+            v_full = tuple(wj - (bj - 2) * mj for bj, mj, wj in zip(b, m, w))
             badness = sum(v_full)
-            k_e = divisor_k(config, mults)
+            k_e += sum((bj - 2) * mj for bj, mj in zip(b, m))
             if k_e != -1:
                 raise AssertionError(f"contracted divisor has K-degree {k_e}, not -1")
             if badness <= 0:
@@ -607,8 +692,13 @@ def enumerate_candidates(ell: int) -> list[tuple[str, tuple[int, ...], tuple[int
     joining them at (x', y').  Types B1/B2: one end-interval, e meeting it
     at one point and at most one more point anywhere (including the same
     point twice, another internal point, an external sphere, or nothing --
-    the last standing in for a hit somewhere off the chain).
+    the last standing in for a hit somewhere off the chain).  ell is read
+    through tstring's _entry, so text, a bool or 2.5 raises ValueError, and
+    so does ell < 1.
     """
+    ell = _entry(ell)
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got {ell}")
     out: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
     for x in range(1, ell - 1):
         for y in range(x + 2, ell + 1):
@@ -741,8 +831,10 @@ def case_oracle(ell_max: int) -> OracleReport:
     (JOINT_BOUND), that the surviving set is closed under string reversal
     with B1 and B2 swapped (REVERSAL), and that the family [2, .., 2, ell + 3]
     and its reversal have no bad survivor (FAMILY).  Each failure is one
-    (check, subject, reason) entry of report.failures.
+    (check, subject, reason) entry of report.failures.  ell_max is read
+    through tstring's _entry, so text, a bool or 2.5 raises ValueError.
     """
+    ell_max = _entry(ell_max)
     if not 1 <= ell_max <= ORACLE_LENGTH_CAP:
         raise ValueError(f"ell_max must be in 1..{ORACLE_LENGTH_CAP}, got {ell_max}")
 
@@ -755,17 +847,14 @@ def case_oracle(ell_max: int) -> OracleReport:
         # each string's rows in (kind, internal, e_hits) order
         candidates = sorted(enumerate_candidates(ell))
         mirrors[ell] = _mirror_index(candidates, ell)
-        parts = [_candidate_parts(ell, *c) for c in candidates]
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, (_, _, hits) in enumerate(candidates):
-            groups.setdefault(hits, []).append(i)
+        trie: dict[tuple[int, ...], _Node] = {}  # this length's, by e_hits then path
+        parts = [_candidate_parts(ell, *c, trie) for c in candidates]
         for t in sorted(as_entries(s) for s in strings):
-            rows = [None] * len(candidates)  # filled group by group, in row order
-            for hits, members in groups.items():
-                group = _e_parts(t, hits)
-                for i in members:
-                    kind, internal, _ = candidates[i]
-                    rows[i] = _examine(t, kind, internal, hits, parts[i], group)
+            facts: dict[_Node, _Facts] = {}
+            rows = [
+                _examine(t, kind, internal, hits, part, trie[hits], facts)
+                for (kind, internal, hits), part in zip(candidates, parts)
+            ]
             outcomes.extend(rows)
             by_string[t] = rows
 

@@ -41,21 +41,25 @@ blown-up divisor never builds its tuples.  chain_config builds a chain with
 adjunction K-degrees plus any curves attached to it, the shape the bad-curve
 analysis works with.
 
-One private helper holds the blow-down formula and applies it in place to an
-id map and an adjacency map.  blow_down runs it on a copy of a config's maps.
-A second one, _contraction_step, is the body of every contraction step: it
-blows a curve down in place, checks the SW rule on the curves the step hits
-(on every curve for a first step) and returns the ContractionStep.  A
-ContractionStep is plain data: the contracted vertex, its neighbourhood
-``hits`` (read-only) and its SW violations.  derived_multiplicities reads the
-``hits``.  Readers of the stages walk them with BlowDownTrace.stages, which
-replays the trace on one copy of the maps.
+One private helper, _total_transform, holds the blow-down formula and
+applies it in place to an id map and an adjacency map; _blow_down_in_place
+checks first that the curve is a (-1, -1) one.  blow_down runs it on a copy
+of a config's maps, and contract_all's loop on its working copy, where a
+step also checks the SW rule on the curves it hits (on every curve for a
+first step).  A ContractionStep is plain data: the contracted vertex,
+its neighbourhood ``hits`` (read-only) and its SW violations.
+derived_multiplicities reads the ``hits``.  Readers of the stages walk them
+with BlowDownTrace.stages, which replays the trace on one copy of the maps.
 
 contract_all handles its arguments, then runs the one contraction loop,
 _contract, on one working copy of the maps for the whole contraction, so a
-step costs O(degree**2) instead of a rebuild.  The bad-curve oracle calls
-_contraction_step on its own: it keeps a tree of stages per group of
-candidates, each stage built once from its parent (see badcurves).
+step costs O(degree**2) instead of a rebuild.  The bad-curve oracle keeps
+one trie of stages per chain length instead (see badcurves): the formula
+never reads a chain's self-intersections except to add to them, so it runs
+_total_transform on the stages of the -2-chain, each built once from its
+parent, and shifts them per string.  It reads the SW rule through
+_sw_rule, which _sw_violation applies, and the multiplicities through
+_multiplicities, which derived_multiplicities applies.
 
 shape_faults is the one tree-shape rule of an exceptional curve, applied
 once by validate_zariski and, on a replay of every stage, by
@@ -71,7 +75,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .tstring import _entry, as_entries
 
@@ -360,14 +364,10 @@ def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> Curve
 def _blow_down_in_place(
     curves: dict[int, Curve], adj: dict[int, dict[int, int]], vid: int
 ) -> dict[int, int]:
-    """Blow down vid on an id -> Curve map and an adjacency map; return its hits.
+    """Blow down vid, a (-1, -1) curve, on an id map and an adjacency map; return its hits.
 
-    Standard total-transform bookkeeping: for curves C, D meeting the
-    contracted curve e with multiplicities (C.e), (D.e), the images satisfy
-    C.D += (C.e)(D.e), C**2 += (C.e)**2 and K.C -= C.e.  Multiplicities are
-    unchanged.  Only e and its neighbours are touched, so a step costs
-    O(degree**2).  The returned map (neighbour -> C.e) is no longer part of
-    ``adj``.
+    A missing vid raises KeyError and any other curve ValueError; the maps
+    are then as they were.  The bookkeeping is _total_transform's.
     """
     v = curves.get(vid)
     if v is None:
@@ -376,6 +376,25 @@ def _blow_down_in_place(
         raise ValueError(
             f"vertex {vid} has (self, K) = ({v.self_int}, {v.k_degree}), need (-1, -1)"
         )
+    return _total_transform(curves, adj, vid)
+
+
+def _total_transform(
+    curves: dict[int, Curve], adj: dict[int, dict[int, int]], vid: int
+) -> dict[int, int]:
+    """The blow-down formula, applied in place to vid whatever its (self, K); return its hits.
+
+    Standard total-transform bookkeeping: for curves C, D meeting the
+    contracted curve e with multiplicities (C.e), (D.e), the images satisfy
+    C.D += (C.e)(D.e), C**2 += (C.e)**2 and K.C -= C.e.  Multiplicities are
+    unchanged.  Only e and its neighbours are touched, so a step costs
+    O(degree**2).  The returned map (neighbour -> C.e) is no longer part of
+    ``adj``.  The adjacency part never reads a curve, and the curve part
+    adds to C**2 and K.C, so applied to the -2-chain's curves it gives every
+    chain's stage up to a shift per curve: the bad-curve oracle's trie
+    (badcurves._Node) applies it there, where vid is a (-1, -1) curve only
+    once a string's shift is added.
+    """
     del curves[vid]
     hits = adj.pop(vid)
     touched = list(hits.items())
@@ -425,11 +444,17 @@ class SWViolation:
 
 
 def _sw_violation(v: Curve) -> SWViolation | None:
-    """The SW rule on one curve: K.A <= -2, or K.A = -1 with A**2 != -1."""
-    if v.k_degree <= -2:
-        return SWViolation(v.id, v.self_int, v.k_degree, "k_degree <= -2")
-    if v.k_degree == -1 and v.self_int != -1:
-        return SWViolation(v.id, v.self_int, v.k_degree, "k_degree = -1 but self_int != -1")
+    """The SW rule on one curve, as an SWViolation when it breaks it."""
+    rule = _sw_rule(v.self_int, v.k_degree)
+    return None if rule is None else SWViolation(v.id, v.self_int, v.k_degree, rule)
+
+
+def _sw_rule(self_int: int, k_degree: int) -> str | None:
+    """The SW rule that A**2 and K.A break: K.A <= -2, or K.A = -1 with A**2 != -1."""
+    if k_degree <= -2:
+        return "k_degree <= -2"
+    if k_degree == -1 and self_int != -1:
+        return "k_degree = -1 but self_int != -1"
     return None
 
 
@@ -522,32 +547,6 @@ def _minus_ones(curves: Mapping[int, Curve]) -> set[int]:
     return {vid for vid, v in curves.items() if v.self_int == -1 and v.k_degree == -1}
 
 
-def _contraction_step(
-    curves: dict[int, Curve],
-    adj: dict[int, dict[int, int]],
-    vid: int,
-    skip: frozenset[int],
-    first: bool,
-) -> ContractionStep:
-    """Blow vid down on working maps in place and check the SW rule; return the step.
-
-    The first step of a contraction checks every curve but those in skip;
-    after a clean step only the curves a step hits can change, so a later
-    step checks those alone.  The step's hits are the row of vid that the
-    blow-down took out of adj.
-    """
-    hits = _blow_down_in_place(curves, adj, vid)
-    found = []
-    for u in (curves if first else hits):
-        if u not in skip:
-            w = _sw_violation(curves[u])
-            if w is not None:
-                found.append(w)
-    if found:
-        found.sort(key=lambda w: w.vertex)
-    return ContractionStep(vid, MappingProxyType(hits), tuple(found))
-
-
 def _contract(
     curves: dict[int, Curve],
     adj: dict[int, dict[int, int]],
@@ -555,17 +554,31 @@ def _contract(
     skip: frozenset[int],
     pick: Callable[[Iterable[int]], int],
 ) -> tuple[str, list[ContractionStep]]:
-    """contract_all's loop on working maps, blown down in place; returns the status and steps."""
+    """contract_all's loop on working maps, blown down in place; returns the status and steps.
+
+    The first step checks the SW rule on every curve but those in skip;
+    after a clean step only the curves a step hits can change, so a later
+    step checks those alone.  A step's hits are the row of its vertex that
+    the blow-down took out of adj.
+    """
     candidates = _minus_ones(curves) - hold
     steps: list[ContractionStep] = []
     while candidates:
         vid = pick(candidates)
         candidates.remove(vid)
-        step = _contraction_step(curves, adj, vid, skip, not steps)
-        steps.append(step)
-        if step.violations:
+        hits = _blow_down_in_place(curves, adj, vid)
+        found = []
+        for u in (hits if steps else curves):
+            if u not in skip:
+                w = _sw_violation(curves[u])
+                if w is not None:
+                    found.append(w)
+        if found:
+            found.sort(key=lambda w: w.vertex)
+        steps.append(ContractionStep(vid, MappingProxyType(hits), tuple(found)))
+        if found:
             return SW_VIOLATION, steps
-        for u in step.hits:
+        for u in hits:
             v = curves[u]
             if v.self_int == -1 and v.k_degree == -1 and u not in hold:
                 candidates.add(u)
@@ -586,11 +599,17 @@ def derived_multiplicities(trace: BlowDownTrace) -> dict[int, int]:
     """
     if trace.status != CONTRACTED_TO_POINT:
         raise ValueError(f"trace did not contract to a point: {trace.status}")
+    return _multiplicities([(step.vertex, step.hits) for step in trace.steps])
+
+
+def _multiplicities(steps: Sequence[tuple[int, Mapping[int, int]]]) -> dict[int, int]:
+    """derived_multiplicities of a contraction to a point, from its (vertex, hits) steps in order.
+
+    The bad-curve oracle's trie keeps each stage's path in this form.
+    """
     mult: dict[int, int] = {}
-    for step in reversed(trace.steps):
-        mult[step.vertex] = (
-            sum(mult[u] * m for u, m in step.hits.items() if u in mult) if mult else 1
-        )
+    for vertex, hits in reversed(steps):
+        mult[vertex] = sum(mult[u] * m for u, m in hits.items() if u in mult) if mult else 1
     return mult
 
 
@@ -690,22 +709,25 @@ def _shape_scan(
 
 
 def _shape_step(
-    curves: Mapping[int, Curve],
     adj: Mapping[int, Mapping[int, int]],
-    comp: set[int],
+    comp: AbstractSet[int],
     vid: int,
     hits: Mapping[int, int],
     edges: int,
-) -> tuple[set[str], int]:
+) -> tuple[set[str], int, tuple[int, ...]]:
     """shape_faults across one blow-down, kept up from the stage before.
 
     comp is a connected set of components at the stage before the step that
     blows vid down, and edges the number of pairs of its members that meet
-    there (as _shape_scan counts them); curves and adj are the stage after,
-    and hits the step's hits.  Returns faults and the pair count of
-    comp - {vid} at the stage after.  The faults, joined with those of the
-    stages before, are what shape_faults finds at this stage and the stages
-    before.
+    there (as _shape_scan counts them); adj is the stage after, and hits
+    the step's hits.  Returns the faults but THREE_NEIGHBOR, the pair count
+    of comp - {vid} at the stage after, and the members that meet the
+    others of comp three times or more there: THREE_NEIGHBOR fires when one
+    of those is a (-1, -1) curve at the stage after.  The faults, joined
+    with those of the stages before, are what shape_faults finds at this
+    stage and the stages before.  Only that last test reads a curve, so the
+    bad-curve oracle runs the rest once per candidate and stage, whatever
+    the string.
 
     Why this is enough.  A step changes only the rows and curves of vid's
     neighbours (its hits): the pair of two of them gains m_u * m_w >= 1, and
@@ -734,7 +756,8 @@ def _shape_step(
         edges -= len(inside)
     fired: set[str] = set()
     if left <= 1:
-        return fired, edges
+        return fired, edges, ()
+    heavy = []
     for i, u in enumerate(inside):
         row = adj[u]
         mu = hits[u]
@@ -744,13 +767,11 @@ def _shape_step(
                 edges += 1
             if m >= 2:
                 fired.add(MULTI_EDGE)
-        v = curves[u]
-        if v.self_int == -1 and v.k_degree == -1:
-            if sum(m for w, m in row.items() if w in comp) >= 3:
-                fired.add(THREE_NEIGHBOR)
+        if sum(m for w, m in row.items() if w in comp) >= 3:
+            heavy.append(u)
     if edges >= left:
         fired.add(CYCLE)
-    return fired, edges
+    return fired, edges, tuple(heavy)
 
 
 @dataclass(frozen=True)

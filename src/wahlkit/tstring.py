@@ -225,7 +225,10 @@ def enumerate_tstrings(
     Breadth-first over the generation tree rooted at [4]; within a level each
     parent contributes its L-child then its R-child, so the order is fully
     deterministic.  Every length-ell level holds exactly 2**(ell-1) strings.
+    ell_max and cap are read through _entry, so text, a bool or 2.5 raises
+    ValueError.
     """
+    ell_max, cap = _entry(ell_max), _entry(cap)
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
     if ell_max > cap:

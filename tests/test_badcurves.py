@@ -30,6 +30,7 @@ from wahlkit import (
     examine_candidate,
     forbidden_patterns,
     interior_hit_contradiction,
+    iter_tstrings,
     pair_product,
     type_bounds,
     unbroken_checks,
@@ -52,14 +53,17 @@ from wahlkit.badcurves import (
     JointRecord,
     OracleReport,
     _candidate_parts,
-    _e_parts,
+    _e_checks,
     _examine,
+    _facts,
     _shape,
     build_candidate_config,
     staged_structure_checks,
 )
 from wahlkit.curveconfig import (
     SW_VIOLATION,
+    ContractionStep,
+    _sw_violation,
     _shape_scan,
     _shape_step,
     connects,
@@ -393,23 +397,71 @@ class TestShape:
                     _shape(whole, (1,), ell, kind)
 
 
-def stage_tree(node, path=()):
-    """Each stage of the tree below node (node included) with the steps that reach it."""
-    path = (*path, node.step)
-    yield node, path
+def trie_nodes(node):
+    """node and every stage built below it so far."""
+    yield node
     for child in node.children.values():
-        yield from stage_tree(child, path)
+        yield from trie_nodes(child)
+
+
+def on_string(node, b):
+    """A stage's curves on the chain b: each -2-chain curve shifted by d = b_u - 2."""
+    return {
+        u: c._replace(self_int=c.self_int - (b[u - 1] - 2), k_degree=c.k_degree + (b[u - 1] - 2))
+        for u, c in node.curves.items()
+    }
+
+
+def walk_all(strings, ell):
+    """Every candidate of length ell on each string, through one shared trie.
+
+    Returns the trie, each string's facts (the stages its walks reached)
+    and the rows, by string then candidate.
+    """
+    candidates = sorted(enumerate_candidates(ell))
+    trie = {}
+    parts = [_candidate_parts(ell, *c, trie) for c in candidates]
+    facts, rows = {}, {}
+    for b in strings:
+        facts[b] = {}
+        rows[b] = [
+            _examine(b, kind, internal, hits, part, trie[hits], facts[b])
+            for (kind, internal, hits), part in zip(candidates, parts)
+        ]
+    return trie, facts, rows
+
+
+def contraction_prefixes(b, hits, members):
+    """The paths from chain plus e that the contractions of members take on b.
+
+    members are (kind, internal) pairs.
+    """
+    config, _ = build_candidate_config(b, hits)
+    prefixes = set()
+    for _, internal in members:
+        externals = [j for j in range(1, len(b) + 1) if j not in internal]
+        order = contract_all(config, frozen=externals).order
+        prefixes.update(order[:k] for k in range(1, len(order) + 1))
+    return prefixes
+
+
+# the stages below the roots of each length's trie after case_oracle(7)
+TRIE_NODES_TO_7 = {2: 9, 3: 28, 4: 66, 5: 147, 6: 286, 7: 550}
 
 
 class TestSharedParts:
-    """The parts a group of candidates shares against the single and eager examinations."""
+    """The parts candidates share against the single and eager examinations."""
 
     def test_hands_out_immutable_checks(self):
-        config, checks, after_e = _e_parts((2, 5, 3), (1, 3))
-        assert (config, 4) == build_candidate_config((2, 5, 3), (1, 3))
-        assert type(checks) is tuple  # a group member cannot add to the shared entry
-        assert type(after_e.minus_ones) is frozenset
-        assert after_e.step.vertex == 4 and after_e.children == {}
+        trie = {}
+        case, start, shapes = _candidate_parts(3, "B1", (1,), (1, 3), trie)
+        # a candidate cannot add to the shared entry
+        assert type(_e_checks((2, 5, 3), (1, 3))) is tuple
+        assert type(start[0]) is type(start[3]) is frozenset and shapes == {}
+        assert start[3] == {1, 4}
+        root = trie[(1, 3)]
+        assert CurveConfig(root.curves, root.adj) == build_candidate_config((2, 2, 2), (1, 3))[0]
+        assert (root.vertex, root.path, root.children) == (None, (), {})
 
     @pytest.mark.parametrize("hits, off", [((0,), 0), ((4,), 4), ((-1,), -1), ((1, 4), 4)])
     def test_a_hit_off_the_chain_is_refused_naming_it(self, hits, off):
@@ -422,26 +474,33 @@ class TestSharedParts:
             for hits in {h for _, _, h in enumerate_candidates(ell)}:
                 v_e = [hits.count(j) for j in range(1, ell + 1)]
                 for t in strings:
-                    _, checks, _ = _e_parts(t.b, hits)
-                    assert checks == forbidden_patterns(t, v_e).failures, (t, hits)
+                    assert _e_checks(t.b, hits) == forbidden_patterns(t, v_e).failures, (t, hits)
                     groups += 1
         assert groups == 3582
 
     def test_the_shared_first_step_is_every_candidates_first_step(self):
-        # e is the only (-1, -1) curve before any blow-down, so the group's step
-        # and stage are those of each candidate's own contraction
+        # e is the only (-1, -1) curve before any blow-down, so the trie's
+        # first stage, shifted by the string, is that of each candidate's
+        # own contraction
         for t in [(2, 5, 3), (3, 5, 2), (2, 2, 6, 2, 4)]:
             ell = len(t)
+            trie = {}
             for kind, internal, hits in enumerate_candidates(ell):
-                config, _, after_e = _e_parts(t, hits)
+                _candidate_parts(ell, kind, internal, hits, trie)
+                after_e = trie[hits].child(ell + 1)
+                config, _ = build_candidate_config(t, hits)
                 externals = [j for j in range(1, ell + 1) if j not in internal]
                 trace = contract_all(config, frozen=externals)
-                assert trace.steps[0] == after_e.step
+                first = trace.steps[0]
+                assert (first.vertex, first.hits) == (after_e.vertex, after_e.hits)
+                assert after_e.path == ((ell + 1, after_e.hits),)
                 _, steps = eager_contract_all(config, externals)
                 stage = steps[0][2]
-                assert after_e.curves == {v.id: v for v in stage.vertices}
+                assert on_string(after_e, t) == {v.id: v for v in stage.vertices}
                 assert after_e.adj == {v.id: stage.neighbors(v.id) for v in stage.vertices}
-                assert after_e.minus_ones == {
+                sw, ones = _facts(t, after_e, None)
+                assert sw == bool(first.violations)
+                assert ones == {
                     v.id for v in stage.vertices if (v.self_int, v.k_degree) == (-1, -1)
                 }
 
@@ -474,103 +533,111 @@ class TestSharedParts:
         for got, want in zip(outcomes, rows):
             assert got == want, (want.t, want.kind, want.internal, want.e_hits)
 
-    def test_the_oracle_builds_one_config_per_group_and_one_per_shape(self, monkeypatch):
-        calls = Counter()
-        build = badcurves.build_candidate_config
+    def test_the_oracle_builds_one_trie_per_length(self, monkeypatch):
+        # one root per (ell, e_hits), built from the -2-chain, and no config
+        # per string; every stage below the roots is a node of one trie
+        tries, builds = {}, Counter()
+        parts, build = badcurves._candidate_parts, badcurves.build_candidate_config
+
+        def kept(ell, kind, internal, e_hits, trie):
+            tries[ell] = trie
+            return parts(ell, kind, internal, e_hits, trie)
 
         def counted(t, e_hits):
-            calls[len(tuple(t))] += 1
+            t = tuple(t)
+            assert set(t) == {2}, t
+            builds[len(t)] += 1
             return build(t, e_hits)
 
+        monkeypatch.setattr(badcurves, "_candidate_parts", kept)
         monkeypatch.setattr(badcurves, "build_candidate_config", counted)
-        case_oracle(6)
-        expected = Counter()
-        for ell, strings in enumerate_tstrings(6).items():
-            candidates = enumerate_candidates(ell)
-            groups = {hits for _, _, hits in candidates}
-            expected[ell] = len(strings) * len(groups) + len(candidates)
-        assert calls == +expected
-        assert sum(calls.values()) == 1748
+        case_oracle(7)
+        assert builds == {ell: len(trie) for ell, trie in tries.items()}
+        assert {ell: len(trie) for ell, trie in tries.items()} == {
+            2: 5, 3: 9, 4: 14, 5: 20, 6: 27, 7: 35}
+        nodes = {
+            ell: sum(len(list(trie_nodes(root))) - 1 for root in trie.values())
+            for ell, trie in tries.items()
+        }
+        assert nodes == TRIE_NODES_TO_7
 
-    def test_every_stage_of_a_group_still_holds_the_stage_its_path_reaches(self):
+    def test_every_stage_on_a_string_that_reaches_it_is_the_stage_its_path_replays(self):
         # children copy the rows a blow-down changes and share the rest, so
-        # building one stage must leave its parent and siblings as they were;
-        # the tree holds exactly the stages of its members' own contractions
+        # building one stage must leave its parent and siblings as they
+        # were; the trie holds exactly the stages of the strings' own
+        # contractions, and a stage's curves shifted by a string that
+        # reaches it are the replayed stage's curves
         nodes = 0
-        for t in [(2, 5, 3), (3, 5, 2), (2, 2, 6, 2, 4), (2, 2, 2, 2, 2, 9)]:
-            ell = len(t)
-            candidates = enumerate_candidates(ell)
-            for hits in sorted({h for _, _, h in candidates}):
-                group = _e_parts(t, hits)
-                config = group[0]
-                prefixes = set()
-                for kind, internal, h in candidates:
-                    if h == hits:
-                        parts = _candidate_parts(ell, kind, internal, hits)
-                        got = _examine(t, kind, internal, hits, parts, group)
-                        assert got == eager_examine_candidate(t, kind, internal, hits)
-                        externals = [j for j in range(1, ell + 1) if j not in internal]
-                        order = contract_all(config, frozen=externals).order
-                        prefixes.update(order[:k] for k in range(1, len(order) + 1))
-                assert config == build_candidate_config(t, hits)[0]
-                tree = list(stage_tree(group[2]))
-                assert {tuple(s.vertex for s in path) for _, path in tree} == prefixes
-                for node, path in tree:
-                    *_, (curves, adj) = BlowDownTrace(config, path, "").stages()
-                    assert (node.curves, node.adj) == (curves, adj), (t, hits, path)
-                    assert node.minus_ones == {
-                        u for u, v in curves.items() if (v.self_int, v.k_degree) == (-1, -1)}
+        for strings in [((2, 5, 3), (3, 5, 2)), ((2, 2, 6, 2, 4), (4, 2, 6, 2, 2)),
+                        ((2, 2, 2, 2, 2, 9), (2, 3, 2, 3, 7, 2), (5, 2, 2, 3, 2, 3))]:
+            ell = len(strings[0])
+            trie, facts, rows = walk_all(strings, ell)
+            candidates = sorted(enumerate_candidates(ell))
+            for b in strings:
+                assert rows[b] == [eager_examine_candidate(b, *c) for c in candidates]
+            for hits, root in trie.items():
+                members = [(kind, internal) for kind, internal, h in candidates if h == hits]
+                prefixes = set().union(*(contraction_prefixes(b, hits, members) for b in strings))
+                tree = list(trie_nodes(root))[1:]
+                assert {tuple(v for v, _ in node.path) for node in tree} == prefixes
+                assert root.adj == build_candidate_config((2,) * ell, hits)[0]._adj
+                for node in tree:
+                    steps = [ContractionStep(v, h, ()) for v, h in node.path]
+                    reached = [b for b in strings if node in facts[b]]
+                    assert reached, node.path
+                    for b in reached:
+                        config, _ = build_candidate_config(b, hits)
+                        *_, (curves, adj) = BlowDownTrace(config, steps, "").stages()
+                        assert (on_string(node, b), node.adj) == (curves, adj), (b, node.path)
+                        sw, ones = facts[b][node]
+                        look = curves if len(steps) == 1 else node.hits
+                        assert sw == any(_sw_violation(curves[u]) for u in look)
+                        assert ones == {
+                            u for u, v in curves.items() if (v.self_int, v.k_degree) == (-1, -1)}
                 nodes += len(tree)
-        assert nodes == 155
+        assert nodes == 183
 
-    def test_the_oracle_blows_each_stage_of_a_group_down_once(self, monkeypatch):
+    def test_the_oracle_blows_each_stage_of_a_length_down_once(self, monkeypatch):
         # every candidate must reach each stage on its own path, so the
-        # blow-downs can match the distinct paths of every group, as
-        # contract_all takes them one candidate at a time, only when no
-        # stage is built twice
+        # blow-downs can match the distinct paths of every (ell, e_hits),
+        # over all strings, as contract_all takes them one candidate at a
+        # time, only when no stage is built twice
         paths = Counter()
         for ell, strings in enumerate_tstrings(6).items():
             candidates = enumerate_candidates(ell)
-            for t in strings:
-                for hits in {h for _, _, h in candidates}:
-                    config, _ = build_candidate_config(t, hits)
-                    prefixes = set()
-                    for _, internal, h in candidates:
-                        if h == hits:
-                            externals = [j for j in range(1, ell + 1) if j not in internal]
-                            order = contract_all(config, frozen=externals).order
-                            prefixes.update(order[:k] for k in range(1, len(order) + 1))
-                    for prefix in prefixes:
-                        paths["e" if len(prefix) == 1 else "later"] += 1
-        assert paths == {"e": 1342, "later": 1620}
+            for hits in {h for _, _, h in candidates}:
+                members = [(kind, internal) for kind, internal, h in candidates if h == hits]
+                prefixes = set().union(
+                    *(contraction_prefixes(t.b, hits, members) for t in strings))
+                for prefix in prefixes:
+                    paths["e" if len(prefix) == 1 else "later"] += 1
+        assert paths == {"e": 75, "later": 461}
 
         blow_downs = 0
-        blow_down = curveconfig._blow_down_in_place
+        formula = curveconfig._total_transform
 
         def counted(*args):
             nonlocal blow_downs
             blow_downs += 1
-            return blow_down(*args)
+            return formula(*args)
 
-        monkeypatch.setattr(curveconfig, "_blow_down_in_place", counted)
+        monkeypatch.setattr(badcurves, "_total_transform", counted)
         case_oracle(6)
-        assert blow_downs == 1342 + 1620 == 2962
+        assert blow_downs == 75 + 461 == 536
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(2, 7), min_size=1, max_size=7))
-    def test_any_string_through_one_shared_tree_per_group(self, b):
+    @given(st.integers(1, 7).flatmap(
+        lambda ell: st.lists(st.lists(st.integers(2, 7), min_size=ell, max_size=ell),
+                             min_size=1, max_size=3)))
+    def test_any_strings_through_one_shared_trie(self, strings):
         # the lemma behind the shared stages needs entries >= 2, not a T-string
-        b = tuple(b)
-        ell = len(b)
-        groups = {}
-        for kind, internal, hits in sorted(enumerate_candidates(ell)):
-            groups.setdefault(hits, []).append((kind, internal))
-        for hits, members in groups.items():
-            group = _e_parts(b, hits)
-            for kind, internal in members:
-                parts = _candidate_parts(ell, kind, internal, hits)
-                got = _examine(b, kind, internal, hits, parts, group)
-                assert got == eager_examine_candidate(b, kind, internal, hits), (kind, internal)
+        strings = [tuple(b) for b in strings]
+        ell = len(strings[0])
+        if ell > 1:
+            _, _, rows = walk_all(strings, ell)
+            for b in strings:
+                for got, c in zip(rows[b], sorted(enumerate_candidates(ell))):
+                    assert got == eager_examine_candidate(b, *c), (b, c)
 
     def test_the_oracle_refuses_a_disconnected_start_naming_the_candidate(self, monkeypatch):
         # the per-length parts assert what examine_candidate asserts
@@ -578,6 +645,70 @@ class TestSharedParts:
         message = "candidate B1 (1,) (1,) is disconnected"
         with pytest.raises(AssertionError, match=re.escape(message)):
             case_oracle(2)
+
+
+def rows_by_string(report, ell):
+    """The report's rows of length ell, by string."""
+    rows = {}
+    for o in report.outcomes:
+        if len(o.t) == ell:
+            rows.setdefault(o.t, []).append(o)
+    return rows
+
+
+def assert_eager(rows):
+    """Each row equals what the eager examination, one contraction per candidate, makes of it."""
+    for o in rows:
+        assert o == eager_examine_candidate(o.t, o.kind, o.internal, o.e_hits), (
+            o.t, o.kind, o.internal, o.e_hits)
+
+
+@pytest.fixture(scope="module")
+def oracle8():
+    return case_oracle(8)
+
+
+class TestAgainstTheEagerReference:
+    """The oracle's rows against tests/helpers.eager_examine_candidate, the slow reference."""
+
+    def test_every_row_to_seven(self):
+        outcomes = case_oracle(7).outcomes
+        assert len(outcomes) == 30464
+        assert_eager(outcomes)
+
+    def test_a_seeded_sample_of_sixteen_strings_at_eight(self, oracle8):
+        rows = rows_by_string(oracle8, 8)
+        assert len(rows) == 128
+        for t in random.Random(20261020).sample(sorted(rows), 16):
+            assert len(rows[t]) == 518
+            assert_eager(rows[t])
+
+    @pytest.mark.slow
+    def test_every_row_at_eight(self, oracle8):
+        rows = rows_by_string(oracle8, 8)
+        assert sum(map(len, rows.values())) == 128 * 518
+        for t in sorted(rows):
+            assert_eager(rows[t])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: case_oracle(True), "entry True is a bool, not an integer"),
+    (lambda: case_oracle("3"), "entry '3' is not an integer"),
+    (lambda: case_oracle(2.5), "entry 2.5 is not an integer"),
+    (lambda: enumerate_tstrings("3"), "entry '3' is not an integer"),
+    (lambda: enumerate_tstrings(4, cap=True), "entry True is a bool, not an integer"),
+    (lambda: list(iter_tstrings(2.5)), "entry 2.5 is not an integer"),
+    (lambda: enumerate_candidates(2.5), "entry 2.5 is not an integer"),
+    (lambda: enumerate_candidates("3"), "entry '3' is not an integer"),
+    (lambda: enumerate_candidates(0), "need ell >= 1, got 0"),
+    (lambda: enumerate_candidates(-1), "need ell >= 1, got -1"),
+], ids=[
+    "oracle-bool", "oracle-text", "oracle-float", "tstrings-text", "tstrings-cap-bool",
+    "iter-float", "candidates-float", "candidates-text", "candidates-zero", "candidates-negative",
+])
+def test_a_length_that_is_not_a_positive_integer_is_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 ORACLE4 = case_oracle(4)
@@ -659,7 +790,8 @@ def tracked_stages(trace, comps):
     """The faults _shape_step has found after each stage of trace, as the oracle keeps them.
 
     Stage 0 is scanned as _candidate_parts scans it, and must be connected;
-    every later stage is taken from the step's hits.
+    every later stage is taken from the step's hits, and THREE_NEIGHBOR
+    fires when a member _shape_step names is a (-1, -1) curve there.
     """
     stages = trace.stages()
     curves, adj = next(stages)
@@ -669,7 +801,9 @@ def tracked_stages(trace, comps):
     seen = [frozenset(fired)]
     remaining = set(comps)
     for step, (curves, adj) in zip(trace.steps, stages):
-        faults, edges = _shape_step(curves, adj, remaining, step.vertex, step.hits, edges)
+        faults, edges, heavy = _shape_step(adj, remaining, step.vertex, step.hits, edges)
+        if any((curves[u].self_int, curves[u].k_degree) == (-1, -1) for u in heavy):
+            faults.add(THREE_NEIGHBOR)
         remaining.discard(step.vertex)
         fired |= faults
         seen.append(frozenset(fired))
@@ -684,9 +818,10 @@ class TestIncrementalTreeShape:
             candidates = enumerate_candidates(ell)
             # _candidate_parts raises on a disconnected start, so each of
             # these is connected and never fires DISCONNECTED_STAGE
-            parts = [_candidate_parts(ell, *c) for c in candidates]
+            trie = {}
+            parts = [_candidate_parts(ell, *c, trie) for c in candidates]
             for t in strings:
-                for (_, internal, hits), (_, faults, edges) in zip(candidates, parts):
+                for (_, internal, hits), (_, (faults, _, edges, _), _) in zip(candidates, parts):
                     config, e_id = build_candidate_config(t, hits)
                     comps = {*internal, e_id}
                     curves = {v.id: v for v in config.vertices}
