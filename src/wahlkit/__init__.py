@@ -7,7 +7,7 @@ The package covers five layers, each in its own module:
   generate all of them from [4].
 - :mod:`wahlkit.discrepancy` — exact discrepancy vectors over the rationals,
   the determinant of the intersection chain, the pairing test that rules
-  curves in or out, and the atlas record of one T-string.
+  curves in or out, and the atlas record and JSON line of one T-string.
 - :mod:`wahlkit.curveconfig` — blow-up/blow-down bookkeeping for
   configurations of rational curves, contraction traces, and the structural
   validation of exceptional curves of the first kind.
@@ -80,6 +80,7 @@ from .curveconfig import (
     validate_zariski,
 )
 from .discrepancy import (
+    atlas_line,
     atlas_record,
     canonical_pairing,
     chain_determinant,
@@ -101,7 +102,6 @@ from .tstring import (
     eval_cf,
     hj_expand,
     is_tstring,
-    iter_tstrings,
     tstring_to_params,
     wahl_tstring,
 )
@@ -123,10 +123,10 @@ __all__ = [
     "eval_cf",
     "hj_expand",
     "is_tstring",
-    "iter_tstrings",
     "tstring_to_params",
     "wahl_tstring",
     # discrepancy
+    "atlas_line",
     "atlas_record",
     "canonical_pairing",
     "chain_determinant",

@@ -67,10 +67,10 @@ contraction blows e down first, whatever it freezes.
   per (candidate, stage), the candidate's shape state: the tree shape kept
       up step by step from each step's hits (curveconfig._shape_step),
       since it depends on the candidate's own component set.  It holds the
-      faults so far, the pair count, the remaining components, and the
-      components that fire THREE_NEIGHBOR if they are (-1, -1) curves at
-      the stage, the one part of the rule that reads b.  The state is the
-      same on every string.  A contraction to a point reads its
+      faults so far, the pair count, the remaining components (one shared
+      object per distinct set of the length), and the components that fire
+      THREE_NEIGHBOR if they are (-1, -1) curves at the stage, the one part
+      of the rule that reads b.  The state is the same on every string.  A contraction to a point reads its
       multiplicities and its pairings on the -2-chain once per final stage
       (_tail); on b, v_j = w_j - (b_j - 2) m_j.
   per (T-string, candidate) (_examine): the walk down the trie from the
@@ -114,7 +114,6 @@ from .curveconfig import (
     BlowDownTrace,
     Curve,
     CurveConfig,
-    _chain_parts,
     _multiplicities,
     _shape_scan,
     _shape_step,
@@ -300,28 +299,18 @@ def build_candidate_config(
 ) -> tuple[CurveConfig, int]:
     """Chain plus the (-1)-sphere e wired to its hit points; returns (config, e id).
 
-    The config does not depend on which chain spheres are internal to E.  Its
-    two maps are built straight from the cached chain curves, as make would
-    order them: e, the largest id, goes last, and a repeated hit is a double
-    point.  A hit off 1..ell raises ValueError naming it.
+    chain_config with e attached: the config does not depend on which chain
+    spheres are internal to E, e takes the largest id, and a repeated hit is
+    a double point.  A hit off 1..ell raises ValueError naming it.
     """
     b = as_entries(t)
+    e_hits = as_entries(e_hits)
     ell = len(b)
-    e_id = ell + 1
-    row_e: dict[int, int] = {}
-    for h in sorted(as_entries(e_hits)):
+    for h in e_hits:
         if not 1 <= h <= ell:
             raise ValueError(f"e_hits entry {h} lies off the chain 1..{ell}")
-        row_e[h] = row_e.get(h, 0) + 1
-    by_id = dict(zip(range(1, e_id), _chain_parts(tuple(-bj for bj in b))[0]))
-    by_id[e_id] = Curve(e_id, -1, -1, 0, "e")
-    adj: dict[int, dict[int, int]] = {j: {} for j in by_id}
-    for j in range(1, ell):  # row j gets j - 1 before j + 1
-        adj[j][j + 1] = adj[j + 1][j] = 1
-    for h, m in row_e.items():
-        adj[h][e_id] = m
-    adj[e_id] = row_e
-    return CurveConfig(by_id, adj), e_id
+    e_id = ell + 1
+    return chain_config([-bj for bj in b], [(Curve(e_id, -1, -1, 0, "e"), e_hits)]), e_id
 
 
 class _Node:
@@ -373,8 +362,12 @@ class _Node:
 # are (-1, -1) curves, the pair count and the components not yet blown down
 _Shape = tuple[frozenset[str], tuple[int, ...], int, frozenset[int]]
 # what _candidate_parts returns: the case, the shape state before any
-# blow-down and the candidate's shape states by stage, filled as it walks
-_CandidateParts = tuple[str | None, _Shape, dict[_Node, _Shape]]
+# blow-down, the candidate's shape states by stage, filled as it walks, and
+# the length's remaining-component sets, each kept as one object that every
+# shape state holding it shares
+_CandidateParts = tuple[
+    str | None, _Shape, dict[_Node, _Shape], dict[frozenset[int], frozenset[int]]
+]
 # a stage's facts on one string: at a root, e's own checks (_e_checks);
 # below it, whether its step breaks the SW rule, and its (-1, -1) curves
 _Facts = tuple[str, ...] | tuple[bool, frozenset[int]]
@@ -385,18 +378,20 @@ _Tail = tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...], int
 
 def _candidate_parts(
     ell: int, kind: str, internal: tuple[int, ...], e_hits: tuple[int, ...],
-    trie: dict[tuple[int, ...], _Node],
+    trie: dict[tuple[int, ...], _Node], sets: dict[frozenset[int], frozenset[int]],
 ) -> _CandidateParts:
     """What a candidate's examination needs beyond its string, on the length's trie.
 
-    trie maps e_hits to its root, and gains the root on first use.  Returns
-    the case, the shape state before any blow-down from one scan of the
-    root (the -2-chain with e attached, where by the lemma of the module
-    docstring only e is a (-1, -1) curve, as on every string) and an empty
-    cache of the candidate's shape states.  Raises _shape's ValueError for a
-    shape enumerate_candidates does not yield, and AssertionError naming the
-    candidate if its components are disconnected, which no such shape is.
-    case_oracle computes it once per length.
+    trie maps e_hits to its root, and gains the root on first use; sets
+    maps each remaining-component set of the length to its one copy, and
+    gains the candidate's.  Returns the case, the shape state before any
+    blow-down from one scan of the root (the -2-chain with e attached,
+    where by the lemma of the module docstring only e is a (-1, -1) curve,
+    as on every string), an empty cache of the candidate's shape states and
+    sets.  Raises _shape's ValueError for a shape enumerate_candidates does
+    not yield, and AssertionError naming the candidate if its components
+    are disconnected, which no such shape is.  case_oracle computes it once
+    per length.
     """
     case = _shape(internal, e_hits, ell, kind)
     root = trie.get(e_hits)
@@ -404,12 +399,13 @@ def _candidate_parts(
         config, _ = build_candidate_config((2,) * ell, e_hits)
         root = trie[e_hits] = _Node(None, {}, (), config._by_id, config._adj)
     comp = frozenset({*internal, ell + 1})
+    comp = sets.setdefault(comp, comp)
     faults, edges = _shape_scan(root.curves, root.adj, comp)
     if DISCONNECTED_STAGE in faults:
         raise AssertionError(
             f"candidate {kind} {internal} {e_hits} is disconnected before any blow-down"
         )
-    return case, (frozenset(faults), (), edges, comp), {}
+    return case, (frozenset(faults), (), edges, comp), {}, sets
 
 
 def _e_checks(b: tuple[int, ...], e_hits: tuple[int, ...]) -> tuple[str, ...]:
@@ -585,7 +581,7 @@ def examine_candidate(
     if kind not in ("A", "B1", "B2"):
         raise ValueError(f"kind must be 'A', 'B1' or 'B2', got {kind!r}")
     trie: dict[tuple[int, ...], _Node] = {}
-    parts = _candidate_parts(len(b), kind, internal, e_hits, trie)
+    parts = _candidate_parts(len(b), kind, internal, e_hits, trie, {})
     return _examine(b, kind, internal, e_hits, parts, trie[e_hits], {})
 
 
@@ -611,7 +607,7 @@ def _examine(
     contraction's multiplicities once per final stage (_tail).
     """
     ell = len(b)
-    case, shape, shapes = parts
+    case, shape, shapes, sets = parts
     e_checks = facts.get(root)
     if e_checks is None:
         e_checks = facts[root] = _e_checks(b, e_hits)
@@ -630,7 +626,8 @@ def _examine(
             fired, edges, heavy = _shape_step(node.adj, comp, node.vertex, node.hits, edges)
             if fired:
                 faults |= fired
-            known = shapes[node] = (faults, heavy, edges, comp - {node.vertex})
+            comp = comp - {node.vertex}
+            known = shapes[node] = (faults, heavy, edges, sets.setdefault(comp, comp))
         shape = known
         sw, ones = state
         _, heavy, _, remaining = shape
@@ -848,7 +845,8 @@ def case_oracle(ell_max: int) -> OracleReport:
         candidates = sorted(enumerate_candidates(ell))
         mirrors[ell] = _mirror_index(candidates, ell)
         trie: dict[tuple[int, ...], _Node] = {}  # this length's, by e_hits then path
-        parts = [_candidate_parts(ell, *c, trie) for c in candidates]
+        sets: dict[frozenset[int], frozenset[int]] = {}  # this length's component sets
+        parts = [_candidate_parts(ell, *c, trie, sets) for c in candidates]
         for t in sorted(as_entries(s) for s in strings):
             facts: dict[_Node, _Facts] = {}
             rows = [

@@ -51,6 +51,7 @@ from .curveconfig import (
     validate_zariski,
 )
 from .discrepancy import (
+    atlas_line,
     atlas_record,
     chain_determinant,
     discrepancies,
@@ -59,6 +60,8 @@ from .discrepancy import (
 from .tstring import (
     DEFAULT_LENGTH_CAP,
     WahlParams,
+    _levels,
+    _wahl_length,
     as_entries,
     enumerate_tstrings,
     tstring_to_params,
@@ -88,16 +91,27 @@ def _max_len_ok(max_len: int, cap: int) -> bool:
     return False
 
 
+# The longest T-string `expand` builds: the q = 1 string of p has p - 1
+# entries, so without a cap a large P would exhaust memory.
+EXPAND_LENGTH_CAP = 100_000
+
+
 def cmd_expand(args: argparse.Namespace) -> int:
     try:
-        t = wahl_tstring(args.p, args.q)
+        params = WahlParams(args.p, args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    record = atlas_record(t)
+    ell = _wahl_length(params.p, params.q)
+    if ell > EXPAND_LENGTH_CAP:
+        print(f"error: the T-string of ({params.p}, {params.q}) has length {ell}, "
+              f"above the cap of {EXPAND_LENGTH_CAP}", file=sys.stderr)
+        return 2
+    t = wahl_tstring(params)
     if args.json:
-        print(json.dumps(record, separators=(",", ":")))
+        print(atlas_line(t))
         return 0
+    record = atlas_record(t)
     print(f"T-string: {record['b']}")
     print(f"p = {record['p']}, q = {record['q']}, ell = {record['ell']}")
     print(f"discrepancies: {', '.join(record['discrepancies'])}")
@@ -109,10 +123,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_atlas(args: argparse.Namespace) -> int:
     if not _max_len_ok(args.max_len, DEFAULT_LENGTH_CAP):
         return 2
-    lines = []
-    for ell, strings in sorted(enumerate_tstrings(args.max_len).items()):
-        for b in sorted(as_entries(s) for s in strings):
-            lines.append(json.dumps(atlas_record(b), separators=(",", ":")))
+    lines = [atlas_line(b) for level in _levels(args.max_len) for b in sorted(level)]
     if not _emit(lines, args.out):
         return 1
     if args.out is not None:

@@ -73,7 +73,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -253,26 +252,12 @@ def chain_config(
     meets chain curve h once per occurrence of h in hits (so a repeated h is
     a double point, an edge of multiplicity 2).
     """
-    chain, links = _chain_parts(tuple(self_ints))
-    vertices, edges = list(chain), list(links)
+    vertices = [Curve(i, s, -2 - s, 0, f"C{i}") for i, s in enumerate(self_ints, start=1)]
+    edges = [Edge(i, i + 1, 1) for i in range(1, len(vertices))]
     for curve, hits in attached:
         vertices.append(curve)
         edges += [Edge(h, curve.id, m) for h, m in Counter(hits).items()]
     return CurveConfig.make(vertices, edges)
-
-
-@lru_cache(maxsize=64)
-def _chain_parts(self_ints: tuple[int, ...]) -> tuple[tuple[Curve, ...], tuple[Edge, ...]]:
-    """The curves and edges of a bare chain; pure and immutable, so cached.
-
-    The bad-curve oracle builds all candidates of one T-string on the same
-    chain before it moves to the next string, so a small cache serves nearly
-    every call.
-    """
-    vertices = tuple(
-        Curve(i + 1, s, -2 - s, 0, f"C{i + 1}") for i, s in enumerate(self_ints)
-    )
-    return vertices, tuple(Edge(i, i + 1, 1) for i in range(1, len(self_ints)))
 
 
 # ----- Point specifications for blow-up -----

@@ -18,14 +18,18 @@ suite: a_j in (-1, 0), a_1 + a_ell = -1, and denominators divide p**2.
 validate_discrepancies checks them and the system itself in exact integer
 arithmetic over the vector's common denominator.
 
-atlas_record builds the canonical JSON record of one T-string from two
-integer sweeps, continuants(b) forward and continuants(b[::-1]) backward.
-The backward sweep's K(b) and K(b_2..b_ell) give (p, q); the two sweeps
-give the numerators through the same code as discrepancies; and |det M| is
-the forward sweep's K(b), so |det| = p**2 compares two independent sweeps
-(K(b) is unchanged by reversing b).  The checks of validate_discrepancies
-run on the numerators directly, and each "num/den" string is printed from a
-gcd, so no Fraction is built unless a check fails and its message needs one.
+atlas_line writes the canonical JSON line of one T-string, the one
+`wahlkit atlas` and `wahlkit expand --json` print, and atlas_record returns
+the same record as a dict.  Both read their fields from _atlas_fields, which
+takes them from two integer sweeps, continuants(b) forward and
+continuants(b[::-1]) backward.  The backward sweep's K(b) and K(b_2..b_ell)
+give (p, q); the two sweeps give the numerators through the same code as
+discrepancies; and |det M| is the forward sweep's K(b), so |det| = p**2
+compares two independent sweeps (K(b) is unchanged by reversing b).  The
+checks of validate_discrepancies run on the numerators directly, and each
+"num/den" string is printed from a gcd, so no Fraction is built unless a
+check fails and its message needs one.  atlas_line formats the line from
+those fields directly, with no dict and no json.dumps.
 
 canonical_pairing evaluates sum a_j v_j against a K-degree threshold: a curve
 class F with incidences v_j = F.C_j must satisfy sum a_j v_j < K.F, which is
@@ -147,6 +151,41 @@ def atlas_record(t: TString | Iterable[int]) -> dict:
     """The canonical JSON record for one T-string; validates its invariants.
 
     Raises ValueError when t is not a T-string, and AssertionError when a
+    discrepancy check or |det| = p**2 fails (_atlas_fields).
+    json.dumps(atlas_record(t), separators=(",", ":")) is atlas_line(t).
+    """
+    b, p, q, fractions, det, checksum = _atlas_fields(t)
+    return {
+        "p": p,
+        "q": q,
+        "ell": len(b),
+        "b": list(b),
+        "discrepancies": fractions,
+        "det": det,
+        "checksum_ok": checksum,
+    }
+
+
+def atlas_line(t: TString | Iterable[int]) -> str:
+    """atlas_record(t) as one compact JSON line, formatted straight from its fields.
+
+    Byte for byte json.dumps(atlas_record(t), separators=(",", ":")), and
+    raises the same errors: every field is an int, a list of ints, a bool
+    or a "num/den" string, which JSON writes as Python prints it.
+    """
+    b, p, q, fractions, det, checksum = _atlas_fields(t)
+    entries = ",".join(map(str, b))
+    values = '","'.join(fractions)
+    return (f'{{"p":{p},"q":{q},"ell":{len(b)},"b":[{entries}],"discrepancies":["{values}"],'
+            f'"det":{det},"checksum_ok":{"true" if checksum else "false"}}}')
+
+
+def _atlas_fields(
+    t: TString | Iterable[int],
+) -> tuple[tuple[int, ...], int, int, list[str], int, bool]:
+    """(b, p, q, the discrepancies as "num/den" strings, |det|, checksum_ok) of one T-string.
+
+    Raises ValueError when t is not a T-string, and AssertionError when a
     discrepancy check or |det| = p**2 fails.  The discrepancies are checked
     as the reduced numerators over D = p**2 / gcd(p**2, n_1, ..., n_ell),
     which is the common denominator validate_discrepancies would derive from
@@ -164,18 +203,11 @@ def atlas_record(t: TString | Iterable[int]) -> dict:
     problems = _problems(b, [x // g for x in nums], p2 // g, det)
     if problems:
         raise AssertionError(f"discrepancy invariants failed for {list(b)}: {problems}")
-    if det != params.p**2:
-        raise AssertionError(f"|det| = {det} != p^2 = {params.p ** 2} for {list(b)}")
-    ell = len(b)
-    return {
-        "p": params.p,
-        "q": params.q,
-        "ell": ell,
-        "b": list(b),
-        "discrepancies": [f"{x // (k := math.gcd(x, p2))}/{p2 // k}" for x in nums],
-        "det": det,
-        "checksum_ok": sum(b) == 3 * ell + 1,  # sum(b_j - 2) == ell + 1
-    }
+    p, q = params.p, params.q
+    if det != p * p:
+        raise AssertionError(f"|det| = {det} != p^2 = {p ** 2} for {list(b)}")
+    fractions = [f"{x // (k := math.gcd(x, p2))}/{p2 // k}" for x in nums]
+    return b, p, q, fractions, det, sum(b) == 3 * len(b) + 1  # sum(b_j - 2) == ell + 1
 
 
 def canonical_pairing(

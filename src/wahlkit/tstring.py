@@ -196,6 +196,22 @@ def wahl_tstring(p: int | WahlParams, q: int | None = None) -> TString:
     return TString(hj_expand(params.p**2, params.p * params.q - 1))
 
 
+def _wahl_length(p: int, q: int) -> int:
+    """len(wahl_tstring(p, q)) in O(log p) steps, without building the string.
+
+    It is the sum of the partial quotients of p/q, minus 1: at [4], (2, 1),
+    the sum is 2, and each L or R move adds one to the length and one to the
+    sum.  R takes p/q to p/q + 1.  L takes it to 1 + 1/(p/(p - q)), and
+    p/(p - q) has the same sum as p/q.  p and q are a WahlParams' fields.
+    """
+    total = 0
+    while q:
+        a, r = divmod(p, q)
+        total += a
+        p, q = q, r
+    return total - 1
+
+
 # ----- Generation -----
 
 
@@ -204,8 +220,7 @@ def apply_L(t: TString | Iterable[int]) -> TString:
 
     On parameters this acts as (p, q) -> (2p - q, p).
     """
-    b = as_entries(t)
-    return TString((2,) + b[:-1] + (b[-1] + 1,))
+    return TString(_left(as_entries(t)))
 
 
 def apply_R(t: TString | Iterable[int]) -> TString:
@@ -213,8 +228,15 @@ def apply_R(t: TString | Iterable[int]) -> TString:
 
     On parameters this acts as (p, q) -> (p + q, q).
     """
-    b = as_entries(t)
-    return TString((b[0] + 1,) + b[1:] + (2,))
+    return TString(_right(as_entries(t)))
+
+
+def _left(b: tuple[int, ...]) -> tuple[int, ...]:
+    return (2,) + b[:-1] + (b[-1] + 1,)
+
+
+def _right(b: tuple[int, ...]) -> tuple[int, ...]:
+    return (b[0] + 1,) + b[1:] + (2,)
 
 
 def enumerate_tstrings(
@@ -233,21 +255,22 @@ def enumerate_tstrings(
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
     if ell_max > cap:
         raise ValueError(f"ell_max={ell_max} exceeds cap={cap}; raise cap explicitly")
-    levels: dict[int, tuple[TString, ...]] = {1: (TString((4,)),)}
-    for ell in range(2, ell_max + 1):
-        level: list[TString] = []
-        for parent in levels[ell - 1]:
-            level.append(apply_L(parent))
-            level.append(apply_R(parent))
-        levels[ell] = tuple(level)
-    return levels
+    return {
+        ell: tuple(map(TString, level)) for ell, level in enumerate(_levels(ell_max), start=1)
+    }
 
 
-def iter_tstrings(ell_max: int, cap: int = DEFAULT_LENGTH_CAP) -> Iterator[TString]:
-    """Flat iterator over enumerate_tstrings, shortest first."""
-    levels = enumerate_tstrings(ell_max, cap=cap)
-    for ell in sorted(levels):
-        yield from levels[ell]
+def _levels(ell_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The levels of enumerate_tstrings(ell_max) as entry tuples, shortest first.
+
+    Every tuple is a T-string by construction, so none is checked here.
+    ell_max is an int >= 1, unchecked.
+    """
+    level: tuple[tuple[int, ...], ...] = ((4,),)
+    yield level
+    for _ in range(ell_max - 1):
+        level = tuple(child for b in level for child in (_left(b), _right(b)))
+        yield level
 
 
 # ----- Recognition -----
@@ -312,8 +335,8 @@ def is_tstring(seq: TString | Iterable[int]) -> Recognition:
 def tstring_to_params(t: TString | Iterable[int]) -> WahlParams:
     """Recover (p, q) from a T-string: eval_cf gives p**2/(pq-1) in lowest terms.
 
-    Raises ValueError when the input is not a T-string.  The result is
-    revalidated against the expansion, and satisfies p <= 2**ell.
+    Raises ValueError when the input is not a T-string.  The result
+    satisfies p <= 2**ell.
     """
     b = _cf_entries(t)
     back = continuants(b[::-1])
@@ -325,7 +348,10 @@ def _params_from_continuants(b: tuple[int, ...], n: int, m: int) -> WahlParams:
 
     n/m is eval_cf(b), already in lowest terms: K(b_1..b_ell) =
     b_1 K(b_2..b_ell) - K(b_3..b_ell), so gcd(n, m) = gcd(K(b_2..b_ell),
-    K(b_3..b_ell)) = ... = gcd(K(b_ell), K()) = 1.
+    K(b_3..b_ell)) = ... = gcd(K(b_ell), K()) = 1.  Every entry of b is
+    >= 2 (_cf_entries checked it), so 0 < m < n and b is the one minus
+    continued fraction of n/m: b = hj_expand(n, m).  So once n = p**2 and
+    m = pq - 1 pass WahlParams' checks, b is the T-string of (p, q).
     """
     assert gcd(n, m) == 1, (b, n, m)
     p = isqrt(n)
@@ -333,10 +359,7 @@ def _params_from_continuants(b: tuple[int, ...], n: int, m: int) -> WahlParams:
         raise ValueError(f"not a T-string: eval_cf={n}/{m} has non-square numerator")
     if (m + 1) % p != 0:
         raise ValueError(f"not a T-string: denominator {m} is not pq-1 for p={p}")
-    params = WahlParams(p, (m + 1) // p)
-    if hj_expand(params.p**2, params.p * params.q - 1) != b:
-        raise ValueError(f"expansion of {params} does not reproduce {list(b)}")
-    return params
+    return WahlParams(p, (m + 1) // p)
 
 
 def checksum_ok(t: TString | Iterable[int]) -> bool:

@@ -14,6 +14,9 @@ from wahlkit import (
     FreePoint,
     GenericOn,
     Intersection,
+    TString,
+    apply_L,
+    apply_R,
     as_entries,
     blow_up,
     canonical_pairing,
@@ -24,10 +27,28 @@ from wahlkit import (
     discrepancies,
     divisor_k,
     divisor_pairing,
+    enumerate_tstrings,
     single_curve,
     tstring_to_params,
     validate_discrepancies,
 )
+
+
+def tstrings_to(ell_max: int) -> list[TString]:
+    """Every T-string of length <= ell_max, shortest first, in enumerate_tstrings' order."""
+    return [t for level in enumerate_tstrings(ell_max).values() for t in level]
+
+
+def breadth_first_tstrings(ell_max: int) -> dict[int, tuple[TString, ...]]:
+    """The slow reference for enumerate_tstrings: each level from the last by apply_L, apply_R."""
+    levels = {1: (TString((4,)),)}
+    for ell in range(2, ell_max + 1):
+        level = []
+        for parent in levels[ell - 1]:
+            level.append(apply_L(parent))
+            level.append(apply_R(parent))
+        levels[ell] = tuple(level)
+    return levels
 
 
 def path_census(max_n: int) -> set[tuple[int, ...]]:

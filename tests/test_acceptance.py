@@ -10,7 +10,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from helpers import census_blowdown_inputs
+from helpers import census_blowdown_inputs, tstrings_to
 from wahlkit import (
     CONTRACTED_TO_POINT,
     Curve,
@@ -31,7 +31,6 @@ from wahlkit import (
     divisor_self,
     forbidden_patterns,
     hj_expand,
-    iter_tstrings,
     iterated_blowdown_trace,
     max_p_B_p1,
     random_blowup,
@@ -61,7 +60,7 @@ def _timed(fn):
 
 def test_end_discrepancies_sum_to_minus_one_through_length_twelve():
     start = time.perf_counter()
-    strings = list(iter_tstrings(12))
+    strings = list(tstrings_to(12))
     assert len(strings) == 4095
     for t in strings:
         a = discrepancies(t)
@@ -73,7 +72,7 @@ def test_end_discrepancies_sum_to_minus_one_through_length_twelve():
 
 def test_checksum_holds_for_every_string_through_length_twelve():
     count = 0
-    for t in iter_tstrings(12):
+    for t in tstrings_to(12):
         assert checksum_ok(t)
         assert sum(x - 2 for x in t) == t.ell + 1
         count += 1
@@ -81,7 +80,7 @@ def test_checksum_holds_for_every_string_through_length_twelve():
 
 
 def test_determinant_is_p_squared_and_parameters_roundtrip():
-    for t in iter_tstrings(12):
+    for t in tstrings_to(12):
         params = tstring_to_params(t)
         assert abs(chain_determinant(t)) == params.p**2
         assert hj_expand(params.p**2, params.p * params.q - 1) == tuple(t)
@@ -141,7 +140,7 @@ def test_iterated_blowdown_bound_with_equality_in_the_special_shape():
 
 
 def test_forbidden_patterns_are_flagged_for_every_string_through_length_ten():
-    for t in iter_tstrings(10):
+    for t in tstrings_to(10):
         ell = t.ell
         for j in range(ell):
             v = [0] * ell

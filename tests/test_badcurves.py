@@ -30,7 +30,6 @@ from wahlkit import (
     examine_candidate,
     forbidden_patterns,
     interior_hit_contradiction,
-    iter_tstrings,
     pair_product,
     type_bounds,
     unbroken_checks,
@@ -419,8 +418,8 @@ def walk_all(strings, ell):
     and the rows, by string then candidate.
     """
     candidates = sorted(enumerate_candidates(ell))
-    trie = {}
-    parts = [_candidate_parts(ell, *c, trie) for c in candidates]
+    trie, sets = {}, {}
+    parts = [_candidate_parts(ell, *c, trie, sets) for c in candidates]
     facts, rows = {}, {}
     for b in strings:
         facts[b] = {}
@@ -454,7 +453,7 @@ class TestSharedParts:
 
     def test_hands_out_immutable_checks(self):
         trie = {}
-        case, start, shapes = _candidate_parts(3, "B1", (1,), (1, 3), trie)
+        case, start, shapes, _ = _candidate_parts(3, "B1", (1,), (1, 3), trie, {})
         # a candidate cannot add to the shared entry
         assert type(_e_checks((2, 5, 3), (1, 3))) is tuple
         assert type(start[0]) is type(start[3]) is frozenset and shapes == {}
@@ -486,7 +485,7 @@ class TestSharedParts:
             ell = len(t)
             trie = {}
             for kind, internal, hits in enumerate_candidates(ell):
-                _candidate_parts(ell, kind, internal, hits, trie)
+                _candidate_parts(ell, kind, internal, hits, trie, {})
                 after_e = trie[hits].child(ell + 1)
                 config, _ = build_candidate_config(t, hits)
                 externals = [j for j in range(1, ell + 1) if j not in internal]
@@ -539,9 +538,9 @@ class TestSharedParts:
         tries, builds = {}, Counter()
         parts, build = badcurves._candidate_parts, badcurves.build_candidate_config
 
-        def kept(ell, kind, internal, e_hits, trie):
+        def kept(ell, kind, internal, e_hits, trie, sets):
             tries[ell] = trie
-            return parts(ell, kind, internal, e_hits, trie)
+            return parts(ell, kind, internal, e_hits, trie, sets)
 
         def counted(t, e_hits):
             t = tuple(t)
@@ -560,6 +559,22 @@ class TestSharedParts:
             for ell, trie in tries.items()
         }
         assert nodes == TRIE_NODES_TO_7
+
+    def test_each_remaining_component_set_of_a_length_is_one_object(self):
+        # every shape state of a length that holds an equal set holds the
+        # same object, the one _candidate_parts first stored for it
+        for ell, strings in sorted(enumerate_tstrings(7).items()):
+            candidates = sorted(enumerate_candidates(ell))
+            trie, sets = {}, {}
+            parts = [_candidate_parts(ell, *c, trie, sets) for c in candidates]
+            for t in strings:
+                facts = {}  # one string's
+                for (kind, internal, hits), part in zip(candidates, parts):
+                    _examine(t.b, kind, internal, hits, part, trie[hits], facts)
+            held = [start[3] for _, start, _, _ in parts]
+            held += [state[3] for _, _, shapes, _ in parts for state in shapes.values()]
+            assert len({id(comp) for comp in held}) == len(set(held)) == len(sets), ell
+            assert all(sets[comp] is comp for comp in held)
 
     def test_every_stage_on_a_string_that_reaches_it_is_the_stage_its_path_replays(self):
         # children copy the rows a blow-down changes and share the rest, so
@@ -697,14 +712,14 @@ class TestAgainstTheEagerReference:
     (lambda: case_oracle(2.5), "entry 2.5 is not an integer"),
     (lambda: enumerate_tstrings("3"), "entry '3' is not an integer"),
     (lambda: enumerate_tstrings(4, cap=True), "entry True is a bool, not an integer"),
-    (lambda: list(iter_tstrings(2.5)), "entry 2.5 is not an integer"),
+    (lambda: enumerate_tstrings(2.5), "entry 2.5 is not an integer"),
     (lambda: enumerate_candidates(2.5), "entry 2.5 is not an integer"),
     (lambda: enumerate_candidates("3"), "entry '3' is not an integer"),
     (lambda: enumerate_candidates(0), "need ell >= 1, got 0"),
     (lambda: enumerate_candidates(-1), "need ell >= 1, got -1"),
 ], ids=[
     "oracle-bool", "oracle-text", "oracle-float", "tstrings-text", "tstrings-cap-bool",
-    "iter-float", "candidates-float", "candidates-text", "candidates-zero", "candidates-negative",
+    "tstrings-float", "candidates-float", "candidates-text", "candidates-zero", "candidates-negative",
 ])
 def test_a_length_that_is_not_a_positive_integer_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -819,9 +834,9 @@ class TestIncrementalTreeShape:
             # _candidate_parts raises on a disconnected start, so each of
             # these is connected and never fires DISCONNECTED_STAGE
             trie = {}
-            parts = [_candidate_parts(ell, *c, trie) for c in candidates]
+            parts = [_candidate_parts(ell, *c, trie, {}) for c in candidates]
             for t in strings:
-                for (_, internal, hits), (_, (faults, _, edges, _), _) in zip(candidates, parts):
+                for (_, internal, hits), (_, (faults, _, edges, _), _, _) in zip(candidates, parts):
                     config, e_id = build_candidate_config(t, hits)
                     comps = {*internal, e_id}
                     curves = {v.id: v for v in config.vertices}

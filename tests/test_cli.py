@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from helpers import eager_contract_all, eager_jsonl_lines
 from wahlkit import badcurves
-from wahlkit.cli import atlas_record, main
+from wahlkit import wahl_tstring
+from wahlkit.cli import EXPAND_LENGTH_CAP, atlas_record, main
 from wahlkit.curveconfig import config_to_json, random_blowup
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -74,6 +76,31 @@ class TestExpand:
         assert code == 2
         assert err
 
+    def test_json_is_the_record_as_json_writes_it(self, capsys):
+        for p, q in [(2, 1), (5, 2), (13, 5), (97, 60), (1000, 999)]:
+            code, out, _ = run(capsys, "expand", str(p), str(q), "--json")
+            assert code == 0
+            want = json.dumps(atlas_record(wahl_tstring(p, q)), separators=(",", ":"))
+            assert out == want + "\n"
+
+    @pytest.mark.parametrize("q", ["1", str(10**21 - 1)])
+    def test_a_string_over_the_length_cap_is_refused_before_it_is_built(self, capsys, q):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", str(10**21), q, "--json")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: the T-string of ({10**21}, {q}) has length {10**21 - 1}, "
+                       f"above the cap of {EXPAND_LENGTH_CAP}\n")
+
+    def test_a_string_at_the_length_cap_is_expanded(self, capsys):
+        assert EXPAND_LENGTH_CAP == 100_000
+        code, out, _ = run(capsys, "expand", "100000", "1")
+        assert code == 0
+        assert "p = 100000, q = 1, ell = 99999\n" in out
+        code, out, err = run(capsys, "expand", "100002", "1")  # ell = 100 001
+        assert (code, out) == (2, "")
+        assert "has length 100001, above the cap of 100000" in err
+
 
 class TestAtlas:
     def test_counts(self, capsys):
@@ -89,6 +116,15 @@ class TestAtlas:
         records = [json.loads(x) for x in first.strip().split("\n")]
         keys = [(r["ell"], r["b"]) for r in records]
         assert keys == sorted(keys)
+
+    def test_each_line_is_its_record_as_json_writes_it(self, capsys):
+        _, out, _ = run(capsys, "atlas", "--max-len", "7")
+        lines = out.split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == 2**7 - 1
+        for line in lines:
+            b = tuple(json.loads(line)["b"])
+            assert line == json.dumps(atlas_record(b), separators=(",", ":"))
 
     def test_records_validate(self, capsys):
         _, out, _ = run(capsys, "atlas", "--max-len", "4")

@@ -1,5 +1,6 @@
 """Exact discrepancies, chain determinants, and the pairing test."""
 
+import json
 import math
 import random
 import re
@@ -16,9 +17,11 @@ from helpers import (
     eliminate_discrepancies,
     fraction_atlas_record,
     fraction_validate_discrepancies,
+    tstrings_to,
 )
 from wahlkit import (
     TString,
+    atlas_line,
     atlas_record,
     canonical_pairing,
     chain_determinant,
@@ -26,7 +29,6 @@ from wahlkit import (
     discrepancies,
     intersection_matrix,
     is_tstring,
-    iter_tstrings,
     tstring_to_params,
     validate_discrepancies,
     wahl_tstring,
@@ -35,7 +37,7 @@ from wahlkit import discrepancy, tstring
 from wahlkit.discrepancy import _numerators
 
 F = Fraction
-STRINGS_TO_7 = list(iter_tstrings(7))
+STRINGS_TO_7 = list(tstrings_to(7))
 
 # Solved by hand from the adjunction system M a = (2 - b_j)_j.
 KNOWN_DISCREPANCIES = {
@@ -94,12 +96,12 @@ class TestDeterminant:
         assert chain_determinant((5, 2)) == 9
 
     def test_matches_laplace_expansion(self):
-        for t in iter_tstrings(6):
+        for t in tstrings_to(6):
             m = [list(row) for row in intersection_matrix(t)]
             assert chain_determinant(t) == _det_laplace(m)
 
     def test_absolute_value_is_p_squared(self):
-        for t in iter_tstrings(8):
+        for t in tstrings_to(8):
             p = tstring_to_params(t).p
             assert abs(chain_determinant(t)) == p * p
 
@@ -110,20 +112,20 @@ class TestDiscrepancies:
         assert discrepancies(b) == expected
 
     def test_matches_cramer_oracle_exactly(self):
-        for t in iter_tstrings(6):
+        for t in tstrings_to(6):
             assert discrepancies(t) == _discrepancies_cramer(tuple(t))
 
     def test_all_strictly_between_minus_one_and_zero(self):
-        for t in iter_tstrings(8):
+        for t in tstrings_to(8):
             assert all(F(-1) < a < F(0) for a in discrepancies(t))
 
     def test_ends_sum_to_minus_one(self):
-        for t in iter_tstrings(8):
+        for t in tstrings_to(8):
             a = discrepancies(t)
             assert a[0] + a[-1] == F(-1)
 
     def test_validation_passes_on_real_strings(self):
-        for t in iter_tstrings(6):
+        for t in tstrings_to(6):
             assert validate_discrepancies(t, discrepancies(t)) == []
 
     def test_validation_catches_corruption(self):
@@ -157,7 +159,7 @@ class TestDiscrepancies:
             validate((), [])
 
     def test_reversal_reverses_the_vector(self):
-        for t in iter_tstrings(7):
+        for t in tstrings_to(7):
             assert discrepancies(t.reversed()) == discrepancies(t)[::-1]
 
     @given(st.integers(2, 40), st.integers(1, 39))
@@ -172,7 +174,7 @@ class TestDiscrepancies:
 class TestPairing:
     def test_single_hit_never_passes(self):
         # every discrepancy is > -1, so one transverse hit cannot reach -1
-        for t in iter_tstrings(6):
+        for t in tstrings_to(6):
             for j in range(t.ell):
                 v = [0] * t.ell
                 v[j] = 1
@@ -181,7 +183,7 @@ class TestPairing:
                 assert not ok
 
     def test_endpoint_hits_land_exactly_on_minus_one(self):
-        for t in iter_tstrings(6):
+        for t in tstrings_to(6):
             if t.ell < 2:
                 continue
             v = [0] * t.ell
@@ -250,7 +252,7 @@ class TestCachedNumerators:
         assert _numerators.cache_info().maxsize is not None
 
     def test_every_string_to_ten_in_every_form(self):
-        strings = list(iter_tstrings(10))
+        strings = list(tstrings_to(10))
         assert len(strings) == 1023  # far more than the cache holds, so entries are evicted
         for t in strings:
             a = eliminate_discrepancies(t.b)
@@ -298,13 +300,13 @@ class TestIntegerValidation:
     """The integer validator against the Fraction reference, problem list for problem list."""
 
     def test_every_string_to_ten_passes_in_both(self):
-        for t in iter_tstrings(10):
+        for t in tstrings_to(10):
             a = discrepancies(t)
             assert validate_discrepancies(t, a) == fraction_validate_discrepancies(t, a) == []
 
     def test_corrupted_vectors_match_the_reference(self):
         rng = random.Random(7)
-        strings = list(iter_tstrings(8))
+        strings = list(tstrings_to(8))
         seen = set()
         for _ in range(20_000):
             t, a = corrupted_case(rng, strings)
@@ -318,7 +320,7 @@ class TestIntegerValidation:
                         "a_1 + a_ell", "denominator does not divide p**2", *rows}
 
     def test_builds_no_fraction_when_every_check_passes(self, monkeypatch):
-        cases = [(t, discrepancies(t)) for t in iter_tstrings(8)]
+        cases = [(t, discrepancies(t)) for t in tstrings_to(8)]
         monkeypatch.setattr(discrepancy, "Fraction", None)  # calling it would raise
         for t, a in cases:
             assert validate_discrepancies(t, a) == []
@@ -328,13 +330,13 @@ class TestAtlasRecord:
     """The integer record against the Fraction reference, on every string and on corrupted data."""
 
     def test_every_string_to_twelve_matches_the_reference(self):
-        for t in iter_tstrings(12):
+        for t in tstrings_to(12):
             want = fraction_atlas_record(t.b)
             for given_as in (t.b, list(t.b), t):
                 assert atlas_record(given_as) == want, given_as
 
     def test_builds_no_fraction_for_a_valid_record(self, monkeypatch):
-        strings = list(iter_tstrings(10))
+        strings = list(tstrings_to(10))
         for module in (discrepancy, tstring):  # tstring_to_params builds none either
             monkeypatch.setattr(module, "Fraction", None)  # calling it would raise
         for t in strings:
@@ -350,7 +352,7 @@ class TestAtlasRecord:
 
         for module in (discrepancy, tstring):
             monkeypatch.setattr(module, "continuants", counted)
-        for t in iter_tstrings(8):
+        for t in tstrings_to(8):
             calls.clear()
             atlas_record(t)
             assert calls == [t.b, t.b[::-1]]  # one forward sweep, then one backward
@@ -377,7 +379,7 @@ class TestAtlasRecord:
 
     def test_corrupted_numerators_fail_with_the_reference_message(self, monkeypatch):
         rng = random.Random(11)
-        strings = list(iter_tstrings(8))
+        strings = list(tstrings_to(8))
         kinds = ["some a_j outside (-1, 0)", "a_1 + a_ell", "denominator does not divide p**2",
                  *(f"row {j} residual" for j in range(1, 9))]
         outcomes = set()
@@ -403,7 +405,7 @@ class TestAtlasRecord:
     def test_a_wrong_determinant_fails_with_the_reference_message(self, monkeypatch):
         sweep = tstring.continuants
         for wrong in (lambda det: 2 * det, lambda det: det + 1):
-            for t in iter_tstrings(5):
+            for t in tstrings_to(5):
                 with monkeypatch.context() as m:
                     for module in (discrepancy, helpers):
                         m.setattr(module, "chain_determinant",
@@ -431,6 +433,52 @@ class TestAtlasRecord:
     def test_a_non_tstring_raises_the_reference_error(self, b):
         with pytest.raises(ValueError) as want:
             fraction_atlas_record(b)
-        with pytest.raises(ValueError) as got:
-            atlas_record(b)
-        assert str(got.value) == str(want.value)
+        for record in (atlas_record, atlas_line):
+            with pytest.raises(ValueError) as got:
+                record(b)
+            assert str(got.value) == str(want.value)
+
+
+def reference_line(t):
+    """The canonical atlas line as json writes it from the record."""
+    return json.dumps(atlas_record(t), separators=(",", ":"))
+
+
+class TestAtlasLine:
+    """atlas_line against json.dumps of atlas_record, its reference."""
+
+    def test_every_string_to_ten_matches_the_json_reference(self):
+        for t in tstrings_to(10):
+            want = reference_line(t)
+            for given_as in (t.b, list(t.b), t):
+                assert atlas_line(given_as) == want, given_as
+
+    @pytest.mark.slow
+    def test_every_string_to_sixteen_matches_the_json_reference(self):
+        strings = tstrings_to(16)
+        assert len(strings) == 2**16 - 1
+        for t in strings:
+            assert atlas_line(t.b) == reference_line(t.b), t.b
+
+    @pytest.mark.parametrize("b, message", [
+        ((2,), "not a T-string: eval_cf=2/1 has non-square numerator"),
+        ((2, 5, 2), "not a T-string: denominator 9 is not pq-1 for p=4"),
+        ((2, 2, 2), "need 0 < q < p, got (2, 2)"),
+        ((3, 2, 2, 3), "p and q must be coprime, got (4, 2)"),
+    ])
+    def test_a_non_tstring_raises_what_the_record_raises(self, b, message):
+        for record in (atlas_record, atlas_line):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                record(b)
+
+    def test_a_failed_check_raises_what_the_record_raises(self, monkeypatch):
+        b = (3, 5, 2)
+        nums, p2 = _numerators(b)
+        monkeypatch.setattr(discrepancy, "_numerators_of", lambda _prefix, _back: (nums[::-1], p2))
+        errors = []
+        for record in (atlas_record, atlas_line):
+            with pytest.raises(AssertionError) as got:
+                record(b)
+            errors.append(str(got.value))
+        assert errors[0] == errors[1]
+        assert "a_1 + a_ell" not in errors[0] and "row 1 residual" in errors[0]

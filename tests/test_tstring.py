@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import breadth_first_tstrings, tstrings_to
 from wahlkit import (
     Recognition,
     TString,
@@ -23,11 +24,11 @@ from wahlkit import (
     general_bound,
     hj_expand,
     is_tstring,
-    iter_tstrings,
     iterated_blowdown_trace,
     tstring_to_params,
     wahl_tstring,
 )
+from wahlkit.tstring import _wahl_length
 
 # Expansions of n/m as minus continued fractions, checked by hand.
 HJ_EXPANSIONS = {
@@ -286,10 +287,17 @@ class TestEnumeration:
         # the sweep cap of 40 really covers everything: p <= 2^ell
         assert max(tstring_to_params(t).p for t in levels[6]) < 40
 
-    def test_iterator_is_sorted_by_length(self):
-        lengths = [t.ell for t in iter_tstrings(5)]
-        assert lengths == sorted(lengths)
-        assert len(lengths) == 2**5 - 1
+    def test_levels_are_keyed_by_length_shortest_first(self):
+        levels = enumerate_tstrings(5)
+        assert list(levels) == [1, 2, 3, 4, 5]
+        assert all(t.ell == ell for ell, level in levels.items() for t in level)
+        assert [len(level) for level in levels.values()] == [2 ** (ell - 1) for ell in levels]
+
+    def test_levels_are_the_breadth_first_moves_to_twelve(self):
+        # each parent's L-child, then its R-child, as TStrings with the moves' entries
+        levels = enumerate_tstrings(12)
+        assert levels == breadth_first_tstrings(12)
+        assert all(type(t) is TString for level in levels.values() for t in level)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -353,7 +361,7 @@ class TestRecognition:
             assert rec.accepted or rec.word == ""
 
     def test_accepts_every_generated_string(self):
-        for t in iter_tstrings(7):
+        for t in tstrings_to(7):
             rec = is_tstring(t)
             assert rec.accepted
             assert len(rec.word) == t.ell - 1
@@ -373,13 +381,13 @@ class TestRecognition:
 
 class TestParameterRecovery:
     def test_all_small_strings_roundtrip(self):
-        for t in iter_tstrings(6):
+        for t in tstrings_to(6):
             params = tstring_to_params(t)
             assert as_entries(wahl_tstring(params)) == as_entries(t)
             assert eval_cf(t) == Fraction(params.p**2, params.p * params.q - 1)
 
     def test_p_bounded_by_power_of_two(self):
-        for t in iter_tstrings(6):
+        for t in tstrings_to(6):
             assert tstring_to_params(t).p <= 2**t.ell
 
     @settings(max_examples=40)
@@ -391,3 +399,36 @@ class TestParameterRecovery:
         assert tstring_to_params(t) == WahlParams(p, q)
         assert checksum_ok(t)
         assert is_tstring(t).accepted
+
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=12))
+    def test_every_chain_of_entries_from_two_up_is_the_expansion_of_its_continuants(self, b):
+        # the minus continued fraction with every entry >= 2 is unique, so
+        # tstring_to_params needs no re-expansion to confirm its input
+        b = tuple(b)
+        assert hj_expand(continuants(b)[-1], continuants(b[:0:-1])[-1]) == b
+
+    # each rejection tstring_to_params can still reach, with its message
+    REJECTIONS = [
+        ((2,), "not a T-string: eval_cf=2/1 has non-square numerator"),
+        ((2, 5, 2), "not a T-string: denominator 9 is not pq-1 for p=4"),
+        ((2, 2, 2), "need 0 < q < p, got (2, 2)"),
+        ((3, 2, 2, 3), "p and q must be coprime, got (4, 2)"),
+    ]
+
+    @pytest.mark.parametrize("b, message", REJECTIONS)
+    def test_a_non_tstring_is_refused_with_its_reason(self, b, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tstring_to_params(b)
+
+
+class TestWahlLength:
+    def test_is_the_length_of_every_string_to_sixty(self):
+        pairs = [(p, q) for p in range(2, 61) for q in range(1, p) if math.gcd(p, q) == 1]
+        assert len(pairs) == 1101
+        for p, q in pairs:
+            assert _wahl_length(p, q) == len(wahl_tstring(p, q)), (p, q)
+
+    def test_reads_a_huge_string_without_building_it(self):
+        p = 10**21
+        assert _wahl_length(p, 1) == _wahl_length(p, p - 1) == p - 1
+
