@@ -68,7 +68,6 @@ from .curveconfig import (
     divisor_k,
     divisor_pairing,
     divisor_product,
-    divisor_self,
     is_nested,
     iterated_blowdown_trace,
     load_config,
@@ -158,7 +157,6 @@ __all__ = [
     "divisor_k",
     "divisor_pairing",
     "divisor_product",
-    "divisor_self",
     "is_nested",
     "iterated_blowdown_trace",
     "load_config",

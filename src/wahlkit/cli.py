@@ -107,6 +107,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
         print(f"error: the T-string of ({params.p}, {params.q}) has length {ell}, "
               f"above the cap of {EXPAND_LENGTH_CAP}", file=sys.stderr)
         return 2
+    # |det| = p^2 is the largest integer printed; str() refuses one longer
+    # than the interpreter's limit (0: none), which main() must not change
+    # because it runs in-process in tests and the benchmark
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and params.p * params.p >= 10**limit:
+        print(f"error: p^2 has more than {limit} digits, Python's limit for printing "
+              "an integer", file=sys.stderr)
+        return 2
     t = wahl_tstring(params)
     if args.json:
         print(atlas_line(t))
@@ -321,7 +329,7 @@ def _check_iterated(rng: random.Random) -> list[str]:
     fails = []
     for n in range(3, 7):
         chain = [-n, -1] + [-2] * (n - 2)
-        out = iterated_blowdown_trace(n, 2, chain, kS=0)
+        out = iterated_blowdown_trace(chain, kS=0)
         if out.reduction != 2 * (n - 1):
             fails.append(f"special chain n={n}: reduction {out.reduction}")
     return fails

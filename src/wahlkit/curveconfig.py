@@ -42,12 +42,14 @@ adjunction K-degrees plus any curves attached to it, the shape the bad-curve
 analysis works with.
 
 One private helper, _total_transform, holds the blow-down formula and
-applies it in place to an id map and an adjacency map; _blow_down_in_place
-checks first that the curve is a (-1, -1) one.  blow_down runs it on a copy
-of a config's maps, and contract_all's loop on its working copy, where a
-step also checks the SW rule on the curves it hits (on every curve for a
-first step).  A ContractionStep is plain data: the contracted vertex,
-its neighbourhood ``hits`` (read-only) and its SW violations.
+applies it in place to an id map and an adjacency map.  blow_down, the one
+entry point that takes a curve from outside, checks first that it is a
+(-1, -1) one and runs the formula on a copy of the config's maps;
+contract_all's loop runs it on its working copy, on curves it picked as
+(-1, -1) ones, where a step with the SW rule on also checks the rule on the
+curves it hits (on every curve for a first step).  A ContractionStep is
+plain data: the contracted vertex, its neighbourhood ``hits`` (read-only)
+and its SW violations.
 derived_multiplicities reads the ``hits``.  Readers of the stages walk them
 with BlowDownTrace.stages, which replays the trace on one copy of the maps.
 
@@ -346,24 +348,6 @@ def blow_up(c: CurveConfig, point: PointSpec, label: str | None = None) -> Curve
     return CurveConfig(curves, adj)
 
 
-def _blow_down_in_place(
-    curves: dict[int, Curve], adj: dict[int, dict[int, int]], vid: int
-) -> dict[int, int]:
-    """Blow down vid, a (-1, -1) curve, on an id map and an adjacency map; return its hits.
-
-    A missing vid raises KeyError and any other curve ValueError; the maps
-    are then as they were.  The bookkeeping is _total_transform's.
-    """
-    v = curves.get(vid)
-    if v is None:
-        raise KeyError(f"no vertex {vid}")
-    if v.self_int != -1 or v.k_degree != -1:
-        raise ValueError(
-            f"vertex {vid} has (self, K) = ({v.self_int}, {v.k_degree}), need (-1, -1)"
-        )
-    return _total_transform(curves, adj, vid)
-
-
 def _total_transform(
     curves: dict[int, Curve], adj: dict[int, dict[int, int]], vid: int
 ) -> dict[int, int]:
@@ -378,7 +362,9 @@ def _total_transform(
     adds to C**2 and K.C, so applied to the -2-chain's curves it gives every
     chain's stage up to a shift per curve: the bad-curve oracle's trie
     (badcurves._Node) applies it there, where vid is a (-1, -1) curve only
-    once a string's shift is added.
+    once a string's shift is added.  It checks nothing: blow_down checks
+    the one curve it takes from outside, _contract picks only (-1, -1)
+    curves and BlowDownTrace.stages replays the steps _contract took.
     """
     del curves[vid]
     hits = adj.pop(vid)
@@ -407,13 +393,19 @@ def _from_maps(curves: Mapping[int, Curve], adj: Mapping[int, Mapping[int, int]]
 def blow_down(c: CurveConfig, vid: int) -> CurveConfig:
     """Blow down a curve with self-intersection -1 and K-degree -1.
 
-    Returns a new config and leaves c as it is.  The total-transform
+    Returns a new config and leaves c as it is.  A missing vid raises
+    KeyError and any other curve ValueError.  The total-transform
     bookkeeping (C.D += (C.e)(D.e), C**2 += (C.e)**2, K.C -= C.e, the
-    multiplicities unchanged) is the formula of _blow_down_in_place, which
+    multiplicities unchanged) is the formula of _total_transform, which
     contract_all applies to its working copy.
     """
+    v = c.curve(vid)
+    if v.self_int != -1 or v.k_degree != -1:
+        raise ValueError(
+            f"vertex {vid} has (self, K) = ({v.self_int}, {v.k_degree}), need (-1, -1)"
+        )
     curves, adj = _maps(c)
-    _blow_down_in_place(curves, adj, vid)
+    _total_transform(curves, adj, vid)
     return _from_maps(curves, adj)
 
 
@@ -443,10 +435,9 @@ def _sw_rule(self_int: int, k_degree: int) -> str | None:
     return None
 
 
-def sw_check(c: CurveConfig, exempt: Iterable[int] = ()) -> tuple[SWViolation, ...]:
+def sw_check(c: CurveConfig) -> tuple[SWViolation, ...]:
     """Flag curves that cannot exist: K.A <= -2, or K.A = -1 with A**2 != -1."""
-    skip = set(exempt)
-    found = (_sw_violation(v) for vid, v in c._by_id.items() if vid not in skip)
+    found = (_sw_violation(v) for v in c._by_id.values())
     return tuple(w for w in found if w is not None)
 
 
@@ -481,7 +472,7 @@ class BlowDownTrace:
         curves, adj = _maps(self.initial)
         yield curves, adj
         for step in self.steps:
-            _blow_down_in_place(curves, adj, step.vertex)
+            _total_transform(curves, adj, step.vertex)
             yield curves, adj
 
     @property
@@ -498,13 +489,14 @@ class BlowDownTrace:
 def contract_all(
     c: CurveConfig,
     frozen: Iterable[int] = (),
-    sw_exempt: Iterable[int] = (),
+    sw: bool = True,
     tie_break: str = "lowest",
 ) -> BlowDownTrace:
     """Blow down (-1,-1)-curves until none are left, checking the SW rule each step.
 
     Vertices in ``frozen`` are never contracted (they ride along and absorb
-    bookkeeping); vertices in ``sw_exempt`` are excluded from the SW rule.
+    bookkeeping).  With ``sw`` false no curve is checked against the SW
+    rule, so only contractibility is traced, as validate_zariski needs.
     Ties are broken by lowest id (or highest, for the order-independence
     check).  Terminal status:
 
@@ -514,47 +506,45 @@ def contract_all(
 
     The contraction runs on one private working copy of c's maps, so a step
     costs O(degree**2); the trace's stages() replays it for readers after
-    the fact.  The first step checks every remaining vertex against the SW
-    rule; after a clean step only the curves a step touches can change, so
-    later steps check those alone.
+    the fact.  With the rule on, the first step checks every remaining
+    vertex against it; after a clean step only the curves a step touches
+    can change, so later steps check those alone.
     """
     if tie_break not in ("lowest", "highest"):
         raise ValueError(f"tie_break must be 'lowest' or 'highest', got {tie_break!r}")
     status, steps = _contract(
-        *_maps(c), frozenset(frozen), frozenset(sw_exempt),
-        min if tie_break == "lowest" else max,
+        *_maps(c), frozenset(frozen), sw, min if tie_break == "lowest" else max,
     )
     return BlowDownTrace(c, tuple(steps), status)
-
-
-def _minus_ones(curves: Mapping[int, Curve]) -> set[int]:
-    """The ids of the (-1, -1) curves, the ones a contraction may blow down."""
-    return {vid for vid, v in curves.items() if v.self_int == -1 and v.k_degree == -1}
 
 
 def _contract(
     curves: dict[int, Curve],
     adj: dict[int, dict[int, int]],
     hold: frozenset[int],
-    skip: frozenset[int],
+    sw: bool,
     pick: Callable[[Iterable[int]], int],
 ) -> tuple[str, list[ContractionStep]]:
     """contract_all's loop on working maps, blown down in place; returns the status and steps.
 
-    The first step checks the SW rule on every curve but those in skip;
-    after a clean step only the curves a step hits can change, so a later
-    step checks those alone.  A step's hits are the row of its vertex that
-    the blow-down took out of adj.
+    Only (-1, -1) curves outside hold are blown down.  With sw true the
+    first step checks the SW rule on every curve; after a clean step only
+    the curves a step hits can change, so a later step checks those alone.
+    A step's hits are the row of its vertex that the blow-down took out of
+    adj.
     """
-    candidates = _minus_ones(curves) - hold
+    candidates = {
+        vid for vid, v in curves.items()
+        if v.self_int == -1 and v.k_degree == -1 and vid not in hold
+    }
     steps: list[ContractionStep] = []
     while candidates:
         vid = pick(candidates)
         candidates.remove(vid)
-        hits = _blow_down_in_place(curves, adj, vid)
+        hits = _total_transform(curves, adj, vid)
         found = []
-        for u in (hits if steps else curves):
-            if u not in skip:
+        if sw:
+            for u in (hits if steps else curves):
                 w = _sw_violation(curves[u])
                 if w is not None:
                     found.append(w)
@@ -607,11 +597,6 @@ def divisor_pairing(c: CurveConfig, mults: Mapping[int, int], target: int) -> in
     for u, m in c._adj[target].items():
         total += mults.get(u, 0) * m
     return total
-
-
-def divisor_self(c: CurveConfig, mults: Mapping[int, int]) -> int:
-    """(sum m_i A_i)**2, as sum m_i (sum m_j A_j) . A_i."""
-    return sum(m * divisor_pairing(c, mults, vid) for vid, m in mults.items() if m)
 
 
 def divisor_k(c: CurveConfig, mults: Mapping[int, int]) -> int:
@@ -778,37 +763,22 @@ class ZariskiReport:
         return not self.failures
 
 
-def validate_zariski(
-    c: CurveConfig, mults: Mapping[int, int] | None = None
-) -> ZariskiReport:
+def validate_zariski(c: CurveConfig) -> ZariskiReport:
     """Check the structural properties of an exceptional curve of the first kind.
 
-    ``mults`` assigns the divisor multiplicities; by default the stored
-    per-vertex multiplicities are used.  Components are the keys with m >= 1;
-    all other vertices are frozen bystanders during the contraction.  A key
-    that is not a vertex of c, or a value that is not a nonnegative integer,
-    raises ValueError naming its vertex.
+    The divisor is the one c stores: each vertex's ``mult``, which
+    CurveConfig.make has already read as a nonnegative integer.  Components
+    are the vertices with m >= 1; all other vertices are frozen bystanders
+    during the contraction.  A config without a component raises ValueError.
     """
     curves = c._by_id
-    given = {vid: v.mult for vid, v in curves.items()} if mults is None else mults
-    mults = {}
-    for vid, m in given.items():
-        if vid not in curves:
-            raise ValueError(f"vertex {vid!r} is not in the configuration")
-        try:
-            m = _entry(m)
-        except ValueError:
-            raise ValueError(f"vertex {vid} has multiplicity {m!r}, not an integer") from None
-        if m < 0:
-            raise ValueError(f"vertex {vid} has multiplicity {m} < 0")
-        if m:
-            mults[vid] = m
+    mults = {vid: v.mult for vid, v in curves.items() if v.mult}
     comp = set(mults)
     if not comp:
-        raise ValueError("no components: empty multiplicity assignment")
+        raise ValueError("no components: every multiplicity is 0")
     # Contractibility is an abstract property of the divisor; the SW rule is a
     # separate ambient obstruction, applied by callers when it is in force.
-    trace = contract_all(c, frozen=[vid for vid in curves if vid not in comp], sw_exempt=curves)
+    trace = contract_all(c, frozen=[vid for vid in curves if vid not in comp], sw=False)
     contracted = trace.status == CONTRACTED_TO_POINT
     faults = shape_faults(curves, c._adj, comp)
     members = [curves[v] for v in comp]
@@ -827,7 +797,7 @@ def validate_zariski(
             ("pairing_zero_nonfinal", all(p == 0 for v, p in pairing.items() if v != last)),
             ("pairing_final", pairing[last] == -1),
             ("pairing_total", sum(pairing.values()) == -1),
-            # E**2 = sum m_v (E.A_v), divisor_self's sum, from the pairings above
+            # E**2 = sum m_v (E.A_v), from the pairings above
             ("self_pairing", sum(mults[v] * p for v, p in pairing.items()) == -1),
             ("k_pairing", divisor_k(c, mults) == -1),
         ]
@@ -883,37 +853,31 @@ class IteratedBlowdown:
         return self.k_start - self.k_final
 
 
-def iterated_blowdown_trace(
-    n: int, i: int, chain_self_ints: Sequence[int], kS: int
-) -> IteratedBlowdown:
+def iterated_blowdown_trace(chain_self_ints: Sequence[int], kS: int) -> IteratedBlowdown:
     """Contract a chain F_1..F_n (unique (-1)-curve F_i, i interior) under S.
 
-    S meets F_i once transversely and nothing else.  The chain must be an
-    exceptional curve of the first kind (checked by contracting it alone).
-    Returns the trace with S frozen and the K-degree of the image of S.
-    n, i, kS and the chain entries are read as integers first, and a value
-    that is not one raises ValueError; so does other invalid input.  A
-    violation of the invariants the contraction is guaranteed to satisfy
-    (each step meets S, the contracted set stays an interval, and the final
-    bound K.T <= K.S - 2(n-1)) raises AssertionError.
+    n is the chain's length and i the position of its one -1.  S meets F_i
+    once transversely and nothing else.  The chain must be an exceptional
+    curve of the first kind (checked by contracting it alone).  Returns the
+    trace with S frozen and the K-degree of the image of S.  kS and the
+    chain entries are read as integers first, and a value that is not one
+    raises ValueError; so does other invalid input.  A violation of the
+    invariants the contraction is guaranteed to satisfy (each step meets S,
+    the contracted set stays an interval, and the final bound
+    K.T <= K.S - 2(n-1)) raises AssertionError.
     """
-    n, i, kS = _entry(n), _entry(i), _entry(kS)
+    kS = _entry(kS)
     chain = as_entries(chain_self_ints)
-    if len(chain) != n:
-        raise ValueError(f"chain has {len(chain)} entries, expected n={n}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 2 <= i <= n - 1:
-        raise ValueError(f"the (-1)-curve must be interior: i={i} not in [2, {n - 1}]")
+    n = len(chain)
     if any(x > -1 for x in chain):
         raise ValueError(f"chain entries must be <= -1: {list(chain)}")
-    if chain[i - 1] != -1:
-        raise ValueError(f"chain[{i}] = {chain[i - 1]}, expected -1")
     if chain.count(-1) != 1:
         raise ValueError(f"chain must contain exactly one -1, got {list(chain)}")
+    i = chain.index(-1) + 1
+    if not 2 <= i <= n - 1:
+        raise ValueError(f"the (-1)-curve must be interior: i={i} not in [2, {n - 1}]")
 
-    bare = chain_config(chain)
-    bare_trace = contract_all(bare, sw_exempt=bare.ids())
+    bare_trace = contract_all(chain_config(chain), sw=False)
     if bare_trace.status != CONTRACTED_TO_POINT:
         raise ValueError(
             f"chain {list(chain)} is not an exceptional curve of the first kind "
@@ -922,7 +886,7 @@ def iterated_blowdown_trace(
 
     s_id = n + 1
     full = chain_config(chain, attached=[(Curve(s_id, 0, kS, 0, "S"), [i])])
-    trace = contract_all(full, frozen=[s_id], sw_exempt=full.ids())
+    trace = contract_all(full, frozen=[s_id], sw=False)
     if trace.status != CONTRACTED_TO_POINT:
         raise AssertionError(f"chain stopped contracting under S: {trace.status}")
 

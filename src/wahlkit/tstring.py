@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
-# Enumeration is capped by default because the census doubles per length.
+# Enumeration is capped because the census doubles per length.
 DEFAULT_LENGTH_CAP = 16
 
 
@@ -239,22 +239,20 @@ def _right(b: tuple[int, ...]) -> tuple[int, ...]:
     return (b[0] + 1,) + b[1:] + (2,)
 
 
-def enumerate_tstrings(
-    ell_max: int, cap: int = DEFAULT_LENGTH_CAP
-) -> dict[int, tuple[TString, ...]]:
+def enumerate_tstrings(ell_max: int) -> dict[int, tuple[TString, ...]]:
     """All T-strings of length <= ell_max, grouped by length.
 
     Breadth-first over the generation tree rooted at [4]; within a level each
     parent contributes its L-child then its R-child, so the order is fully
-    deterministic.  Every length-ell level holds exactly 2**(ell-1) strings.
-    ell_max and cap are read through _entry, so text, a bool or 2.5 raises
-    ValueError.
+    deterministic.  Every length-ell level holds exactly 2**(ell-1) strings,
+    so ell_max above DEFAULT_LENGTH_CAP raises ValueError.  ell_max is read
+    through _entry, so text, a bool or 2.5 raises ValueError.
     """
-    ell_max, cap = _entry(ell_max), _entry(cap)
+    ell_max = _entry(ell_max)
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
-    if ell_max > cap:
-        raise ValueError(f"ell_max={ell_max} exceeds cap={cap}; raise cap explicitly")
+    if ell_max > DEFAULT_LENGTH_CAP:
+        raise ValueError(f"ell_max={ell_max} exceeds the length cap {DEFAULT_LENGTH_CAP}")
     return {
         ell: tuple(map(TString, level)) for ell, level in enumerate(_levels(ell_max), start=1)
     }

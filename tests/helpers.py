@@ -98,6 +98,11 @@ def census_blowdown_inputs(max_n: int) -> list[tuple[int, int, tuple[int, ...]]]
     return rows
 
 
+def with_mults(c, mults):
+    """c rebuilt through CurveConfig.make with each vertex's mult from mults, 0 when absent."""
+    return CurveConfig.make([v._replace(mult=mults.get(v.id, 0)) for v in c.vertices], c.edges)
+
+
 # ----- Rebuilding blow-up: the slow oracle for blow_up -----
 
 
@@ -202,12 +207,10 @@ def scan_blow_down(c, vid):
     return CurveConfig.make(vertices, edges), hits
 
 
-def scan_sw(c, exempt):
+def scan_sw(c):
     """(vertex, rule) of every SW violation of c, by id."""
     out = []
     for v in c.vertices:
-        if v.id in exempt:
-            continue
         if v.k_degree <= -2:
             out.append((v.id, "k_degree <= -2"))
         elif v.k_degree == -1 and v.self_int != -1:
@@ -215,7 +218,7 @@ def scan_sw(c, exempt):
     return out
 
 
-def eager_contract_all(c, frozen=(), sw_exempt=(), tie_break="lowest"):
+def eager_contract_all(c, frozen=(), sw=True, tie_break="lowest"):
     """(status, [(vertex, hits, config after, violations), ...]), one full config per stage."""
     steps = []
     cur = c
@@ -227,7 +230,7 @@ def eager_contract_all(c, frozen=(), sw_exempt=(), tie_break="lowest"):
             return ("STUCK" if stuck else "CONTRACTED_TO_POINT"), steps
         vid = min(candidates) if tie_break == "lowest" else max(candidates)
         cur, hits = scan_blow_down(cur, vid)
-        violations = scan_sw(cur, sw_exempt)
+        violations = scan_sw(cur) if sw else []
         steps.append((vid, hits, cur, violations))
         if violations:
             return "SW_VIOLATION", steps

@@ -10,7 +10,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from helpers import census_blowdown_inputs, tstrings_to
+from helpers import all_pairs_self, census_blowdown_inputs, tstrings_to
 from wahlkit import (
     CONTRACTED_TO_POINT,
     Curve,
@@ -28,7 +28,6 @@ from wahlkit import (
     discrepancies,
     divisor_k,
     divisor_pairing,
-    divisor_self,
     forbidden_patterns,
     hj_expand,
     iterated_blowdown_trace,
@@ -117,21 +116,21 @@ def test_thousand_random_exceptional_divisors_have_unimodular_invariants():
         for v in c.vertices:
             expected = -1 if v.id == final else 0
             assert divisor_pairing(c, mults, v.id) == expected
-        assert divisor_self(c, mults) == -1
+        assert all_pairs_self(c, mults) == -1
         assert divisor_k(c, mults) == -1
 
 
 def test_iterated_blowdown_bound_with_equality_in_the_special_shape():
     # equality family: (-n, -1, -2, .., -2) contracted under a transverse curve
     for n in range(3, 9):
-        out = iterated_blowdown_trace(n, 2, [-n, -1] + [-2] * (n - 2), kS=0)
+        out = iterated_blowdown_trace([-n, -1] + [-2] * (n - 2), kS=0)
         assert out.reduction == 2 * (n - 1)
     # the bound holds for every contractible chain on at most 8 spheres
     rows = census_blowdown_inputs(8)
     assert len(rows) > 100
     equality_shapes = 0
     for n, i, chain in rows:
-        out = iterated_blowdown_trace(n, i, chain, kS=0)
+        out = iterated_blowdown_trace(chain, kS=0)
         assert out.reduction >= 2 * (n - 1), (n, i, chain)
         if i == 2 and all(x == -2 for x in chain[2:]):
             equality_shapes += 1

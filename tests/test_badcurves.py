@@ -711,14 +711,14 @@ class TestAgainstTheEagerReference:
     (lambda: case_oracle("3"), "entry '3' is not an integer"),
     (lambda: case_oracle(2.5), "entry 2.5 is not an integer"),
     (lambda: enumerate_tstrings("3"), "entry '3' is not an integer"),
-    (lambda: enumerate_tstrings(4, cap=True), "entry True is a bool, not an integer"),
+    (lambda: enumerate_tstrings(True), "entry True is a bool, not an integer"),
     (lambda: enumerate_tstrings(2.5), "entry 2.5 is not an integer"),
     (lambda: enumerate_candidates(2.5), "entry 2.5 is not an integer"),
     (lambda: enumerate_candidates("3"), "entry '3' is not an integer"),
     (lambda: enumerate_candidates(0), "need ell >= 1, got 0"),
     (lambda: enumerate_candidates(-1), "need ell >= 1, got -1"),
 ], ids=[
-    "oracle-bool", "oracle-text", "oracle-float", "tstrings-text", "tstrings-cap-bool",
+    "oracle-bool", "oracle-text", "oracle-float", "tstrings-text", "tstrings-bool",
     "tstrings-float", "candidates-float", "candidates-text", "candidates-zero", "candidates-negative",
 ])
 def test_a_length_that_is_not_a_positive_integer_is_refused(call, message):
@@ -770,8 +770,8 @@ class TestStagedChecksAgainstEagerStages:
         # blowing down the others changes the pairs between components
         c = random_blowup(random.Random(seed), depth)
         comps = data.draw(st.sets(st.sampled_from(c.ids())))
-        fired, _ = staged_checks(comps, c, sw_exempt=c.ids())
-        _, steps = eager_contract_all(c, sw_exempt=c.ids())
+        fired, _ = staged_checks(comps, c, sw=False)
+        _, steps = eager_contract_all(c, sw=False)
         assert fired == scan_staged_checks(c, comps, steps)
 
     def test_a_contracted_non_component_makes_a_double_edge(self):
@@ -781,9 +781,9 @@ class TestStagedChecksAgainstEagerStages:
             [Curve(1, -3, 1), Curve(2, -1, -1), Curve(3, -3, 1)],
             [Edge(1, 2), Edge(2, 3), Edge(1, 3)],
         )
-        fired, trace = staged_checks({1, 3}, c, sw_exempt=c.ids())
+        fired, trace = staged_checks({1, 3}, c, sw=False)
         assert trace.order == (2,)
-        _, steps = eager_contract_all(c, sw_exempt=c.ids())
+        _, steps = eager_contract_all(c, sw=False)
         assert fired == {MULTI_EDGE}
         assert scan_staged_checks(c, {1, 3}, steps) == {MULTI_EDGE}
 
@@ -854,7 +854,7 @@ class TestIncrementalTreeShape:
             [Edge(1, 2), Edge(2, 3), Edge(1, 3), Edge(3, 4), Edge(1, 5), Edge(4, 5)],
         )
         comps = {1, 2, 3, 4, 6}
-        trace, scanned = scanned_stages(c, comps, frozen=comps, sw_exempt=c.ids())
+        trace, scanned = scanned_stages(c, comps, frozen=comps, sw=False)
         assert trace.order == (5,)
         assert scanned == [{DISCONNECTED_STAGE}] * 2
 
@@ -892,7 +892,7 @@ class TestIncrementalTreeShape:
             if not frontier or not data.draw(st.booleans()):
                 break
             comps.add(data.draw(st.sampled_from(frontier)))
-        trace, scanned = scanned_stages(c, comps, sw_exempt=c.ids())
+        trace, scanned = scanned_stages(c, comps, sw=False)
         assert tracked_stages(trace, comps) == scanned
 
     def test_a_pair_that_met_before_is_not_a_new_edge(self):
@@ -903,7 +903,7 @@ class TestIncrementalTreeShape:
             [Curve(1, -3, 1), Curve(2, -1, -1), Curve(3, -3, 1)],
             [Edge(1, 2), Edge(2, 3), Edge(1, 3)],
         )
-        trace, scanned = scanned_stages(c, {1, 3}, sw_exempt=c.ids())
+        trace, scanned = scanned_stages(c, {1, 3}, sw=False)
         assert trace.order == (2,)
         assert scanned == [set(), {MULTI_EDGE}]
         assert tracked_stages(trace, {1, 3}) == scanned

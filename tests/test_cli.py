@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -100,6 +101,61 @@ class TestExpand:
         code, out, err = run(capsys, "expand", "100002", "1")  # ell = 100 001
         assert (code, out) == (2, "")
         assert "has length 100001, above the cap of 100000" in err
+
+
+def fibonacci_pairs_around(limit):
+    """Consecutive Fibonacci pairs (p, q): the last with p**2 < 10**limit, then the first past it.
+
+    All partial quotients of p/q are 1, so the T-string is as short as a
+    p of that size allows.
+    """
+    q, p = 1, 2
+    while p * p < 10**limit:
+        q, p = p, p + q
+    return (q, p - q), (p, q)
+
+
+@pytest.fixture
+def print_limit():
+    """Python's limit on printed integer digits lowered to its minimum, 640, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield 640
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+class TestExpandPrintLimit:
+    """`expand` refuses a pair whose p**2 is too long for str(), and prints one just under."""
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_at_the_default_limit_a_longer_p_squared_is_refused(self, capsys, mode):
+        limit = sys.get_int_max_str_digits()
+        _, (p, q) = fibonacci_pairs_around(limit)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", str(p), str(q), *mode)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: p^2 has more than {limit} digits, "
+                       "Python's limit for printing an integer\n")
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_both_sides_of_a_lowered_limit(self, capsys, print_limit, mode):
+        (p, q), (p_over, q_over) = fibonacci_pairs_around(print_limit)
+        assert len(str(p * p)) == print_limit
+        code, out, err = run(capsys, "expand", str(p), str(q), *mode)
+        assert (code, err) == (0, "")
+        if mode:
+            assert json.loads(out)["det"] == p * p
+        else:
+            assert f"\n|det| = {p * p} = p^2\n" in out
+        code, out, err = run(capsys, "expand", str(p_over), str(q_over), *mode)
+        assert (code, out) == (2, "")
+        assert err == (f"error: p^2 has more than {print_limit} digits, "
+                       "Python's limit for printing an integer\n")
 
 
 class TestAtlas:

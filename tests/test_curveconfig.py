@@ -25,6 +25,7 @@ from helpers import (
     rebuild_blow_up,
     scan_shape_faults,
     stage_pair_multiplicities,
+    with_mults,
 )
 from wahlkit.badcurves import build_candidate_config, enumerate_candidates
 from wahlkit.curveconfig import connects, shape_faults
@@ -48,7 +49,6 @@ from wahlkit import (
     divisor_k,
     divisor_pairing,
     divisor_product,
-    divisor_self,
     enumerate_tstrings,
     is_nested,
     iterated_blowdown_trace,
@@ -408,8 +408,11 @@ class TestBlowUpAgainstRebuild:
 
 class TestBlowDown:
     def test_requires_minus_one_minus_one(self):
-        with pytest.raises(ValueError):
+        message = "vertex 2 has (self, K) = (-2, 0), need (-1, -1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             blow_down(base_pair(), 2)
+        with pytest.raises(KeyError, match="no vertex 7"):
+            blow_down(base_pair(), 7)
 
     def test_inverts_intersection_blowup(self):
         c = blow_up(base_pair(), Intersection(1, 2))
@@ -451,10 +454,6 @@ class TestSWRule:
         c = CurveConfig.make([Curve(1, -1, -1, 0), Curve(2, -2, 0, 0)], [])
         assert sw_check(c) == ()
 
-    def test_exemption(self):
-        c = CurveConfig.make([Curve(1, -3, -2, 0)], [])
-        assert sw_check(c, exempt=(1,)) == ()
-
 
 class TestContraction:
     def test_single_exceptional_curve(self):
@@ -477,9 +476,9 @@ class TestContraction:
         last = trace.steps[-1]
         assert [w.vertex for w in last.violations] == [3]
 
-    def test_sw_exempt_lets_it_finish(self):
+    def test_sw_off_lets_it_finish(self):
         c = chain_config([-2, -1, -2])
-        trace = contract_all(c, sw_exempt=c.ids())
+        trace = contract_all(c, sw=False)
         assert trace.status == STUCK  # ends at a single (0, -2) curve
         assert rows(trace.final_config) == [(3, 0, -2, 0)]
 
@@ -530,9 +529,9 @@ class TestInPlaceContraction:
     """contract_all on one working copy agrees with the eager chain of full configs."""
 
     @staticmethod
-    def assert_matches_eager(c, frozen=(), sw_exempt=(), tie_break="lowest"):
-        trace = contract_all(c, frozen=frozen, sw_exempt=sw_exempt, tie_break=tie_break)
-        status, steps = eager_contract_all(c, frozen, sw_exempt, tie_break)
+    def assert_matches_eager(c, frozen=(), sw=True, tie_break="lowest"):
+        trace = contract_all(c, frozen=frozen, sw=sw, tie_break=tie_break)
+        status, steps = eager_contract_all(c, frozen, sw, tie_break)
         assert trace.status == status
         assert trace.order == tuple(vid for vid, _, _, _ in steps)
         for step, (_, hits, cfg, violations) in zip(trace.steps, steps):
@@ -554,11 +553,11 @@ class TestInPlaceContraction:
         for config, externals, tie_break in candidate_contractions():
             self.assert_matches_eager(config, frozen=externals, tie_break=tie_break)
 
-    def test_sw_exempt_and_stuck_chains(self):
+    def test_sw_off_and_stuck_chains(self):
         for chain in ([-2, -1, -2], [-3, -1, -2], [-2, -1, -3, -2], [-2, -2, -1, -2]):
             c = chain_config(chain)
             self.assert_matches_eager(c)
-            self.assert_matches_eager(c, sw_exempt=c.ids())
+            self.assert_matches_eager(c, sw=False)
 
     def test_violation_present_in_the_input_shows_at_step_one(self):
         # curves 2 and 3 break the SW rule from the start and no step touches them
@@ -570,8 +569,6 @@ class TestInPlaceContraction:
         assert trace.status == SW_VIOLATION
         assert trace.order == (1,)
         assert [w.vertex for w in trace.steps[0].violations] == [2, 3]
-        exempt = contract_all(c, sw_exempt=(2, 3))
-        assert (exempt.status, exempt.order) == (STUCK, (1, 4))
         self.assert_matches_eager(c)
 
     def test_later_steps_report_only_touched_curves_in_id_order(self):
@@ -584,11 +581,11 @@ class TestInPlaceContraction:
     def test_a_double_point_weighs_the_multiplicity(self):
         # 2 meets 1 twice; once 2 is blown down 1 is a (-1, -1)-curve
         c = CurveConfig.make([Curve(1, -5, 1), Curve(2, -1, -1)], [Edge(1, 2, 2)])
-        trace = contract_all(c, sw_exempt=c.ids())
+        trace = contract_all(c, sw=False)
         assert (trace.status, trace.order) == (CONTRACTED_TO_POINT, (2, 1))
         assert dict(trace.steps[0].hits) == {1: 2}
         assert derived_multiplicities(trace) == {1: 1, 2: 2}
-        self.assert_matches_eager(c, sw_exempt=c.ids())
+        self.assert_matches_eager(c, sw=False)
 
     def test_hits_are_read_only(self):
         c = random_blowup(random.Random(5), 8)
@@ -632,19 +629,13 @@ class TestInPlaceContraction:
 class TestDivisorArithmeticAgainstAllPairs:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 12), st.data())
-    def test_pairing_and_self_match_the_all_pairs_scan(self, seed, depth, data):
+    def test_pairing_matches_the_all_pairs_scan(self, seed, depth, data):
         c = random_blowup(random.Random(seed), depth)
         ids = list(c.ids())
         mults = data.draw(st.dictionaries(st.sampled_from(ids + [max(ids) + 1]),
                                           st.integers(-3, 4), max_size=len(ids) + 1))
         for target in ids:
             assert divisor_pairing(c, mults, target) == all_pairs_pairing(c, mults, target)
-        if mults.get(max(ids) + 1):  # a nonzero multiplicity on a curve c lacks
-            for square in (divisor_self, all_pairs_self):
-                with pytest.raises(KeyError):
-                    square(c, mults)
-        else:
-            assert divisor_self(c, mults) == all_pairs_self(c, mults)
 
     def test_candidate_configs_with_derived_multiplicities(self):
         for config, externals, tie_break in candidate_contractions():
@@ -655,7 +646,6 @@ class TestDivisorArithmeticAgainstAllPairs:
             for target in config.ids():
                 assert divisor_pairing(config, mults, target) == all_pairs_pairing(
                     config, mults, target)
-            assert divisor_self(config, mults) == all_pairs_self(config, mults)
 
 
 class TestDerivedMultiplicities:
@@ -682,7 +672,7 @@ class TestDivisorArithmetic:
     def test_double_point_divisor_numbers(self):
         c = blow_up(base_pair(), Intersection(1, 2))
         mults = {1: 1, 2: 1, 3: 2}
-        assert divisor_self(c, mults) == -1
+        assert all_pairs_self(c, mults) == -1
         assert divisor_k(c, mults) == -1
         assert divisor_pairing(c, mults, 1) == 0
         assert divisor_pairing(c, mults, 2) == -1  # contracted last
@@ -708,34 +698,32 @@ class TestZariskiValidation:
         report = validate_zariski(c)
         assert report.passed
         assert report.contraction_status == CONTRACTED_TO_POINT  # so every pairing check ran
-        trace = contract_all(c, sw_exempt=c.ids())
+        trace = contract_all(c, sw=False)
         assert derived_multiplicities(trace) == {v.id: v.mult for v in c.vertices}
 
     def test_rejects_non_contractible(self):
-        report = validate_zariski(chain_config([-2, -1, -2]), {1: 1, 2: 1, 3: 1})
+        report = validate_zariski(with_mults(chain_config([-2, -1, -2]), {1: 1, 2: 1, 3: 1}))
         assert not report.passed
+
+    def test_refuses_a_config_without_a_component(self):
+        with pytest.raises(ValueError, match=r"no components: every multiplicity is 0"):
+            validate_zariski(chain_config([-3, -1, -2]))  # chain_config's curves have m = 0
 
     def test_refuses_a_negative_multiplicity_naming_the_vertex(self):
         # components have m >= 1; a negative entry is not a bystander either
         c = blow_up(base_pair(), Intersection(1, 2))
         with pytest.raises(ValueError, match=r"vertex 1 has multiplicity -1 < 0"):
-            validate_zariski(c, {1: -1, 2: 1})
-
-    @pytest.mark.parametrize("m", [0, 1])
-    def test_refuses_a_key_that_is_not_a_vertex(self, m):
-        c = blow_up(base_pair(), Intersection(1, 2))
-        with pytest.raises(ValueError, match=r"vertex 99 is not in the configuration"):
-            validate_zariski(c, {1: 1, 2: 1, 3: 2, 99: m})
+            validate_zariski(with_mults(c, {1: -1, 2: 1}))
 
     @pytest.mark.parametrize("m", [1.5, float("inf"), None, "x"])
     def test_refuses_a_non_integral_multiplicity_naming_the_vertex(self, m):
         c = blow_up(base_pair(), Intersection(1, 2))
-        with pytest.raises(ValueError, match=r"vertex 1 has multiplicity .*, not an integer"):
-            validate_zariski(c, {1: m, 2: 1, 3: 2})
+        with pytest.raises(ValueError, match=r"Curve \(1, .*\): entry .* is not an integer"):
+            validate_zariski(with_mults(c, {1: m, 2: 1, 3: 2}))
 
     def test_reads_an_exact_float_multiplicity_as_its_integer(self):
         c = blow_up(base_pair(), Intersection(1, 2))
-        assert validate_zariski(c, {1: 1.0, 2: 1, 3: 2.0}) == validate_zariski(c)
+        assert validate_zariski(with_mults(c, {1: 1.0, 2: 1, 3: 2.0})) == validate_zariski(c)
 
     def test_connects(self):
         _, adj = config_maps(chain_config([-2, -1, -2, -3]))
@@ -750,7 +738,7 @@ class TestZariskiValidation:
         c = random_blowup(random.Random(seed), depth)
         report = validate_zariski(c)
         assert report.passed, report.failures
-        trace = contract_all(c, sw_exempt=c.ids())
+        trace = contract_all(c, sw=False)
         assert derived_multiplicities(trace) == {v.id: v.mult for v in c.vertices}
 
     @settings(max_examples=150, deadline=None)
@@ -768,9 +756,9 @@ class TestZariskiValidation:
                 mults[v] = max(1, mults[v] + data.draw(st.sampled_from((-1, 1, 2))))
         else:
             mults = {v: data.draw(st.integers(1, 4)) for v in comp}
-        report = validate_zariski(c, mults)
+        report = validate_zariski(with_mults(c, mults))
         # the trace validate_zariski builds: bystanders frozen, no SW rule
-        trace = contract_all(c, frozen=[v for v in ids if v not in mults], sw_exempt=ids)
+        trace = contract_all(c, frozen=[v for v in ids if v not in mults], sw=False)
         assert report.contraction_status == trace.status
         if trace.status == CONTRACTED_TO_POINT:
             pinned = not {"pairing_zero_nonfinal", "pairing_final"} & set(report.failures)
@@ -804,7 +792,7 @@ class TestZariskiStructure:
 
     @staticmethod
     def assert_structure(c, mults):
-        report = validate_zariski(c, mults)
+        report = validate_zariski(with_mults(c, mults))
         expected = expected_structure(c, {v for v, m in mults.items() if m})
         assert {name: name not in report.failures for name in expected} == expected
         failed = tuple(name for name, ok in expected.items() if not ok)
@@ -898,60 +886,77 @@ class TestIteratedBlowdown:
     def test_special_shape_gives_equality(self):
         for n in range(3, 9):
             chain = [-n, -1] + [-2] * (n - 2)
-            out = iterated_blowdown_trace(n, 2, chain, kS=0)
+            out = iterated_blowdown_trace(chain, kS=0)
             assert out.reduction == 2 * (n - 1)
 
     def test_three_curve_chain(self):
-        out = iterated_blowdown_trace(3, 2, [-3, -1, -2], kS=0)
+        out = iterated_blowdown_trace([-3, -1, -2], kS=0)
         assert out.reduction == 4
         assert out.k_final == -4
 
     def test_equality_beyond_the_special_shape(self):
         # Valid chain where, mid-contraction, the transverse curve meets only
         # ONE remaining sphere; the final reduction still equals 2(n-1).
-        out = iterated_blowdown_trace(4, 2, [-2, -1, -3, -2], kS=0)
+        out = iterated_blowdown_trace([-2, -1, -3, -2], kS=0)
         assert out.reduction == 6
         assert out.profile == ((2, 1, (1, 3)), (1, 1, (3,)), (3, 2, (4,)), (4, 2, ()))
         assert any(len(remaining) == 1 for _, _, remaining in out.profile[:-1])
 
     def test_strict_inequality_case(self):
-        out = iterated_blowdown_trace(4, 2, [-3, -1, -2, -3], kS=0)
+        out = iterated_blowdown_trace([-3, -1, -2, -3], kS=0)
         assert out.reduction == 7 > 2 * (4 - 1)
 
     def test_kS_offsets_shift_k_final(self):
-        base = iterated_blowdown_trace(3, 2, [-3, -1, -2], kS=0)
-        shifted = iterated_blowdown_trace(3, 2, [-3, -1, -2], kS=5)
+        base = iterated_blowdown_trace([-3, -1, -2], kS=0)
+        shifted = iterated_blowdown_trace([-3, -1, -2], kS=5)
         assert shifted.k_final == base.k_final + 5
         assert shifted.reduction == base.reduction
 
     def test_rejects_bad_chains(self):
         with pytest.raises(ValueError):
-            iterated_blowdown_trace(3, 2, [-2, -1, -2], kS=0)  # not contractible
+            iterated_blowdown_trace([-2, -1, -2], kS=0)  # not contractible
         with pytest.raises(ValueError):
-            iterated_blowdown_trace(4, 2, [-3, -1, -2, -2], kS=0)  # not contractible
+            iterated_blowdown_trace([-3, -1, -2, -2], kS=0)  # not contractible
         with pytest.raises(ValueError):
-            iterated_blowdown_trace(3, 1, [-1, -2, -3], kS=0)  # -1 not interior
+            iterated_blowdown_trace([-1, -2, -3], kS=0)  # -1 not interior
         with pytest.raises(ValueError):
-            iterated_blowdown_trace(3, 2, [-3, -1, -1], kS=0)  # two -1 curves
+            iterated_blowdown_trace([-3, -1, -1], kS=0)  # two -1 curves
         with pytest.raises(ValueError):
-            iterated_blowdown_trace(3, 2, [-3, 0, -2], kS=0)  # entry > -1
+            iterated_blowdown_trace([-3, 0, -2], kS=0)  # entry > -1
 
-    @pytest.mark.parametrize("n, i, kS", [
-        (3, 2, 0.5), (3, 2, "x"), (3, 2, None), (3.5, 2, 0), (3, 2.5, 0), (None, 2, 0),
-    ])
-    def test_refuses_a_non_integral_n_i_or_kS(self, n, i, kS):
+    @pytest.mark.parametrize("kS", [0.5, "x", None])
+    def test_refuses_a_non_integral_kS(self, kS):
         with pytest.raises(ValueError, match="is not an integer"):
-            iterated_blowdown_trace(n, i, [-3, -1, -2], kS)
+            iterated_blowdown_trace([-3, -1, -2], kS)
 
     def test_reads_exact_floats_as_integers(self):
-        out = iterated_blowdown_trace(3.0, 2.0, [-3, -1, -2], 5.0)
-        assert (out.n, out.i, out.k_start) == (3, 2, 5)
-        assert all(type(x) is int for x in (out.n, out.i, out.k_start, out.k_final))
+        out = iterated_blowdown_trace([-3.0, -1.0, -2], 5.0)
+        assert (out.n, out.i, out.k_start, out.chain) == (3, 2, 5, (-3, -1, -2))
+        assert all(type(x) is int for x in (out.n, out.i, out.k_start, out.k_final, *out.chain))
 
     def test_bound_on_every_small_census_chain(self):
         for n, i, chain in census_blowdown_inputs(6):
-            out = iterated_blowdown_trace(n, i, chain, kS=0)
+            out = iterated_blowdown_trace(chain, kS=0)
             assert out.reduction >= 2 * (n - 1), (n, i, chain)
+
+    def test_n_and_i_are_read_off_the_chain_at_every_interior_position(self):
+        # each census chain and its mirror image, whose -1 sits at n + 1 - i
+        found = set()
+        for n, i, chain in census_blowdown_inputs(6):
+            for j, b in ((i, chain), (n + 1 - i, chain[::-1])):
+                out = iterated_blowdown_trace(b, kS=0)
+                assert (out.n, out.i, out.chain) == (n, j, b)
+                found.add((n, j))
+        assert found == {(n, j) for n in range(3, 7) for j in range(2, n)}
+
+    @pytest.mark.parametrize("chain, i, n", [
+        ([-1, -2, -3], 1, 3), ([-3, -2, -1], 3, 3),
+        ([-1, -2], 1, 2), ([-2, -1], 2, 2), ([-1], 1, 1),
+    ])
+    def test_a_minus_one_at_either_end_is_refused_as_not_interior(self, chain, i, n):
+        message = f"the (-1)-curve must be interior: i={i} not in [2, {n - 1}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            iterated_blowdown_trace(chain, kS=0)
 
 
 class TestPathCensus:
@@ -973,7 +978,7 @@ class TestPathCensus:
                 if key in brute:
                     continue
                 c = chain_config(list(t))
-                if contract_all(c, sw_exempt=c.ids()).status == CONTRACTED_TO_POINT:
+                if contract_all(c, sw=False).status == CONTRACTED_TO_POINT:
                     brute.add(key)
         assert census == brute
 

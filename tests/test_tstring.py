@@ -28,7 +28,7 @@ from wahlkit import (
     tstring_to_params,
     wahl_tstring,
 )
-from wahlkit.tstring import _wahl_length
+from wahlkit.tstring import _levels, _wahl_length
 
 # Expansions of n/m as minus continued fractions, checked by hand.
 HJ_EXPANSIONS = {
@@ -141,7 +141,7 @@ class TestAsEntries:
         (is_tstring, [3.5, 5.2, 2]),
         (TString, (3.7, 5, 2)),
         (TString, ("4",)),
-        (lambda b: iterated_blowdown_trace(3, 2, b, 0), [-2, -1, -2.5]),
+        (lambda b: iterated_blowdown_trace(b, 0), [-2, -1, -2.5]),
         (as_entries, [None, 5, 2]),
     ])
     def test_callers_refuse_a_lossy_entry(self, call, raw):
@@ -302,9 +302,9 @@ class TestEnumeration:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_tstrings(0)
-        with pytest.raises(ValueError):
-            enumerate_tstrings(17)  # above the default cap
-        assert len(enumerate_tstrings(17, cap=17)[17]) == 2**16
+        with pytest.raises(ValueError, match=r"ell_max=17 exceeds the length cap 16"):
+            enumerate_tstrings(17)
+        assert len(list(_levels(17))[16]) == 2**16
 
 
 class TestMoves:
