@@ -3,11 +3,11 @@
 The package covers five layers, each in its own module:
 
 - :mod:`wahlkit.tstring` — the resolution strings of the cyclic quotient
-  singularities 1/p^2(pq-1, 1), their recognition, and the two moves that
-  generate all of them from [4].
+  singularities 1/p^2(pq-1, 1), held as tuples of ints, their recognition,
+  and the two moves that generate all of them from [4].
 - :mod:`wahlkit.discrepancy` — exact discrepancy vectors over the rationals,
   the determinant of the intersection chain, the pairing test that rules
-  curves in or out, and the atlas record and JSON line of one T-string.
+  curves in or out, and the atlas JSON line of one T-string.
 - :mod:`wahlkit.curveconfig` — blow-up/blow-down bookkeeping for
   configurations of rational curves, contraction traces, and the structural
   validation of exceptional curves of the first kind.
@@ -80,7 +80,6 @@ from .curveconfig import (
 )
 from .discrepancy import (
     atlas_line,
-    atlas_record,
     canonical_pairing,
     chain_determinant,
     discrepancies,
@@ -90,7 +89,6 @@ from .discrepancy import (
 from .tstring import (
     DEFAULT_LENGTH_CAP,
     Recognition,
-    TString,
     WahlParams,
     apply_L,
     apply_R,
@@ -111,7 +109,6 @@ __all__ = [
     # tstring
     "DEFAULT_LENGTH_CAP",
     "Recognition",
-    "TString",
     "WahlParams",
     "apply_L",
     "apply_R",
@@ -126,7 +123,6 @@ __all__ = [
     "wahl_tstring",
     # discrepancy
     "atlas_line",
-    "atlas_record",
     "canonical_pairing",
     "chain_determinant",
     "discrepancies",

@@ -127,7 +127,7 @@ from .curveconfig import (
     shape_faults,
 )
 from .discrepancy import _pairing, canonical_pairing
-from .tstring import TString, _entry, as_entries, enumerate_tstrings, is_tstring
+from .tstring import _entry, as_entries, enumerate_tstrings, is_tstring
 
 ORACLE_LENGTH_CAP = 8
 
@@ -162,7 +162,7 @@ class PatternReport:
 
 
 def _incidence(
-    t: TString | Iterable[int], v: Sequence[int]
+    t: Iterable[int], v: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(as_entries(t), as_entries(v)); ValueError when v has the wrong length or an entry < 0."""
     b, v = as_entries(t), as_entries(v)
@@ -173,7 +173,7 @@ def _incidence(
     return b, v
 
 
-def forbidden_patterns(t: TString | Iterable[int], v: Sequence[int]) -> PatternReport:
+def forbidden_patterns(t: Iterable[int], v: Sequence[int]) -> PatternReport:
     """Scan an incidence vector for e's forbidden patterns and its pairing.
 
     Pattern SINGLE: the curve meets exactly one chain sphere, once.  Pattern
@@ -207,7 +207,7 @@ class UnbrokenReport:
         return self.total >= 2 and not self.entry_failures
 
 
-def unbroken_checks(t: TString | Iterable[int], v: Sequence[int]) -> UnbrokenReport:
+def unbroken_checks(t: Iterable[int], v: Sequence[int]) -> UnbrokenReport:
     """Check sum v_j >= 2 and v_j <= b_j - 1, equality only for b_j = 2.
 
     Equivalently v_j <= b_j - 2 unless b_j = 2, where v_j = 1 is allowed.
@@ -295,7 +295,7 @@ class CandidateOutcome:
 
 
 def build_candidate_config(
-    t: TString | Iterable[int], e_hits: Sequence[int]
+    t: Iterable[int], e_hits: Sequence[int]
 ) -> tuple[CurveConfig, int]:
     """Chain plus the (-1)-sphere e wired to its hit points; returns (config, e id).
 
@@ -561,7 +561,7 @@ def _shape(
 
 
 def examine_candidate(
-    t: TString | Iterable[int],
+    t: Iterable[int],
     kind: str,
     internal: Iterable[int],
     e_hits: Sequence[int],
@@ -722,7 +722,7 @@ def enumerate_candidates(ell: int) -> list[tuple[str, tuple[int, ...], tuple[int
 
 
 def pair_product(
-    t: TString | Iterable[int], s1: CandidateOutcome, s2: CandidateOutcome
+    t: Iterable[int], s1: CandidateOutcome, s2: CandidateOutcome
 ) -> int:
     """E1 . E2 for two candidates over the same chain, each with its own e.
 
@@ -847,7 +847,7 @@ def case_oracle(ell_max: int) -> OracleReport:
         trie: dict[tuple[int, ...], _Node] = {}  # this length's, by e_hits then path
         sets: dict[frozenset[int], frozenset[int]] = {}  # this length's component sets
         parts = [_candidate_parts(ell, *c, trie, sets) for c in candidates]
-        for t in sorted(as_entries(s) for s in strings):
+        for t in sorted(strings):
             facts: dict[_Node, _Facts] = {}
             rows = [
                 _examine(t, kind, internal, hits, part, trie[hits], facts)

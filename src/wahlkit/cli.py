@@ -52,7 +52,6 @@ from .curveconfig import (
 )
 from .discrepancy import (
     atlas_line,
-    atlas_record,
     chain_determinant,
     discrepancies,
     validate_discrepancies,
@@ -60,9 +59,7 @@ from .discrepancy import (
 from .tstring import (
     DEFAULT_LENGTH_CAP,
     WahlParams,
-    _levels,
     _wahl_length,
-    as_entries,
     enumerate_tstrings,
     tstring_to_params,
     wahl_tstring,
@@ -107,19 +104,19 @@ def cmd_expand(args: argparse.Namespace) -> int:
         print(f"error: the T-string of ({params.p}, {params.q}) has length {ell}, "
               f"above the cap of {EXPAND_LENGTH_CAP}", file=sys.stderr)
         return 2
-    # |det| = p^2 is the largest integer printed; str() refuses one longer
-    # than the interpreter's limit (0: none), which main() must not change
-    # because it runs in-process in tests and the benchmark
+    # |det| = p^2 is the largest integer printed; str() and json.loads refuse
+    # one longer than the interpreter's limit (0: none), which main() must not
+    # change because it runs in-process in tests and the benchmark
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and params.p * params.p >= 10**limit:
         print(f"error: p^2 has more than {limit} digits, Python's limit for printing "
               "an integer", file=sys.stderr)
         return 2
-    t = wahl_tstring(params)
+    line = atlas_line(wahl_tstring(params))
     if args.json:
-        print(atlas_line(t))
+        print(line)
         return 0
-    record = atlas_record(t)
+    record = json.loads(line)
     print(f"T-string: {record['b']}")
     print(f"p = {record['p']}, q = {record['q']}, ell = {record['ell']}")
     print(f"discrepancies: {', '.join(record['discrepancies'])}")
@@ -131,7 +128,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_atlas(args: argparse.Namespace) -> int:
     if not _max_len_ok(args.max_len, DEFAULT_LENGTH_CAP):
         return 2
-    lines = [atlas_line(b) for level in _levels(args.max_len) for b in sorted(level)]
+    levels = enumerate_tstrings(args.max_len).values()
+    lines = [atlas_line(b) for level in levels for b in sorted(level)]
     if not _emit(lines, args.out):
         return 1
     if args.out is not None:
@@ -224,7 +222,7 @@ def cmd_blowdown(args: argparse.Namespace) -> int:
 
 def _check_expand_base(rng: random.Random) -> list[str]:
     fails = []
-    if as_entries(wahl_tstring(2, 1)) != (4,):
+    if wahl_tstring(2, 1) != (4,):
         fails.append(f"wahl_tstring(2,1) = {list(wahl_tstring(2, 1))}, expected [4]")
     if discrepancies((4,)) != (Fraction(-1, 2),):
         fails.append(f"discrepancies([4]) = {discrepancies((4,))}")
@@ -242,7 +240,7 @@ def _check_expand_values(rng: random.Random) -> list[str]:
     }
     fails = []
     for (p, q), b in expected.items():
-        got = as_entries(wahl_tstring(p, q))
+        got = wahl_tstring(p, q)
         if got != b:
             fails.append(f"wahl_tstring({p},{q}) = {list(got)}, expected {list(b)}")
         back = tstring_to_params(b)
@@ -254,7 +252,7 @@ def _check_expand_values(rng: random.Random) -> list[str]:
 def _check_q1_family(rng: random.Random) -> list[str]:
     fails = []
     for n in range(2, 8):
-        got = as_entries(wahl_tstring(n, 1))
+        got = wahl_tstring(n, 1)
         want = tuple([n + 2] + [2] * (n - 2))
         if got != want:
             fails.append(f"wahl_tstring({n},1) = {list(got)}, expected {list(want)}")
@@ -268,7 +266,7 @@ def _check_kawamata(rng: random.Random) -> list[str]:
             a = discrepancies(t)
             problems = validate_discrepancies(t, a)
             if problems:
-                fails.append(f"{list(as_entries(t))}: {problems}")
+                fails.append(f"{list(t)}: {problems}")
     return fails
 
 
@@ -278,7 +276,7 @@ def _check_determinant(rng: random.Random) -> list[str]:
         for t in strings:
             p = tstring_to_params(t).p
             if abs(chain_determinant(t)) != p * p:
-                fails.append(f"{list(as_entries(t))}: |det| != p^2")
+                fails.append(f"{list(t)}: |det| != p^2")
     return fails
 
 

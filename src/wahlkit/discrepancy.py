@@ -19,13 +19,13 @@ validate_discrepancies checks them and the system itself in exact integer
 arithmetic over the vector's common denominator.
 
 atlas_line writes the canonical JSON line of one T-string, the one
-`wahlkit atlas` and `wahlkit expand --json` print, and atlas_record returns
-the same record as a dict.  Both read their fields from _atlas_fields, which
-takes them from two integer sweeps, continuants(b) forward and
-continuants(b[::-1]) backward.  The backward sweep's K(b) and K(b_2..b_ell)
-give (p, q); the two sweeps give the numerators through the same code as
-discrepancies; and |det M| is the forward sweep's K(b), so |det| = p**2
-compares two independent sweeps (K(b) is unchanged by reversing b).  The
+`wahlkit atlas` and `wahlkit expand --json` print, and whose fields plain
+`wahlkit expand` prints.  It reads them from _atlas_fields, which takes them
+from two integer sweeps, continuants(b) forward and continuants(b[::-1])
+backward.  The backward sweep's K(b) and K(b_2..b_ell) give (p, q); the two
+sweeps give the numerators through the same code as discrepancies; and
+|det M| is the forward sweep's K(b), so |det| = p**2 compares two
+independent sweeps (K(b) is unchanged by reversing b).  The
 checks of validate_discrepancies run on the numerators directly, and each
 "num/den" string is printed from a gcd, so no Fraction is built unless a
 check fails and its message needs one.  atlas_line formats the line from
@@ -43,12 +43,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .tstring import (
-    TString, _cf_entries, _entry, _params_from_continuants, as_entries, continuants,
-)
+from .tstring import _cf_entries, _entry, _params_from_continuants, as_entries, continuants
 
 
-def intersection_matrix(t: TString | Iterable[int]) -> tuple[tuple[int, ...], ...]:
+def intersection_matrix(t: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Tridiagonal matrix of the resolution chain: diag -b_j, off-diagonal 1."""
     b = as_entries(t)
     ell = len(b)
@@ -58,7 +56,7 @@ def intersection_matrix(t: TString | Iterable[int]) -> tuple[tuple[int, ...], ..
     )
 
 
-def chain_determinant(t: TString | Iterable[int]) -> int:
+def chain_determinant(t: Iterable[int]) -> int:
     """det of intersection_matrix(t): (-1)**ell K(b_1..b_ell), = +-p**2 for T-strings."""
     b = as_entries(t)
     return (-1) ** len(b) * continuants(b)[-1]
@@ -90,7 +88,7 @@ def _numerators_of(prefix: list[int], back: list[int]) -> tuple[tuple[int, ...],
     return tuple(x + y - p2 for x, y in zip(prefix, back[-2::-1])), p2
 
 
-def discrepancies(t: TString | Iterable[int]) -> tuple[Fraction, ...]:
+def discrepancies(t: Iterable[int]) -> tuple[Fraction, ...]:
     """Exact solution a of M a = (b_1 - 2, ..., b_ell - 2).
 
     For T-strings every a_j lies strictly in (-1, 0) and a_1 + a_ell = -1.
@@ -99,7 +97,7 @@ def discrepancies(t: TString | Iterable[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, p2) for x in nums)
 
 
-def validate_discrepancies(t: TString | Iterable[int], a: Sequence[Fraction]) -> list[str]:
+def validate_discrepancies(t: Iterable[int], a: Sequence[Fraction]) -> list[str]:
     """Return a list of violated invariants (empty when all hold).
 
     The checks run in exact integer arithmetic over the vector's common
@@ -147,31 +145,16 @@ def _problems(
     return problems
 
 
-def atlas_record(t: TString | Iterable[int]) -> dict:
-    """The canonical JSON record for one T-string; validates its invariants.
+def atlas_line(t: Iterable[int]) -> str:
+    """The canonical JSON record of one T-string as one compact line; validates its invariants.
 
-    Raises ValueError when t is not a T-string, and AssertionError when a
-    discrepancy check or |det| = p**2 fails (_atlas_fields).
-    json.dumps(atlas_record(t), separators=(",", ":")) is atlas_line(t).
-    """
-    b, p, q, fractions, det, checksum = _atlas_fields(t)
-    return {
-        "p": p,
-        "q": q,
-        "ell": len(b),
-        "b": list(b),
-        "discrepancies": fractions,
-        "det": det,
-        "checksum_ok": checksum,
-    }
-
-
-def atlas_line(t: TString | Iterable[int]) -> str:
-    """atlas_record(t) as one compact JSON line, formatted straight from its fields.
-
-    Byte for byte json.dumps(atlas_record(t), separators=(",", ":")), and
-    raises the same errors: every field is an int, a list of ints, a bool
-    or a "num/den" string, which JSON writes as Python prints it.
+    The keys are p, q, ell, b, discrepancies (as "num/den" strings), det
+    and checksum_ok.  The line is formatted straight from _atlas_fields,
+    byte for byte what json.dumps(record, separators=(",", ":")) writes,
+    since every field is an int, a list of ints, a bool or a "num/den"
+    string, which JSON writes as Python prints it.  Raises ValueError when
+    t is not a T-string, and AssertionError when a discrepancy check or
+    |det| = p**2 fails.
     """
     b, p, q, fractions, det, checksum = _atlas_fields(t)
     entries = ",".join(map(str, b))
@@ -181,7 +164,7 @@ def atlas_line(t: TString | Iterable[int]) -> str:
 
 
 def _atlas_fields(
-    t: TString | Iterable[int],
+    t: Iterable[int],
 ) -> tuple[tuple[int, ...], int, int, list[str], int, bool]:
     """(b, p, q, the discrepancies as "num/den" strings, |det|, checksum_ok) of one T-string.
 
@@ -211,7 +194,7 @@ def _atlas_fields(
 
 
 def canonical_pairing(
-    t: TString | Iterable[int], v: Sequence[int], kF: int
+    t: Iterable[int], v: Sequence[int], kF: int
 ) -> tuple[Fraction, bool]:
     """(sum a_j v_j, whether the strict inequality sum a_j v_j < kF holds).
 

@@ -7,8 +7,10 @@ the minus (Hirzebruch-Jung) continued fraction
 
     p**2 / (pq - 1) = b_1 - 1/(b_2 - 1/(b_3 - ...)).
 
-We call the sequence [b_1, ..., b_ell] a T-string.  This module provides the
-expansion and its inverse, the two length-increasing moves
+We call the sequence [b_1, ..., b_ell] a T-string, and hold it as a tuple of
+ints; as_entries reads any other sequence of integers into that form.  This
+module provides the expansion and its inverse, the two length-increasing
+moves
 
     L[b_1..b_ell] = [2, b_1, ..., b_{ell-1}, b_ell + 1]
     R[b_1..b_ell] = [b_1 + 1, b_2, ..., b_ell, 2]
@@ -35,8 +37,9 @@ DEFAULT_LENGTH_CAP = 16
 class WahlParams:
     """Coprime pair (p, q), 0 < q < p, labelling the singularity 1/p**2(pq-1,1).
 
-    p and q are read as TString reads its entries: a field that int() would
-    change in value, or that is not a number, raises ValueError naming it.
+    p and q are read as as_entries reads a T-string's entries: a field that
+    int() would change in value, or that is not a number, raises ValueError
+    naming it.
     """
 
     p: int
@@ -57,45 +60,8 @@ class WahlParams:
         return WahlParams(self.p, self.p - self.q)
 
 
-@dataclass(frozen=True)
-class TString:
-    """A T-string [b_1..b_ell], b_j >= 2 with checksum sum(b_j - 2) = ell + 1.
-
-    The checksum is necessary but not sufficient; full membership is decided
-    by :func:`is_tstring`.  Construction only enforces the cheap conditions so
-    that candidate sequences can be rejected loudly and early.
-    """
-
-    b: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", as_entries(self.b))
-        if not self.b:
-            raise ValueError("empty string")
-        if any(x < 2 for x in self.b):
-            raise ValueError(f"entries must be >= 2: {list(self.b)}")
-        if sum(x - 2 for x in self.b) != len(self.b) + 1:
-            raise ValueError(f"checksum sum(b_j - 2) != ell + 1: {list(self.b)}")
-
-    @property
-    def ell(self) -> int:
-        return len(self.b)
-
-    def reversed(self) -> "TString":
-        return TString(self.b[::-1])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.b)
-
-    def __len__(self) -> int:
-        return len(self.b)
-
-    def __getitem__(self, i):
-        return self.b[i]
-
-
-def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
-    """Normalize a TString or raw sequence to a tuple of ints.
+def as_entries(t: Iterable[int]) -> tuple[int, ...]:
+    """Normalize a sequence of entries to a tuple of ints, the one form of a T-string.
 
     A tuple of exact ints is returned as it is; anything else (a list, a
     generator, an int subclass or an exact float entry) is coerced entry by
@@ -104,8 +70,6 @@ def as_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
     A str or bytes passed as the whole sequence raises ValueError too: read
     one character at a time, "352" would pass for (3, 5, 2).
     """
-    if isinstance(t, TString):
-        return t.b
     if type(t) is tuple and set(map(type, t)) <= {int}:
         return t
     if isinstance(t, (str, bytes, bytearray)):
@@ -169,13 +133,13 @@ def continuants(b: Iterable[int]) -> list[int]:
     return out
 
 
-def eval_cf(b: TString | Iterable[int]) -> Fraction:
+def eval_cf(b: Iterable[int]) -> Fraction:
     """Value of b_1 - 1/(b_2 - 1/(... - 1/b_k)), i.e. K(b_1..b_k) / K(b_2..b_k)."""
     back = continuants(_cf_entries(b)[::-1])
     return Fraction(back[-1], back[-2])
 
 
-def _cf_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
+def _cf_entries(t: Iterable[int]) -> tuple[int, ...]:
     """as_entries(t), refused with eval_cf's errors when empty or an entry is below 2."""
     entries = as_entries(t)
     if not entries:
@@ -185,7 +149,7 @@ def _cf_entries(t: TString | Iterable[int]) -> tuple[int, ...]:
     return entries
 
 
-def wahl_tstring(p: int | WahlParams, q: int | None = None) -> TString:
+def wahl_tstring(p: int | WahlParams, q: int | None = None) -> tuple[int, ...]:
     """T-string of the Wahl singularity with parameters (p, q).
 
     Accepts either a WahlParams or the two integers; a p or q that int()
@@ -193,7 +157,7 @@ def wahl_tstring(p: int | WahlParams, q: int | None = None) -> TString:
     automatically, so the expansion always exists.
     """
     params = p if isinstance(p, WahlParams) else WahlParams(p, q)
-    return TString(hj_expand(params.p**2, params.p * params.q - 1))
+    return hj_expand(params.p**2, params.p * params.q - 1)
 
 
 def _wahl_length(p: int, q: int) -> int:
@@ -215,20 +179,34 @@ def _wahl_length(p: int, q: int) -> int:
 # ----- Generation -----
 
 
-def apply_L(t: TString | Iterable[int]) -> TString:
+def apply_L(t: Iterable[int]) -> tuple[int, ...]:
     """Left move: [b_1..b_ell] -> [2, b_1, ..., b_{ell-1}, b_ell + 1].
 
-    On parameters this acts as (p, q) -> (2p - q, p).
+    On parameters this acts as (p, q) -> (2p - q, p).  Raises ValueError
+    with is_tstring's reason when t is not a T-string.
     """
-    return TString(_left(as_entries(t)))
+    return _left(_checked(t))
 
 
-def apply_R(t: TString | Iterable[int]) -> TString:
+def apply_R(t: Iterable[int]) -> tuple[int, ...]:
     """Right move: [b_1..b_ell] -> [b_1 + 1, b_2, ..., b_ell, 2].
 
-    On parameters this acts as (p, q) -> (p + q, q).
+    On parameters this acts as (p, q) -> (p + q, q).  Raises ValueError
+    with is_tstring's reason when t is not a T-string.
     """
-    return TString(_right(as_entries(t)))
+    return _right(_checked(t))
+
+
+def _checked(t: Iterable[int]) -> tuple[int, ...]:
+    """as_entries(t), or ValueError carrying is_tstring's reason when t is not a T-string.
+
+    A move maps T-strings to T-strings, so checking its input is enough.
+    """
+    b = as_entries(t)
+    reason = is_tstring(b).reason
+    if reason is not None:
+        raise ValueError(f"not a T-string: {reason}")
+    return b
 
 
 def _left(b: tuple[int, ...]) -> tuple[int, ...]:
@@ -239,7 +217,7 @@ def _right(b: tuple[int, ...]) -> tuple[int, ...]:
     return (b[0] + 1,) + b[1:] + (2,)
 
 
-def enumerate_tstrings(ell_max: int) -> dict[int, tuple[TString, ...]]:
+def enumerate_tstrings(ell_max: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """All T-strings of length <= ell_max, grouped by length.
 
     Breadth-first over the generation tree rooted at [4]; within a level each
@@ -253,13 +231,11 @@ def enumerate_tstrings(ell_max: int) -> dict[int, tuple[TString, ...]]:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
     if ell_max > DEFAULT_LENGTH_CAP:
         raise ValueError(f"ell_max={ell_max} exceeds the length cap {DEFAULT_LENGTH_CAP}")
-    return {
-        ell: tuple(map(TString, level)) for ell, level in enumerate(_levels(ell_max), start=1)
-    }
+    return dict(enumerate(_levels(ell_max), start=1))
 
 
 def _levels(ell_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The levels of enumerate_tstrings(ell_max) as entry tuples, shortest first.
+    """The levels of the generation tree through length ell_max, shortest first.
 
     Every tuple is a T-string by construction, so none is checked here.
     ell_max is an int >= 1, unchecked.
@@ -291,7 +267,7 @@ class Recognition:
         return self.reason is None
 
 
-def is_tstring(seq: TString | Iterable[int]) -> Recognition:
+def is_tstring(seq: Iterable[int]) -> Recognition:
     """Decide membership by peeling L/R moves down to [4].
 
     A sequence produced by L starts with 2 and ends >= 3 (strip the leading 2,
@@ -330,7 +306,7 @@ def is_tstring(seq: TString | Iterable[int]) -> Recognition:
     return Recognition("".join(word))
 
 
-def tstring_to_params(t: TString | Iterable[int]) -> WahlParams:
+def tstring_to_params(t: Iterable[int]) -> WahlParams:
     """Recover (p, q) from a T-string: eval_cf gives p**2/(pq-1) in lowest terms.
 
     Raises ValueError when the input is not a T-string.  The result
@@ -360,7 +336,7 @@ def _params_from_continuants(b: tuple[int, ...], n: int, m: int) -> WahlParams:
     return WahlParams(p, (m + 1) // p)
 
 
-def checksum_ok(t: TString | Iterable[int]) -> bool:
+def checksum_ok(t: Iterable[int]) -> bool:
     """Necessary condition sum(b_j - 2) == ell + 1."""
     b = as_entries(t)
     return sum(x - 2 for x in b) == len(b) + 1

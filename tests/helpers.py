@@ -14,7 +14,6 @@ from wahlkit import (
     FreePoint,
     GenericOn,
     Intersection,
-    TString,
     apply_L,
     apply_R,
     as_entries,
@@ -34,14 +33,14 @@ from wahlkit import (
 )
 
 
-def tstrings_to(ell_max: int) -> list[TString]:
+def tstrings_to(ell_max: int) -> list[tuple[int, ...]]:
     """Every T-string of length <= ell_max, shortest first, in enumerate_tstrings' order."""
     return [t for level in enumerate_tstrings(ell_max).values() for t in level]
 
 
-def breadth_first_tstrings(ell_max: int) -> dict[int, tuple[TString, ...]]:
+def breadth_first_tstrings(ell_max: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """The slow reference for enumerate_tstrings: each level from the last by apply_L, apply_R."""
-    levels = {1: (TString((4,)),)}
+    levels = {1: ((4,),)}
     for ell in range(2, ell_max + 1):
         level = []
         for parent in levels[ell - 1]:
@@ -382,7 +381,7 @@ def fraction_validate_discrepancies(t, a):
 
 
 def fraction_atlas_record(t):
-    """atlas_record through discrepancies(), validate_discrepancies and Fraction's terms."""
+    """The record atlas_line writes, through discrepancies(), validate_discrepancies and Fraction."""
     b = as_entries(t)
     params = tstring_to_params(b)
     a = discrepancies(b)

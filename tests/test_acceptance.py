@@ -73,7 +73,7 @@ def test_checksum_holds_for_every_string_through_length_twelve():
     count = 0
     for t in tstrings_to(12):
         assert checksum_ok(t)
-        assert sum(x - 2 for x in t) == t.ell + 1
+        assert sum(x - 2 for x in t) == len(t) + 1
         count += 1
     assert count == 4095
 
@@ -140,7 +140,7 @@ def test_iterated_blowdown_bound_with_equality_in_the_special_shape():
 
 def test_forbidden_patterns_are_flagged_for_every_string_through_length_ten():
     for t in tstrings_to(10):
-        ell = t.ell
+        ell = len(t)
         for j in range(ell):
             v = [0] * ell
             v[j] = 1

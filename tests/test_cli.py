@@ -12,10 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import eager_contract_all, eager_jsonl_lines
+from helpers import eager_contract_all, eager_jsonl_lines, fraction_atlas_record
 from wahlkit import badcurves
 from wahlkit import wahl_tstring
-from wahlkit.cli import EXPAND_LENGTH_CAP, atlas_record, main
+from wahlkit.cli import EXPAND_LENGTH_CAP, main
 from wahlkit.curveconfig import config_to_json, random_blowup
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -81,7 +81,7 @@ class TestExpand:
         for p, q in [(2, 1), (5, 2), (13, 5), (97, 60), (1000, 999)]:
             code, out, _ = run(capsys, "expand", str(p), str(q), "--json")
             assert code == 0
-            want = json.dumps(atlas_record(wahl_tstring(p, q)), separators=(",", ":"))
+            want = json.dumps(fraction_atlas_record(wahl_tstring(p, q)), separators=(",", ":"))
             assert out == want + "\n"
 
     @pytest.mark.parametrize("q", ["1", str(10**21 - 1)])
@@ -180,13 +180,13 @@ class TestAtlas:
         assert len(lines) == 2**7 - 1
         for line in lines:
             b = tuple(json.loads(line)["b"])
-            assert line == json.dumps(atlas_record(b), separators=(",", ":"))
+            assert line == json.dumps(fraction_atlas_record(b), separators=(",", ":"))
 
     def test_records_validate(self, capsys):
         _, out, _ = run(capsys, "atlas", "--max-len", "4")
         for line in out.strip().split("\n"):
             rec = json.loads(line)
-            assert rec == atlas_record(tuple(rec["b"]))
+            assert rec == fraction_atlas_record(tuple(rec["b"]))
             assert rec["det"] == rec["p"] ** 2
 
     def test_out_file(self, capsys, tmp_path):

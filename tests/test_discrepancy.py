@@ -20,9 +20,7 @@ from helpers import (
     tstrings_to,
 )
 from wahlkit import (
-    TString,
     atlas_line,
-    atlas_record,
     canonical_pairing,
     chain_determinant,
     checksum_ok,
@@ -160,7 +158,7 @@ class TestDiscrepancies:
 
     def test_reversal_reverses_the_vector(self):
         for t in tstrings_to(7):
-            assert discrepancies(t.reversed()) == discrepancies(t)[::-1]
+            assert discrepancies(t[::-1]) == discrepancies(t)[::-1]
 
     @given(st.integers(2, 40), st.integers(1, 39))
     def test_denominators_divide_p(self, p, q):
@@ -175,8 +173,8 @@ class TestPairing:
     def test_single_hit_never_passes(self):
         # every discrepancy is > -1, so one transverse hit cannot reach -1
         for t in tstrings_to(6):
-            for j in range(t.ell):
-                v = [0] * t.ell
+            for j in range(len(t)):
+                v = [0] * len(t)
                 v[j] = 1
                 value, ok = canonical_pairing(t, v, -1)
                 assert value > F(-1)
@@ -184,9 +182,9 @@ class TestPairing:
 
     def test_endpoint_hits_land_exactly_on_minus_one(self):
         for t in tstrings_to(6):
-            if t.ell < 2:
+            if len(t) < 2:
                 continue
-            v = [0] * t.ell
+            v = [0] * len(t)
             v[0] = v[-1] = 1
             value, ok = canonical_pairing(t, v, -1)
             assert value == F(-1)
@@ -255,10 +253,10 @@ class TestCachedNumerators:
         strings = list(tstrings_to(10))
         assert len(strings) == 1023  # far more than the cache holds, so entries are evicted
         for t in strings:
-            a = eliminate_discrepancies(t.b)
-            vectors = [(1,) + (0,) * (t.ell - 1), tuple(range(1, t.ell + 1))]
-            expected = [eager_pairing(t.b, v, kF) for v in vectors for kF in (-1, 0)]
-            for form in (t, list(t.b), t.b):
+            a = eliminate_discrepancies(t)
+            vectors = [(1,) + (0,) * (len(t) - 1), tuple(range(1, len(t) + 1))]
+            expected = [eager_pairing(t, v, kF) for v in vectors for kF in (-1, 0)]
+            for form in (t, list(t)):
                 assert discrepancies(form) == a
                 assert [canonical_pairing(form, v, kF)
                         for v in vectors for kF in (-1, 0)] == expected
@@ -326,21 +324,26 @@ class TestIntegerValidation:
             assert validate_discrepancies(t, a) == []
 
 
+def reference_line(t):
+    """The canonical atlas line as json writes it from the Fraction reference record."""
+    return json.dumps(fraction_atlas_record(t), separators=(",", ":"))
+
+
 class TestAtlasRecord:
-    """The integer record against the Fraction reference, on every string and on corrupted data."""
+    """atlas_line against the Fraction reference record, on every string and on corrupted data."""
 
     def test_every_string_to_twelve_matches_the_reference(self):
         for t in tstrings_to(12):
-            want = fraction_atlas_record(t.b)
-            for given_as in (t.b, list(t.b), t):
-                assert atlas_record(given_as) == want, given_as
+            want = reference_line(t)
+            for given_as in (t, list(t)):
+                assert atlas_line(given_as) == want, given_as
 
     def test_builds_no_fraction_for_a_valid_record(self, monkeypatch):
         strings = list(tstrings_to(10))
         for module in (discrepancy, tstring):  # tstring_to_params builds none either
             monkeypatch.setattr(module, "Fraction", None)  # calling it would raise
         for t in strings:
-            assert atlas_record(t)["det"] == tstring_to_params(t).p ** 2
+            assert json.loads(atlas_line(t))["det"] == tstring_to_params(t).p ** 2
 
     def test_two_continuant_sweeps_per_record(self, monkeypatch):
         sweep = tstring.continuants
@@ -354,8 +357,8 @@ class TestAtlasRecord:
             monkeypatch.setattr(module, "continuants", counted)
         for t in tstrings_to(8):
             calls.clear()
-            atlas_record(t)
-            assert calls == [t.b, t.b[::-1]]  # one forward sweep, then one backward
+            atlas_line(t)
+            assert calls == [t, t[::-1]]  # one forward sweep, then one backward
 
     @staticmethod
     def corrupted_numerators(rng, nums, p2):
@@ -384,21 +387,21 @@ class TestAtlasRecord:
                  *(f"row {j} residual" for j in range(1, 9))]
         outcomes = set()
         for _ in range(1_500):
-            b = rng.choice(strings).b
+            b = rng.choice(strings)
             bad = self.corrupted_numerators(rng, _numerators(b)[0], _numerators(b)[1])
             with monkeypatch.context() as m:
                 # discrepancies() reads _numerators, the record reads _numerators_of
                 m.setattr(discrepancy, "_numerators", lambda _b: bad)
                 m.setattr(discrepancy, "_numerators_of", lambda _prefix, _back: bad)
                 try:
-                    want = fraction_atlas_record(b)
+                    want = reference_line(b)
                 except AssertionError as exc:
                     with pytest.raises(AssertionError) as got:
-                        atlas_record(b)
+                        atlas_line(b)
                     assert str(got.value) == str(exc), (b, bad)
                     outcomes.update(k for k in kinds if k in str(exc))
                 else:
-                    assert atlas_record(b) == want, (b, bad)
+                    assert atlas_line(b) == want, (b, bad)
                     outcomes.add("valid")
         assert outcomes == {"valid", *kinds}  # every check fires on some vector
 
@@ -425,40 +428,28 @@ class TestAtlasRecord:
                 with monkeypatch.context() as m:
                     m.setattr(discrepancy, "continuants", forward_spoiled)
                     with pytest.raises(AssertionError) as got:
-                        atlas_record(t)
-                assert calls == [t.b, t.b[::-1]]
+                        atlas_line(t)
+                assert calls == [t, t[::-1]]
                 assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("b", [(3, 4), (2, 2), (4, 4), (5,), (2, 5, 3, 2), (), (1, 5), (4, 1)])
     def test_a_non_tstring_raises_the_reference_error(self, b):
         with pytest.raises(ValueError) as want:
             fraction_atlas_record(b)
-        for record in (atlas_record, atlas_line):
-            with pytest.raises(ValueError) as got:
-                record(b)
-            assert str(got.value) == str(want.value)
-
-
-def reference_line(t):
-    """The canonical atlas line as json writes it from the record."""
-    return json.dumps(atlas_record(t), separators=(",", ":"))
+        with pytest.raises(ValueError) as got:
+            atlas_line(b)
+        assert str(got.value) == str(want.value)
 
 
 class TestAtlasLine:
-    """atlas_line against json.dumps of atlas_record, its reference."""
-
-    def test_every_string_to_ten_matches_the_json_reference(self):
-        for t in tstrings_to(10):
-            want = reference_line(t)
-            for given_as in (t.b, list(t.b), t):
-                assert atlas_line(given_as) == want, given_as
+    """atlas_line on every string to sixteen, and its refusals."""
 
     @pytest.mark.slow
     def test_every_string_to_sixteen_matches_the_json_reference(self):
         strings = tstrings_to(16)
         assert len(strings) == 2**16 - 1
         for t in strings:
-            assert atlas_line(t.b) == reference_line(t.b), t.b
+            assert atlas_line(t) == reference_line(t), t
 
     @pytest.mark.parametrize("b, message", [
         ((2,), "not a T-string: eval_cf=2/1 has non-square numerator"),
@@ -467,18 +458,13 @@ class TestAtlasLine:
         ((3, 2, 2, 3), "p and q must be coprime, got (4, 2)"),
     ])
     def test_a_non_tstring_raises_what_the_record_raises(self, b, message):
-        for record in (atlas_record, atlas_line):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                record(b)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            atlas_line(b)
 
     def test_a_failed_check_raises_what_the_record_raises(self, monkeypatch):
         b = (3, 5, 2)
         nums, p2 = _numerators(b)
         monkeypatch.setattr(discrepancy, "_numerators_of", lambda _prefix, _back: (nums[::-1], p2))
-        errors = []
-        for record in (atlas_record, atlas_line):
-            with pytest.raises(AssertionError) as got:
-                record(b)
-            errors.append(str(got.value))
-        assert errors[0] == errors[1]
-        assert "a_1 + a_ell" not in errors[0] and "row 1 residual" in errors[0]
+        with pytest.raises(AssertionError) as got:
+            atlas_line(b)
+        assert "a_1 + a_ell" not in str(got.value) and "row 1 residual" in str(got.value)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from helpers import breadth_first_tstrings, tstrings_to
 from wahlkit import (
     Recognition,
-    TString,
     WahlParams,
     apply_L,
     apply_R,
@@ -66,7 +65,7 @@ LENGTH_4_STRINGS = {
 
 
 def _level_entries(levels, ell):
-    return {as_entries(t) for t in levels[ell]}
+    return set(levels[ell])
 
 
 class IntEntry(int):
@@ -91,9 +90,13 @@ class TestAsEntries:
             assert out == expected and type(out) is tuple
             assert all(type(x) is int for x in out)
 
-    def test_a_tstring_gives_its_entries(self):
-        t = TString((3, 5, 2))
-        assert as_entries(t) is t.b
+    def test_every_producer_returns_a_plain_tuple_of_ints(self):
+        # the one form of a T-string, which as_entries hands back as it is
+        strings = [wahl_tstring(5, 2), wahl_tstring(WahlParams(8, 5)), apply_L([3, 5, 2]),
+                   apply_R((2.0, 5)), *tstrings_to(6)]
+        for t in strings:
+            assert type(t) is tuple and all(type(x) is int for x in t), t
+            assert as_entries(t) is t
 
     @pytest.mark.parametrize("raw, shown", [
         ((3.9, 5, 2), "3.9"),
@@ -114,7 +117,7 @@ class TestAsEntries:
     @pytest.mark.parametrize("call, raw, shown", [
         (as_entries, (True, 3), "True"),
         (as_entries, (2, False), "False"),
-        (TString, (True, 3), "True"),
+        (apply_L, (True, 3), "True"),
         (general_bound, True, "True"),
         (lambda x: WahlParams(x, 1), True, "True"),
     ])
@@ -127,7 +130,7 @@ class TestAsEntries:
         (as_entries, "352"),
         (as_entries, b"\x04"),
         (as_entries, bytearray(b"\x04")),
-        (TString, "352"),
+        (apply_R, "352"),
         (tstring_to_params, "352"),
         (discrepancies, "352"),
     ])
@@ -139,8 +142,8 @@ class TestAsEntries:
     @pytest.mark.parametrize("call, raw", [
         (discrepancies, [3.9, 5, 2]),
         (is_tstring, [3.5, 5.2, 2]),
-        (TString, (3.7, 5, 2)),
-        (TString, ("4",)),
+        (apply_L, (3.7, 5, 2)),
+        (apply_R, ("4",)),
         (lambda b: iterated_blowdown_trace(b, 0), [-2, -1, -2.5]),
         (as_entries, [None, 5, 2]),
     ])
@@ -185,7 +188,7 @@ class TestHJExpansion:
 class TestWahlStrings:
     @pytest.mark.parametrize("pq,expected", sorted(WAHL_STRINGS.items()))
     def test_known_strings(self, pq, expected):
-        assert as_entries(wahl_tstring(*pq)) == expected
+        assert wahl_tstring(*pq) == expected
 
     @pytest.mark.parametrize("pq,expected", sorted(WAHL_STRINGS.items()))
     def test_params_roundtrip(self, pq, expected):
@@ -230,7 +233,7 @@ class TestWahlStrings:
 
     def test_reversal_swaps_q_and_p_minus_q(self):
         for (p, q), b in WAHL_STRINGS.items():
-            assert as_entries(wahl_tstring(p, p - q)) == b[::-1]
+            assert wahl_tstring(p, p - q) == b[::-1]
             assert WahlParams(p, q).reversed() == WahlParams(p, p - q)
 
 
@@ -245,14 +248,6 @@ class TestChecksum:
         assert not is_tstring((3, 4)).accepted
         with pytest.raises(ValueError):
             tstring_to_params((3, 4))
-
-    def test_tstring_constructor_enforces_it(self):
-        with pytest.raises(ValueError):
-            TString((2, 2))
-        with pytest.raises(ValueError):
-            TString(())
-        with pytest.raises(ValueError):
-            TString((4, 1))
 
 
 class TestEnumeration:
@@ -290,14 +285,14 @@ class TestEnumeration:
     def test_levels_are_keyed_by_length_shortest_first(self):
         levels = enumerate_tstrings(5)
         assert list(levels) == [1, 2, 3, 4, 5]
-        assert all(t.ell == ell for ell, level in levels.items() for t in level)
+        assert all(len(t) == ell for ell, level in levels.items() for t in level)
         assert [len(level) for level in levels.values()] == [2 ** (ell - 1) for ell in levels]
 
     def test_levels_are_the_breadth_first_moves_to_twelve(self):
-        # each parent's L-child, then its R-child, as TStrings with the moves' entries
+        # each parent's L-child, then its R-child, as the moves' entry tuples
         levels = enumerate_tstrings(12)
         assert levels == breadth_first_tstrings(12)
-        assert all(type(t) is TString for level in levels.values() for t in level)
+        assert all(type(t) is tuple for level in levels.values() for t in level)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -309,12 +304,32 @@ class TestEnumeration:
 
 class TestMoves:
     def test_left_move(self):
-        assert as_entries(apply_L((4,))) == (2, 5)
-        assert as_entries(apply_L((3, 5, 2))) == (2, 3, 5, 3)
+        assert apply_L((4,)) == (2, 5)
+        assert apply_L((3, 5, 2)) == (2, 3, 5, 3)
 
     def test_right_move(self):
-        assert as_entries(apply_R((4,))) == (5, 2)
-        assert as_entries(apply_R((2, 5))) == (3, 5, 2)
+        assert apply_R((4,)) == (5, 2)
+        assert apply_R((2, 5)) == (3, 5, 2)
+
+    @pytest.mark.parametrize("b, reason", [
+        ((3, 4), "stuck at [3, 4]: no leading or trailing 2"),
+        ((4, 3), "stuck at [4, 3]: no leading or trailing 2"),
+        ((2, 2, 6, 2), "checksum sum(b_j - 2) = 4 != ell + 1 = 5"),
+        ((2, 2), "checksum sum(b_j - 2) = 0 != ell + 1 = 3"),
+        ((2, 6, 2), "stuck at [2, 6, 2]: starts and ends with 2"),
+        ((), "empty sequence"),
+        ((4, 1), "entry < 2 in [4, 1]"),
+    ])
+    def test_a_move_refuses_what_is_tstring_rejects(self, b, reason):
+        assert is_tstring(b).reason == reason
+        for move in (apply_L, apply_R):
+            with pytest.raises(ValueError, match=re.escape(f"not a T-string: {reason}")):
+                move(b)
+
+    def test_every_string_to_eight_has_two_accepted_children(self):
+        for t in tstrings_to(8):
+            for child in (apply_L(t), apply_R(t)):
+                assert is_tstring(child).accepted, (t, child)
 
     def test_parameter_actions(self):
         # L acts as (p, q) -> (2p - q, p), R as (p, q) -> (p + q, q)
@@ -325,13 +340,13 @@ class TestMoves:
 
     @given(st.lists(st.booleans(), max_size=9))
     def test_moves_track_parameters(self, word):
-        t, params = TString((4,)), WahlParams(2, 1)
+        t, params = (4,), WahlParams(2, 1)
         for left in word:
             t = apply_L(t) if left else apply_R(t)
             p, q = params.p, params.q
             params = WahlParams(2 * p - q, p) if left else WahlParams(p + q, q)
         assert tstring_to_params(t) == params
-        assert as_entries(wahl_tstring(params)) == as_entries(t)
+        assert wahl_tstring(params) == t
 
 
 class TestRecognition:
@@ -343,7 +358,7 @@ class TestRecognition:
         # [3,5,2] = R(L([4])): peel R first, then L.
         rec = is_tstring((3, 5, 2))
         assert rec.accepted and rec.word == "RL"
-        assert as_entries(apply_R(apply_L((4,)))) == (3, 5, 2)
+        assert apply_R(apply_L((4,))) == (3, 5, 2)
 
     def test_rejections_carry_reasons(self):
         assert not is_tstring(()).accepted
@@ -364,31 +379,31 @@ class TestRecognition:
         for t in tstrings_to(7):
             rec = is_tstring(t)
             assert rec.accepted
-            assert len(rec.word) == t.ell - 1
+            assert len(rec.word) == len(t) - 1
 
     @given(st.lists(st.booleans(), max_size=9))
     def test_word_rebuilds_input(self, word):
-        t = TString((4,))
+        t = (4,)
         for left in word:
             t = apply_L(t) if left else apply_R(t)
         rec = is_tstring(t)
         assert rec.accepted
-        rebuilt = TString((4,))
+        rebuilt = (4,)
         for letter in reversed(rec.word):
             rebuilt = apply_L(rebuilt) if letter == "L" else apply_R(rebuilt)
-        assert as_entries(rebuilt) == as_entries(t)
+        assert rebuilt == t
 
 
 class TestParameterRecovery:
     def test_all_small_strings_roundtrip(self):
         for t in tstrings_to(6):
             params = tstring_to_params(t)
-            assert as_entries(wahl_tstring(params)) == as_entries(t)
+            assert wahl_tstring(params) == t
             assert eval_cf(t) == Fraction(params.p**2, params.p * params.q - 1)
 
     def test_p_bounded_by_power_of_two(self):
         for t in tstrings_to(6):
-            assert tstring_to_params(t).p <= 2**t.ell
+            assert tstring_to_params(t).p <= 2**len(t)
 
     @settings(max_examples=40)
     @given(st.integers(2, 60), st.integers(1, 59))
